@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from .errors import InvalidParameterError, MinfolError
 from .odeflow import Trajectory
-from .potential import BumpFunction, RadialPotential, u_bound_function
+from .potential import BumpFunction, Potential, u_bound_function
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
 
@@ -113,7 +113,7 @@ class Certificate:
         return asdict(self)
 
 
-def check_condition_A(pot: RadialPotential, n: int, x0_offset: float = 0.0,
+def check_condition_A(pot: Potential, n: int, x0_offset: float = 0.0,
                       grid_points: int = 2048,
                       envelope=None) -> Certificate:
     """Pointwise condition: U(r) <= ((n-2)/2)^2 / dist^2 over the support,
@@ -132,7 +132,7 @@ def check_condition_A(pot: RadialPotential, n: int, x0_offset: float = 0.0,
                        x0_offset=x0_offset, grid_points=grid_points)
 
 
-def check_condition_B(pot: RadialPotential, n: int,
+def check_condition_B(pot: Potential, n: int,
                       envelope=None) -> Certificate:
     """Integral condition: ||U||_{n/2} <= S_n = n(n-2)/4 |S^n|."""
     if n < 3:
@@ -152,7 +152,7 @@ def check_condition_B(pot: RadialPotential, n: int,
                        norm_value=norm, threshold=s_n)
 
 
-def second_variation(traj: Trajectory, xi, pot: RadialPotential, n: int) -> float:
+def second_variation(traj: Trajectory, xi, pot: Potential, n: int) -> float:
     """Q(xi) = int r^{n-1} (xi'^2 - V''_uu(u(r), r) xi^2) dr over the test
     function's support, which must lie inside the trajectory's r-range."""
     tf = as_test_function(xi)

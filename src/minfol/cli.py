@@ -64,7 +64,7 @@ def _run_certify(cfg: ExperimentConfig, out_dir: str):
     certified = "certified" in (cert_a.verdict, cert_b.verdict)
     results = {"condition_A": cert_a.to_dict(), "condition_B": cert_b.to_dict()}
     verdict = "certified" if certified else "not-certified"
-    return (0 if certified else 1), results, verdict, {}
+    return (0 if certified else 1), results, verdict
 
 
 def _run_solve(cfg: ExperimentConfig, out_dir: str):
@@ -91,7 +91,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str):
         fit = asymptotic_match_outer(traj, cfg.n)
         results["outer_fit"] = {"alpha": fit.alpha, "A": fit.A,
                                 "max_residual": fit.max_residual}
-    return 0, results, "solved", {"trajectory.csv": True}
+    return 0, results, "solved"
 
 
 def _run_scan(cfg: ExperimentConfig, out_dir: str):
@@ -105,13 +105,18 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str):
                                       cfg=cfg.integrator,
                                       n_slide=int(p["n_slide"]),
                                       map_fn=_map_fn(pool))
+    num_cells = len(report.u0_grid) * len(report.p0_grid) * len(report.t_starts)
+    if report.failures and not report.findings:
+        u0, p0, ts, message = report.failures[0]
+        raise MinfolError("scan found no conjugate points and %d of %d cells "
+                          "failed; first at (u0=%g, p0=%g, t_start=%g): %s"
+                          % (len(report.failures), num_cells, u0, p0, ts, message))
     findings = sorted(report.findings, key=lambda f: (f.t_start, f.u0, f.p0))
     write_findings_csv(findings, os.path.join(out_dir, "findings.csv"))
     verifications = [verify_finding(w, f, cfg.integrator, t_end=t_end)
                      for f in findings]
     results = {
-        "num_cells": len(report.u0_grid) * len(report.p0_grid)
-        * len(report.t_starts),
+        "num_cells": num_cells,
         "num_findings": len(findings),
         "num_failures": len(report.failures),
         "findings": [{"u0": f.u0, "p0": f.p0, "t1": f.t1, "t2": f.t2,
@@ -120,7 +125,7 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str):
     }
     found = len(findings) > 0
     return (0 if found else 1), results, \
-        ("conjugate-points-found" if found else "no-conjugate-points"), {}
+        ("conjugate-points-found" if found else "no-conjugate-points")
 
 
 def _run_foliate(cfg: ExperimentConfig, out_dir: str):
@@ -148,7 +153,7 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str):
                "min_dudalpha": ordering.min_dudalpha,
                "coverage": list(ordering.coverage)}
     ordered = ordering.verdict == "ordered"
-    return (0 if ordered else 1), results, ordering.verdict, {}
+    return (0 if ordered else 1), results, ordering.verdict
 
 
 def _run_scaling(cfg: ExperimentConfig, out_dir: str):
@@ -166,7 +171,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str):
     if fit.identically_zero:
         write_csv(os.path.join(out_dir, "scaling.csv"),
                   ("N", "lhs", "rhs"), rows)
-        return 1, results, "identically-zero", {}
+        return 1, results, "identically-zero"
     n_lo, n_hi = (int(x) for x in p["convergence_pair"])
     lo = rescaled_inequality_sides(w, n_lo, quad_tol)
     hi = rescaled_inequality_sides(w, n_hi, quad_tol)
@@ -185,7 +190,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str):
           and abs(fit.slope_rhs + 5.0) <= SLOPE_TOL
           and fit.crossover_N is not None)
     return (0 if ok else 1), results, \
-        ("scaling-law-confirmed" if ok else "scaling-law-not-confirmed"), {}
+        ("scaling-law-confirmed" if ok else "scaling-law-not-confirmed")
 
 
 def _run_example446(cfg: ExperimentConfig, out_dir: str):
@@ -214,7 +219,7 @@ def _run_example446(cfg: ExperimentConfig, out_dir: str):
                "residuals": [leaf.max_residual for leaf in rep.leaves]}
     ok = rep.max_residual <= RESIDUAL_TOL and rep.crossings == 0
     return (0 if ok else 1), results, \
-        ("leaves-verified" if ok else "leaves-not-verified"), {}
+        ("leaves-verified" if ok else "leaves-not-verified")
 
 
 def _random_test_function(rng, r1, r2):
@@ -255,7 +260,7 @@ def _run_hardy(cfg: ExperimentConfig, out_dir: str):
                "min_lhs": min(r[2] for r in rows)}
     ok = all(checks)
     return (0 if ok else 1), results, \
-        ("identity-holds" if ok else "identity-violated"), {}
+        ("identity-holds" if ok else "identity-violated")
 
 
 _RUNNERS = {
@@ -272,7 +277,7 @@ _RUNNERS = {
 def run_command(cfg: ExperimentConfig, out_dir: str) -> tuple[int, dict]:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.time()
-    code, results, verdict, _ = _RUNNERS[cfg.command](cfg, out_dir)
+    code, results, verdict = _RUNNERS[cfg.command](cfg, out_dir)
     report = {"tool": "minfol", "version": __version__,
               "command": cfg.command, "config": cfg.raw,
               "results": results, "verdict": verdict, "exit_code": code}

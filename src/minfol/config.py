@@ -8,8 +8,8 @@ from typing import Any, Optional
 
 from .errors import ConfigError
 from .odeflow import IntegratorConfig
-from .potential import (RadialPotential, make_bump, product_potential,
-                        zero_potential)
+from .potential import (ProductPotential, make_bump, product_potential,
+                        scale_potential, zero_potential)
 
 COMMANDS = ("certify", "solve", "scan-conjugate", "foliate",
             "rigidity-scaling", "example446", "hardy-check")
@@ -170,7 +170,7 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(data)
 
 
-def build_potential(cfg: ExperimentConfig) -> Optional[RadialPotential]:
+def build_potential(cfg: ExperimentConfig) -> Optional[ProductPotential]:
     spec = cfg.potential
     kind = spec["kind"] if "kind" in spec else "zero"
     if kind == "zero":
@@ -183,7 +183,6 @@ def build_potential(cfg: ExperimentConfig) -> Optional[RadialPotential]:
         pot = product_potential(f, g)
         scale = float(spec.get("scale", 1.0))
         if scale != 1.0:
-            from .potential import scale_potential
             pot = scale_potential(pot, scale)
         return pot
     return None  # example446 potentials are built from phi/psi in the runner

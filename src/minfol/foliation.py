@@ -12,8 +12,8 @@ from scipy.integrate import solve_ivp
 from .errors import (InapplicableError, IntegrationFailureError,
                      InvalidParameterError, MinfolError, PartialFamilyError)
 from .odeflow import IntegratorConfig, Trajectory, integrate_radial_ivp
-from .potential import (BumpFunction, LogPotential, RadialPotential,
-                        example_446_potential, to_log_form)
+from .potential import (BumpFunction, Potential, example_446_potential,
+                        to_log_form)
 
 GRID_POINTS = 512
 
@@ -78,7 +78,7 @@ def _family_on_grid(kind, n, A, alphas, trajectories, r_grid):
     return fam
 
 
-def build_NA_family(pot: RadialPotential, n: int, A: float, alphas,
+def build_NA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     r_min: float = 1e-4,
                     r_start: Optional[float] = None,
@@ -114,7 +114,7 @@ def build_NA_family(pot: RadialPotential, n: int, A: float, alphas,
     return _family_on_grid("N_A", n, A, alphas, trajectories, r_grid)
 
 
-def build_MA_family(pot: RadialPotential, n: int, A: float, alphas,
+def build_MA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     r_end: Optional[float] = None,
                     map_fn=map) -> LeafFamily:

@@ -13,7 +13,7 @@ from scipy import optimize
 from .errors import (ContractViolationError, InapplicableError,
                      IntegrationFailureError, InvalidParameterError)
 from .odeflow import IntegratorConfig, Trajectory, _sample_grid
-from .potential import LogPotential
+from .potential import Potential
 
 # |omega| beyond this marks a Riccati blow-up (finite surrogate for infinity)
 BLOWUP_CAP = 1e8
@@ -265,7 +265,7 @@ class RiccatiBoundsReport:
     all_ok: bool
 
 
-def riccati_bounds_check(trace: RiccatiTrace, w: LogPotential,
+def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
                          tol: float = 1e-9) -> RiccatiBoundsReport:
     """Check the uniform, tail, region and certified-envelope bounds on omega.
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailureError, InsufficientRangeError, InvalidParameterError
-from .potential import LogPotential, RadialPotential, to_log_form
+from .potential import Potential, to_log_form
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class Trajectory:
     """Dense solution of the log-time flow, with support entry/exit events."""
 
     n: int
-    w: LogPotential
+    w: Potential
     damping: float
     sol: object  # scipy OdeSolution over [t_min, t_max]
     t: np.ndarray
@@ -108,11 +108,11 @@ class Trajectory:
         return None
 
 
-def _inside_strip(w: LogPotential, u, t):
+def _inside_strip(w: Potential, u, t):
     return (np.abs(u) < w.u_bound) & (t < w.t_upper) & (t > w.t_lower)
 
 
-def _locate_events(w: LogPotential, sol, t_lo, t_hi, event_tol):
+def _locate_events(w: Potential, sol, t_lo, t_hi, event_tol):
     """Support-box crossings of the dense solution, bisected to event_tol."""
     n_pts = max(int(math.ceil((t_hi - t_lo) / _SCAN_DX)), 8)
     ts = np.linspace(t_lo, t_hi, n_pts + 1)
@@ -138,7 +138,7 @@ def _sample_grid(t_lo, t_hi):
     return np.linspace(t_lo, t_hi, n_pts + 1)
 
 
-def _run_flow(w: LogPotential, n: int, t0: float, u0: float, p0: float,
+def _run_flow(w: Potential, n: int, t0: float, u0: float, p0: float,
               cfg: IntegratorConfig, t_end: float) -> Trajectory:
     damping = float(n - 2)
 
@@ -162,16 +162,16 @@ def _run_flow(w: LogPotential, n: int, t0: float, u0: float, p0: float,
                       u=ys[0], p=ys[1], events=events, cfg=cfg)
 
 
-def integrate_hamiltonian(w: LogPotential, s0: PhaseState,
+def integrate_hamiltonian(w: Potential, s0: PhaseState,
                           cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Flow of u' = p, p' = -e^{2t} W'_u from the given state (n = 2)."""
     t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
     return _run_flow(w, 2, s0.t, s0.u, s0.p, cfg, t_end)
 
 
-def integrate_radial_ivp(pot: RadialPotential, n: int, r0: float, u0: float,
+def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
                          du0: float, cfg: IntegratorConfig = IntegratorConfig(),
-                         w: Optional[LogPotential] = None) -> Trajectory:
+                         w: Optional[Potential] = None) -> Trajectory:
     """Radial solution of u'' + (n-1)/r u' + V'_u = 0 from (r0, u0, u'(r0)).
 
     Integrated in t = ln r with p = r u'; pass a precomputed log form to
@@ -189,7 +189,7 @@ def integrate_radial_ivp(pot: RadialPotential, n: int, r0: float, u0: float,
     return _run_flow(w, n, t0, u0, p0, cfg, t_end)
 
 
-def hamiltonian_value(w: LogPotential, s: PhaseState) -> float:
+def hamiltonian_value(w: Potential, s: PhaseState) -> float:
     """H = p^2/2 + e^{2t} W(u, t)."""
     return 0.5 * s.p * s.p + math.exp(2.0 * s.t) * float(w.w(s.u, s.t))
 
@@ -219,7 +219,7 @@ def asymptotic_match_outer(traj: Trajectory, n: int) -> AsymptoticFit:
                          max_residual=float(resid))
 
 
-def flow_volume_check(w: LogPotential, s0: PhaseState,
+def flow_volume_check(w: Potential, s0: PhaseState,
                       cfg: IntegratorConfig = IntegratorConfig()) -> float:
     """Jacobian determinant of the time-t flow map via the variational system.
 

@@ -1,45 +1,68 @@
-"""Compactly supported potentials V(u, r) and their log-coordinate form W(u, t).
+"""Compactly supported potentials as plain data, read in two coordinates.
 
-The log form substitutes r = e^t, so the support of W lies in the semi-strip
-{|u| <= u_bound, t <= t_upper} and the curvature constant K = sqrt(sup W''_uu)
-controls all Riccati estimates downstream.
+A potential is a frozen dataclass of parameters. It is read radially as
+V(u, r) by the n >= 3 certificates, and in log time as W(u, t) = V(u, e^t)
+by the n = 2 flow. There are two families:
+
+- `ProductPotential`: V(u, r) = lam * f(u) * g(r) for two bumps f and g.
+  `f = g = None` is the identically-zero potential.
+- `Example446Potential`: W(u, t) = -e^{-2t} (psi'(t) phi(u)
+  + 1/2 psi(t)^k phi'(u)^2), built so that du/dt = phi'(u) psi(t) solves
+  the Newton equation. k = 1 is the "as-printed" variant, k = 2 the
+  "chain-rule" one.
+
+Both carry the support box (`u_bound`, `r_inner`, `r_outer`, `t_lower`,
+`t_upper`), the curvature constant K = sqrt(sup W''_uu) that controls the
+Riccati estimates (`k_curvature`, set by `to_log_form`), and the rescaling
+factor N of W_N(u, t) = W(N u, t) / N^2 (`n_scale`). Each family has one
+evaluator, which computes only the derivative order asked for; the views
+`w`, `dw_du`, `d2w_duu`, `dw_dt` and `v`, `dv_du`, `d2v_duu`, `dv_dr` are
+thin wrappers over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy import optimize
 
 from .errors import InvalidParameterError, InvalidSupportError
 
+# (u-order, t-order) of W, W_u, W_uu, W_t
+_ORDERS = ((0, 0), (1, 0), (2, 0), (0, 1))
 
-def _profile_derivs(s: np.ndarray):
-    """Smooth bump profile g(s) = exp(1 - 1/(1-s^2)) and derivatives g', g'', g'''.
+_VARIANT_POWER = {"as-printed": 1, "chain-rule": 2}
 
-    All four vanish identically for |s| >= 1.
+
+def _profile(s, n: int):
+    """n-th derivative (n <= 3) of the bump profile g(s) = exp(1 - 1/(1-s^2)).
+
+    It vanishes identically for |s| >= 1.
     """
     s = np.asarray(s, dtype=float)
-    g = np.zeros_like(s)
-    g1 = np.zeros_like(s)
-    g2 = np.zeros_like(s)
-    g3 = np.zeros_like(s)
+    out = np.zeros_like(s)
     m = np.abs(s) < 1.0
     if np.any(m):
         sm = s[m]
         q = 1.0 - sm * sm
         val = np.exp(1.0 - 1.0 / q)
-        h1 = -2.0 * sm / q**2
-        h2 = -2.0 * (1.0 + 3.0 * sm * sm) / q**3
-        h3 = -24.0 * sm * (1.0 + sm * sm) / q**4
-        g[m] = val
-        g1[m] = h1 * val
-        g2[m] = (h2 + h1 * h1) * val
-        g3[m] = (h3 + 3.0 * h1 * h2 + h1**3) * val
-    return g, g1, g2, g3
+        if n >= 1:
+            h1 = -2.0 * sm / q**2
+        if n >= 2:
+            h2 = -2.0 * (1.0 + 3.0 * sm * sm) / q**3
+        if n == 0:
+            out[m] = val
+        elif n == 1:
+            out[m] = h1 * val
+        elif n == 2:
+            out[m] = (h2 + h1 * h1) * val
+        else:
+            h3 = -24.0 * sm * (1.0 + sm * sm) / q**4
+            out[m] = (h3 + 3.0 * h1 * h2 + h1**3) * val
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,26 +81,24 @@ class BumpFunction:
     def support(self) -> tuple[float, float]:
         return (self.center - self.width, self.center + self.width)
 
-    def _s(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.width
+    def nth_derivative(self, x, n: int):
+        """The n-th derivative (0 <= n <= 3) at x, vectorized."""
+        s = (np.asarray(x, dtype=float) - self.center) / self.width
+        return self.amplitude * _profile(s, n) / self.width**n
 
     def value(self, x):
-        g = _profile_derivs(self._s(x))[0]
-        return self.amplitude * g
+        return self.nth_derivative(x, 0)
 
     __call__ = value
 
     def derivative(self, x):
-        g1 = _profile_derivs(self._s(x))[1]
-        return self.amplitude * g1 / self.width
+        return self.nth_derivative(x, 1)
 
     def second_derivative(self, x):
-        g2 = _profile_derivs(self._s(x))[2]
-        return self.amplitude * g2 / self.width**2
+        return self.nth_derivative(x, 2)
 
     def third_derivative(self, x):
-        g3 = _profile_derivs(self._s(x))[3]
-        return self.amplitude * g3 / self.width**3
+        return self.nth_derivative(x, 3)
 
 
 def make_bump(center: float, width: float, amplitude: float) -> BumpFunction:
@@ -85,99 +106,161 @@ def make_bump(center: float, width: float, amplitude: float) -> BumpFunction:
     return BumpFunction(center=center, width=width, amplitude=amplitude)
 
 
-@dataclass(frozen=True)
-class RadialPotential:
-    """V(u, r) with u-derivatives, an r-derivative, and declared support box.
+@dataclass(frozen=True, kw_only=True)
+class Potential:
+    """Support box, curvature constant and rescaling factor of a potential,
+    and its two coordinate views.
 
-    All evaluators are vectorized, pure, and return exactly 0 outside
+    Every view is vectorized, pure, and exactly 0 outside
     {|u| < u_bound, r_inner < r < r_outer}.
     """
 
-    v: Callable
-    dv_du: Callable
-    d2v_duu: Callable
-    dv_dr: Callable
     u_bound: float
+    r_inner: Optional[float]
     r_outer: float
-    r_inner: Optional[float] = None
+    t_lower: float
+    t_upper: float
+    k_curvature: Optional[float]   # set by to_log_form
+    n_scale: float
+
+    def _evaluate(self, u, x, order: int, log: bool):
+        """The family's evaluator: derivative `order` (an index of _ORDERS)
+        at (u, t = x) if log, else at (u, r = x), for n_scale = 1."""
+        raise NotImplementedError
+
+    def _view(self, u, x, order: int, log: bool):
+        N = self.n_scale
+        return self._evaluate(N * u, x, order, log) / (N * N, N, 1.0, N * N)[order]
+
+    def w(self, u, t):
+        return self._view(u, t, 0, True)
+
+    def dw_du(self, u, t):
+        return self._view(u, t, 1, True)
+
+    def d2w_duu(self, u, t):
+        return self._view(u, t, 2, True)
+
+    def dw_dt(self, u, t):
+        return self._view(u, t, 3, True)
+
+    def v(self, u, r):
+        return self._view(u, r, 0, False)
+
+    def dv_du(self, u, r):
+        return self._view(u, r, 1, False)
+
+    def d2v_duu(self, u, r):
+        return self._view(u, r, 2, False)
+
+    def dv_dr(self, u, r):
+        return self._view(u, r, 3, False)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ProductPotential(Potential):
+    """V(u, r) = lam * f(u) * g(r); f = g = None is the zero potential."""
+
+    f: Optional[BumpFunction]
+    g: Optional[BumpFunction]
+    lam: float
+
+    def _evaluate(self, u, x, order, log):
+        if self.f is None:
+            return np.zeros(np.broadcast(np.asarray(u, float), np.asarray(x, float)).shape)
+        r = np.exp(np.asarray(x, float)) if log else x
+        du, dr = _ORDERS[order]
+        val = self.lam * (self.f.nth_derivative(u, du) * self.g.nth_derivative(r, dr))
+        return val * r if log and dr else val
+
+
+@dataclass(frozen=True, kw_only=True)
+class Example446Potential(Potential):
+    """W(u, t) = -e^{-2t} (psi' phi + 1/2 psi^k phi'^2), k = psi_power."""
+
+    phi: BumpFunction
+    psi: BumpFunction
+    psi_power: int
+
+    def _evaluate(self, u, x, order, log):
+        t = np.asarray(x, float) if log else np.log(np.asarray(x, float))
+        D, k = self.phi.nth_derivative, self.psi_power
+        e2 = np.exp(-2.0 * t)
+        P, P1 = self.psi.nth_derivative(t, 0), self.psi.nth_derivative(t, 1)
+        pk = P ** (k - 1)   # psi^k = P * pk
+        F1 = D(u, 1)
+        if order == 1:
+            return -e2 * (P1 * F1 + P * pk * F1 * D(u, 2))
+        if order == 2:
+            F2 = D(u, 2)
+            return -e2 * (P1 * F2 + P * pk * (F2 * F2 + F1 * D(u, 3)))
+        F = D(u, 0)
+        bracket = P1 * F + 0.5 * P * pk * F1 * F1
+        if order == 0:
+            return -e2 * bracket
+        dw_dt = 2.0 * e2 * bracket - e2 * (self.psi.nth_derivative(t, 2) * F
+                                           + 0.5 * k * pk * P1 * F1 * F1)
+        return dw_dt if log else dw_dt / x
+
+
+def _product(f, g, u_bound, r_inner, r_outer) -> ProductPotential:
+    t_upper = math.log(r_outer)
+    t_lower = math.log(r_inner) if r_inner else t_upper - 16.0
+    return ProductPotential(f=f, g=g, lam=1.0, u_bound=u_bound, r_inner=r_inner,
+                            r_outer=r_outer, t_lower=t_lower, t_upper=t_upper,
+                            k_curvature=None, n_scale=1.0)
 
 
 def zero_potential(u_bound: float = 1.0, r_inner: float = 1.0,
-                   r_outer: float = math.e) -> RadialPotential:
+                   r_outer: float = math.e) -> ProductPotential:
     """The identically-zero potential with finite declared support bounds."""
-    def zero(u, r):
-        return np.zeros(np.broadcast(np.asarray(u, float), np.asarray(r, float)).shape)
-
-    return RadialPotential(v=zero, dv_du=zero, d2v_duu=zero, dv_dr=zero,
-                           u_bound=u_bound, r_outer=r_outer, r_inner=r_inner)
+    return _product(None, None, u_bound, r_inner, r_outer)
 
 
-def product_potential(f: BumpFunction, g: BumpFunction) -> RadialPotential:
+def product_potential(f: BumpFunction, g: BumpFunction) -> ProductPotential:
     """Test-family constructor V(u, r) = f(u) * g(r); g must live in r > 0."""
     if g.support[0] <= 0:
         raise InvalidSupportError(
             "radial factor support %r touches r <= 0" % (g.support,))
-
-    def v(u, r):
-        return f.value(u) * g.value(r)
-
-    def dv_du(u, r):
-        return f.derivative(u) * g.value(r)
-
-    def d2v_duu(u, r):
-        return f.second_derivative(u) * g.value(r)
-
-    def dv_dr(u, r):
-        return f.value(u) * g.derivative(r)
-
-    return RadialPotential(v=v, dv_du=dv_du, d2v_duu=d2v_duu, dv_dr=dv_dr,
-                           u_bound=abs(f.center) + f.width,
-                           r_outer=g.support[1], r_inner=g.support[0])
+    return _product(f, g, abs(f.center) + f.width, g.support[0], g.support[1])
 
 
-def scale_potential(pot: RadialPotential, lam: float) -> RadialPotential:
+def scale_potential(pot: ProductPotential, lam: float) -> ProductPotential:
     """lam * V with the same support box."""
-    return RadialPotential(
-        v=lambda u, r: lam * pot.v(u, r),
-        dv_du=lambda u, r: lam * pot.dv_du(u, r),
-        d2v_duu=lambda u, r: lam * pot.d2v_duu(u, r),
-        dv_dr=lambda u, r: lam * pot.dv_dr(u, r),
-        u_bound=pot.u_bound, r_outer=pot.r_outer, r_inner=pot.r_inner)
+    if not isinstance(pot, ProductPotential):
+        raise InvalidParameterError("only product potentials can be scaled")
+    return replace(pot, lam=lam * pot.lam)
 
 
-@dataclass(frozen=True)
-class LogPotential:
-    """W(u, t) = V(u, e^t) with support strip, time bound T and curvature K."""
-
-    w: Callable
-    dw_du: Callable
-    d2w_duu: Callable
-    dw_dt: Callable
-    u_bound: float
-    t_upper: float
-    t_lower: float
-    k_curvature: float
-    radial: Optional[RadialPotential] = None
+def _neg_curvature(x, d2, point, axis):
+    """-d2(u, y) at `point` = (u, y) with coordinate `axis` set to x."""
+    u, y = (x, point[1]) if axis == 0 else (point[0], x)
+    return -float(d2(u, y))
 
 
-def _refine_max_1d(fun, lo, hi, x0):
-    """Local bounded refinement of a grid argmax of `fun` on [lo, hi]."""
+def _refine_max_1d(d2, point, axis, lo, hi):
+    """Local bounded refinement, along `axis`, of a grid argmax of d2."""
+    x0 = point[axis]
+    best0 = -_neg_curvature(x0, d2, point, axis)
     span = (hi - lo) * 1e-2
     a, b = max(lo, x0 - span), min(hi, x0 + span)
-    if b <= a:
-        return x0, fun(x0)
-    res = optimize.minimize_scalar(lambda x: -fun(x), bounds=(a, b), method="bounded",
-                                   options={"xatol": 1e-12})
-    if -res.fun > fun(x0):
-        return float(res.x), float(-res.fun)
-    return x0, fun(x0)
+    if b > a:
+        res = optimize.minimize_scalar(_neg_curvature, bounds=(a, b),
+                                       args=(d2, point, axis), method="bounded",
+                                       options={"xatol": 1e-12})
+        if -res.fun > best0:
+            return float(res.x), float(-res.fun)
+    return x0, best0
 
 
-def _curvature_sup(d2w_duu, u_bound, t_lower, t_upper, grid_density):
-    """sup over the strip of max(W''_uu, 0): grid scan + local refinement."""
-    uu = np.linspace(-u_bound, u_bound, grid_density)
-    tt = np.linspace(t_lower, t_upper, grid_density)
-    vals = d2w_duu(uu[:, None], tt[None, :])
+def k_constant(w: Potential, grid_density: int = 512) -> float:
+    """K = sqrt(sup over the strip of max(W''_uu, 0)): grid scan plus local
+    refinement."""
+    if grid_density < 2:
+        raise InvalidParameterError("grid_density must be >= 2")
+    uu = np.linspace(-w.u_bound, w.u_bound, grid_density)
+    tt = np.linspace(w.t_lower, w.t_upper, grid_density)
+    vals = w.d2w_duu(uu[:, None], tt[None, :])
     best = float(np.max(vals))
     if best <= 0:
         return 0.0
@@ -185,141 +268,50 @@ def _curvature_sup(d2w_duu, u_bound, t_lower, t_upper, grid_density):
     u0, t0 = uu[i], tt[j]
     # two coordinate-wise refinement sweeps
     for _ in range(2):
-        u0, best = _refine_max_1d(lambda u: float(d2w_duu(u, t0)), -u_bound, u_bound, u0)
-        t0, best = _refine_max_1d(lambda t: float(d2w_duu(u0, t)), t_lower, t_upper, t0)
-    return max(best, 0.0)
+        u0, best = _refine_max_1d(w.d2w_duu, (u0, t0), 0, -w.u_bound, w.u_bound)
+        t0, best = _refine_max_1d(w.d2w_duu, (u0, t0), 1, w.t_lower, w.t_upper)
+    return math.sqrt(max(best, 0.0))
 
 
-def k_constant(w: LogPotential, grid_density: int = 512) -> float:
-    """K = sqrt(sup over the strip of max(W''_uu, 0))."""
-    if grid_density < 2:
-        raise InvalidParameterError("grid_density must be >= 2")
-    sup = _curvature_sup(w.d2w_duu, w.u_bound, w.t_lower, w.t_upper, grid_density)
-    return math.sqrt(sup)
-
-
-def to_log_form(pot: RadialPotential, grid_density: int = 512) -> LogPotential:
-    """Substitute r = e^t: W(u, t) = V(u, e^t)."""
-    t_upper = math.log(pot.r_outer)
-    t_lower = math.log(pot.r_inner) if pot.r_inner else t_upper - 16.0
-
-    def w(u, t):
-        return pot.v(u, np.exp(np.asarray(t, float)))
-
-    def dw_du(u, t):
-        return pot.dv_du(u, np.exp(np.asarray(t, float)))
-
-    def d2w_duu(u, t):
-        return pot.d2v_duu(u, np.exp(np.asarray(t, float)))
-
-    def dw_dt(u, t):
-        et = np.exp(np.asarray(t, float))
-        return pot.dv_dr(u, et) * et
-
-    sup = _curvature_sup(d2w_duu, pot.u_bound, t_lower, t_upper, grid_density)
-    return LogPotential(w=w, dw_du=dw_du, d2w_duu=d2w_duu, dw_dt=dw_dt,
-                        u_bound=pot.u_bound, t_upper=t_upper, t_lower=t_lower,
-                        k_curvature=math.sqrt(sup), radial=pot)
+def to_log_form(pot: Potential, grid_density: int = 512) -> Potential:
+    """The same potential with its curvature constant K filled in, ready for
+    the log-time flow W(u, t) = V(u, e^t)."""
+    return replace(pot, k_curvature=k_constant(pot, grid_density))
 
 
 def example_446_potential(phi: BumpFunction, psi: BumpFunction,
                           variant: str = "chain-rule",
-                          grid_density: int = 512) -> LogPotential:
+                          grid_density: int = 512) -> Example446Potential:
     """Explicit family W built from two bumps so that du/dt = phi'(u) psi(t)
     solves the Newton equation u'' = -e^{2t} W'_u.
 
     variant "as-printed" carries psi in the quadratic term; "chain-rule"
     carries psi^2 (the version consistent with direct differentiation).
     """
-    if variant not in ("as-printed", "chain-rule"):
+    if variant not in _VARIANT_POWER:
         raise InvalidParameterError("unknown variant %r" % (variant,))
-
-    def parts(u, t):
-        u = np.asarray(u, float)
-        t = np.asarray(t, float)
-        return (phi.value(u), phi.derivative(u), phi.second_derivative(u),
-                phi.third_derivative(u), psi.value(t), psi.derivative(t),
-                psi.second_derivative(t), np.exp(-2.0 * t))
-
-    if variant == "chain-rule":
-        def w(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return -e2 * (P1 * F + 0.5 * P * P * F1 * F1)
-
-        def dw_du(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return -e2 * (P1 * F1 + P * P * F1 * F2)
-
-        def d2w_duu(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return -e2 * (P1 * F2 + P * P * (F2 * F2 + F1 * F3))
-
-        def dw_dt(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return (2.0 * e2 * (P1 * F + 0.5 * P * P * F1 * F1)
-                    - e2 * (P2 * F + P * P1 * F1 * F1))
-    else:
-        def w(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return -e2 * (P1 * F + 0.5 * P * F1 * F1)
-
-        def dw_du(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return -e2 * (P1 * F1 + P * F1 * F2)
-
-        def d2w_duu(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return -e2 * (P1 * F2 + P * (F2 * F2 + F1 * F3))
-
-        def dw_dt(u, t):
-            F, F1, F2, F3, P, P1, P2, e2 = parts(u, t)
-            return (2.0 * e2 * (P1 * F + 0.5 * P * F1 * F1)
-                    - e2 * (P2 * F + 0.5 * P1 * F1 * F1))
-
-    u_bound = abs(phi.center) + phi.width
     t_lower, t_upper = psi.support
-
-    def v(u, r):
-        return w(u, np.log(np.asarray(r, float)))
-
-    def dv_du(u, r):
-        return dw_du(u, np.log(np.asarray(r, float)))
-
-    def d2v_duu(u, r):
-        return d2w_duu(u, np.log(np.asarray(r, float)))
-
-    def dv_dr(u, r):
-        r = np.asarray(r, float)
-        return dw_dt(u, np.log(r)) / r
-
-    radial = RadialPotential(v=v, dv_du=dv_du, d2v_duu=d2v_duu, dv_dr=dv_dr,
-                             u_bound=u_bound, r_outer=math.exp(t_upper),
-                             r_inner=math.exp(t_lower))
-    sup = _curvature_sup(d2w_duu, u_bound, t_lower, t_upper, grid_density)
-    return LogPotential(w=w, dw_du=dw_du, d2w_duu=d2w_duu, dw_dt=dw_dt,
-                        u_bound=u_bound, t_upper=t_upper, t_lower=t_lower,
-                        k_curvature=math.sqrt(sup), radial=radial)
+    pot = Example446Potential(phi=phi, psi=psi, psi_power=_VARIANT_POWER[variant],
+                              u_bound=abs(phi.center) + phi.width,
+                              r_inner=math.exp(t_lower), r_outer=math.exp(t_upper),
+                              t_lower=t_lower, t_upper=t_upper, k_curvature=None,
+                              n_scale=1.0)
+    return to_log_form(pot, grid_density)
 
 
-def rescale_log_potential(w: LogPotential, n_scale: int) -> LogPotential:
+def rescale_log_potential(w: Potential, n_scale: int) -> Potential:
     """W_N(u, t) = W(N u, t) / N^2: the rescaled Hamiltonian family."""
     if n_scale < 1:
         raise InvalidParameterError("rescaling factor must be >= 1")
     N = float(n_scale)
-    return LogPotential(
-        w=lambda u, t: w.w(N * np.asarray(u, float), t) / (N * N),
-        dw_du=lambda u, t: w.dw_du(N * np.asarray(u, float), t) / N,
-        d2w_duu=lambda u, t: w.d2w_duu(N * np.asarray(u, float), t),
-        dw_dt=lambda u, t: w.dw_dt(N * np.asarray(u, float), t) / (N * N),
-        u_bound=w.u_bound / N, t_upper=w.t_upper, t_lower=w.t_lower,
-        k_curvature=w.k_curvature, radial=None)
+    return replace(w, n_scale=N * w.n_scale, u_bound=w.u_bound / N)
 
 
 class RadialCurvatureEnvelope:
     """U(r) = max(0, sup_u V''_uu(u, r)): the bounding function of the
     minimality certificates, compactly supported in r."""
 
-    def __init__(self, pot: RadialPotential, grid_density: int = 512):
+    def __init__(self, pot: Potential, grid_density: int = 512):
         self.pot = pot
         self.r_outer = pot.r_outer
         self.r_inner = pot.r_inner
@@ -332,7 +324,7 @@ class RadialCurvatureEnvelope:
             return 0.0
         u0 = float(self._u_grid[int(np.argmax(vals))])
         ub = self.pot.u_bound
-        u0, best = _refine_max_1d(lambda u: float(self.pot.d2v_duu(u, r)), -ub, ub, u0)
+        u0, best = _refine_max_1d(self.pot.d2v_duu, (u0, r), 0, -ub, ub)
         return max(best, 0.0)
 
     def __call__(self, r):
@@ -342,7 +334,7 @@ class RadialCurvatureEnvelope:
         return np.array([self._at(float(x)) for x in r])
 
 
-def u_bound_function(pot: RadialPotential, n: int,
+def u_bound_function(pot: Potential, n: int,
                      grid_density: int = 512) -> RadialCurvatureEnvelope:
     """Curvature envelope U(r) for the dimension-n certificates (n >= 3)."""
     if n < 3:

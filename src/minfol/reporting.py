@@ -44,7 +44,6 @@ def write_trajectory_csv(traj: Trajectory, path: str,
 def write_jacobi_csv(fld, path: str, trace=None) -> None:
     """Columns t, xi, xidot, omega, flags; omega is blank at zeros of xi."""
     rows = []
-    zeros = set()
     if trace is not None:
         omega_at = dict(zip(map(float, trace.t), map(float, trace.omega)))
     for i, t in enumerate(map(float, fld.t)):
@@ -62,7 +61,6 @@ def write_jacobi_csv(fld, path: str, trace=None) -> None:
         if fld.degenerate:
             flags.append("degenerate")
         rows.append((t, xi, xidot, omega, "|".join(flags)))
-        zeros.update(fld.zeros)
     write_csv(path, ("t", "xi", "xidot", "omega", "flags"), rows)
 
 

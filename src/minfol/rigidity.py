@@ -9,10 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateFitError, InvalidParameterError
+from .errors import (AccuracyError, DegenerateFitError, InvalidParameterError,
+                     MinfolError)
 from .jacobi import integrate_jacobi
 from .odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
-from .potential import LogPotential
+from .potential import Potential
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,6 @@ class ScalingFit:
     identically_zero: bool = False
 
 
-@dataclass
-class RigidityReport:
-    scan: Optional[ScanReport] = None
-    scaling: Optional[ScalingFit] = None
-    discriminant: Optional[tuple[float, float, bool]] = None
-
-
 def _first_conjugate_time(w, u0, p0, t_start, t_end, cfg):
     s0 = PhaseState(u=u0, p=p0, t=t_start)
     run_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
@@ -64,7 +58,7 @@ def _first_conjugate_time(w, u0, p0, t_start, t_end, cfg):
     return zeros[0] if zeros else None
 
 
-def conjugate_point_scan(w: LogPotential, u0_grid, p0_grid, t_start: float,
+def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
                          t_end: float,
                          cfg: IntegratorConfig = IntegratorConfig(),
                          n_slide: int = 1, map_fn=map) -> ScanReport:
@@ -90,7 +84,7 @@ def conjugate_point_scan(w: LogPotential, u0_grid, p0_grid, t_start: float,
         u0, p0, ts = cell
         try:
             t2 = _first_conjugate_time(w, u0, p0, ts, t_end, cfg)
-        except Exception as exc:  # failures recorded, scan continues
+        except MinfolError as exc:  # failures recorded, scan continues
             return ("error", cell, str(exc))
         if t2 is None:
             return None
@@ -110,7 +104,7 @@ def conjugate_point_scan(w: LogPotential, u0_grid, p0_grid, t_start: float,
     return report
 
 
-def verify_finding(w: LogPotential, finding: ConjugateFinding,
+def verify_finding(w: Potential, finding: ConjugateFinding,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    t_end: Optional[float] = None) -> float:
     """Re-verify the finding's Jacobi zero: rebuild the trajectory over the
@@ -132,7 +126,7 @@ def verify_finding(w: LogPotential, finding: ConjugateFinding,
     return abs(float(fld.value(finding.t2))) / scale
 
 
-def gibbs_density(w: LogPotential, s: PhaseState) -> float:
+def gibbs_density(w: Potential, s: PhaseState) -> float:
     """alpha = e^{-H} = exp(-p^2/2 - e^{2t} W(u, t))."""
     h = 0.5 * s.p * s.p + math.exp(2.0 * s.t) * float(w.w(s.u, s.t))
     return math.exp(-h)
@@ -160,7 +154,7 @@ def _double_quad(f, u_lo, u_hi, t_lo, t_hi, tol, rel_tol=1e-9):
                         % abs(cur - prev), estimate=cur)
 
 
-def rescaled_inequality_sides(w: LogPotential, N: int,
+def rescaled_inequality_sides(w: Potential, N: int,
                               quad_tol: float = 1e-12) -> tuple[float, float]:
     """The two sides of the discriminant inequality for the rescaled family:
 
@@ -188,7 +182,7 @@ def rescaled_inequality_sides(w: LogPotential, N: int,
     return max(lhs, 0.0), max(rhs, 0.0)
 
 
-def discriminant_inequality_check(w: LogPotential, quad_tol: float = 1e-12
+def discriminant_inequality_check(w: Potential, quad_tol: float = 1e-12
                                   ) -> tuple[float, float, bool]:
     """The N = 1 inequality with the Gaussian p-integral sqrt(2 pi) retained
     on both sides; holds = True is necessary for all solutions to be
@@ -198,7 +192,7 @@ def discriminant_inequality_check(w: LogPotential, quad_tol: float = 1e-12
     return s * lhs1, s * rhs1, bool(s * lhs1 <= s * rhs1)
 
 
-def scaling_exponent_fit(w: LogPotential, N_list,
+def scaling_exponent_fit(w: Potential, N_list,
                          quad_tol: float = 1e-12,
                          max_search_N: int = 4096) -> ScalingFit:
     """Log-log slopes of both sides against N, and the first N at which the

@@ -183,6 +183,36 @@ class TestMainExitCodes:
                      "--jobs", "0"]) == 2
 
 
+class TestScanFailures:
+    CONFIG = {"command": "scan-conjugate", "n": 2,
+              "scan": {"u0": [-0.2, 0.2, 3], "p0": [-0.2, 0.2, 3],
+                       "t_start": -1.0}}
+
+    def test_all_cells_failing_is_2_without_report(self, tmp_path,
+                                                   monkeypatch):
+        from minfol.errors import IntegrationFailureError
+
+        def fail(*args, **kwargs):
+            raise IntegrationFailureError("injected")
+
+        monkeypatch.setattr("minfol.rigidity.integrate_hamiltonian", fail)
+        out = tmp_path / "out"
+        assert main(["--config", _write(tmp_path, self.CONFIG),
+                     "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
+    def test_unexpected_error_is_not_a_cell_failure(self, monkeypatch,
+                                                    flat_log):
+        from minfol.rigidity import conjugate_point_scan
+
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr("minfol.rigidity.integrate_hamiltonian", fail)
+        with pytest.raises(ZeroDivisionError):
+            conjugate_point_scan(flat_log, [0.0, 0.1], [0.0], -1.0, 2.0)
+
+
 class TestReportingHelpers:
     def test_jacobi_csv_columns(self, tmp_path, flat_log):
         from minfol.jacobi import nonvanishing_field, riccati_from_jacobi

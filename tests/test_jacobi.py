@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from minfol.jacobi import (certified_lower_envelope, find_vanishing,
                            riccati_blowup_window, riccati_bounds_check,
                            riccati_from_jacobi)
 from minfol.odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
-from minfol.potential import LogPotential
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
@@ -21,7 +21,7 @@ TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 def _constant_coefficient_log(sign=1.0):
     """Synthetic potential with e^{2t} W''_uu = sign, so the linearized
     equation is xi'' + sign * xi = 0 along any trajectory."""
-    return LogPotential(
+    return SimpleNamespace(
         w=lambda u, t: np.zeros_like(np.asarray(u, float) * np.asarray(t, float)),
         dw_du=lambda u, t: np.zeros_like(np.asarray(u, float) * np.asarray(t, float)),
         d2w_duu=lambda u, t: sign * np.exp(-2.0 * np.asarray(t, float))

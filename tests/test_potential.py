@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfol.errors import InvalidParameterError, InvalidSupportError
-from minfol.potential import (k_constant, make_bump, product_potential,
-                              rescale_log_potential, scale_potential,
-                              to_log_form, u_bound_function, zero_potential)
+from minfol.potential import (example_446_potential, k_constant, make_bump,
+                              product_potential, rescale_log_potential,
+                              scale_potential, to_log_form, u_bound_function,
+                              zero_potential)
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -148,3 +150,90 @@ class TestEnvelope:
         env = u_bound_function(strong_pot, 3)
         rr = np.linspace(0.5, 4.0, 64)
         assert np.all(env(rr) >= 0.0)
+
+
+def _product():
+    return product_potential(make_bump(0.1, 0.9, 1.5), make_bump(2.0, 1.0, 0.8))
+
+
+def _example446(variant):
+    return example_446_potential(make_bump(0.0, 1.0, 1.0),
+                                 make_bump(0.5, 0.5, 1.0), variant=variant)
+
+
+def _family_case(name):
+    """(log form, radial form or None) of one member of each family."""
+    if name == "product":
+        pot = _product()
+    elif name == "scaled":
+        pot = scale_potential(_product(), 0.37)
+    elif name == "zero":
+        pot = zero_potential(u_bound=1.0, r_inner=1.0, r_outer=3.0)
+    elif name == "rescaled":
+        return rescale_log_potential(to_log_form(_product()), 4), None
+    else:
+        return _example446(name), None
+    return to_log_form(pot), pot
+
+
+FAMILY_CASES = ["product", "scaled", "rescaled", "zero", "as-printed",
+                "chain-rule"]
+
+
+def _interior_grid(w, count=7):
+    """Points of the support strip at least 15% of its size from its edges."""
+    us = np.linspace(-0.7, 0.7, count) * w.u_bound
+    margin = 0.15 * (w.t_upper - w.t_lower)
+    ts = np.linspace(w.t_lower + margin, w.t_upper - margin, count)
+    return np.meshgrid(us, ts, indexing="ij")
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_derivatives_match_finite_differences(name):
+    w, radial = _family_case(name)
+    U, T = _interior_grid(w)
+    h = 1e-5
+
+    def check(exact, fd):
+        np.testing.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6)
+
+    check(w.dw_du(U, T), (w.w(U + h, T) - w.w(U - h, T)) / (2 * h))
+    check(w.d2w_duu(U, T), (w.dw_du(U + h, T) - w.dw_du(U - h, T)) / (2 * h))
+    check(w.dw_dt(U, T), (w.w(U, T + h) - w.w(U, T - h)) / (2 * h))
+    if radial is not None:
+        R = np.exp(T)
+        check(radial.dv_dr(U, R),
+              (radial.v(U, R + h) - radial.v(U, R - h)) / (2 * h))
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_radial_and_log_views_agree(name):
+    w, _ = _family_case(name)
+    U, T = _interior_grid(w)
+    R = np.exp(T)
+    np.testing.assert_allclose(w.v(U, R), w.w(U, T), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(w.dv_du(U, R), w.dw_du(U, T), rtol=1e-12,
+                               atol=1e-15)
+    np.testing.assert_allclose(w.d2v_duu(U, R), w.d2w_duu(U, T), rtol=1e-12,
+                               atol=1e-15)
+    np.testing.assert_allclose(w.dv_dr(U, R) * R, w.dw_dt(U, T), rtol=1e-12,
+                               atol=1e-15)
+
+
+LOG_VIEWS = ("w", "dw_du", "d2w_duu", "dw_dt")
+RADIAL_VIEWS = ("v", "dv_du", "d2v_duu", "dv_dr")
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_pickle_round_trip(name):
+    for pot in _family_case(name):
+        if pot is None:
+            continue
+        copy = pickle.loads(pickle.dumps(pot))
+        assert copy == pot
+        U, T = _interior_grid(pot)
+        for views, X in ((LOG_VIEWS, T), (RADIAL_VIEWS, np.exp(T))):
+            for view in views:
+                before = np.asarray(getattr(pot, view)(U, X))
+                after = np.asarray(getattr(copy, view)(U, X))
+                assert after.tobytes() == before.tobytes(), view

@@ -46,11 +46,13 @@ class TestScan:
 
     def test_nonpositive_curvature_has_none(self):
         # W''_uu <= 0 comparison case: no oscillation can occur
-        from minfol.potential import LogPotential, make_bump
+        from types import SimpleNamespace
+
+        from minfol.potential import make_bump
 
         f = make_bump(0.0, 1.0, 1.0)
         g = make_bump(1.0, 0.5, 1.0)
-        w = LogPotential(
+        w = SimpleNamespace(
             w=lambda u, t: np.zeros_like(np.asarray(u) * np.asarray(t)),
             dw_du=lambda u, t: np.zeros_like(np.asarray(u) * np.asarray(t)),
             d2w_duu=lambda u, t: -f.value(u) * g.value(t),
