@@ -8,18 +8,18 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameterError, MinfolError
 from .odeflow import Trajectory
 from .potential import BumpFunction, Potential, u_bound_function
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
+from .quadrature import quad_1d
 
 
 @dataclass(frozen=True)
 class SupportedFunction:
-    """A scalar test function with derivative and compact support interval."""
+    """A scalar test function with derivative and compact support interval.
+
+    `value` and `derivative` take one float and return one float."""
 
     value: Callable
     derivative: Callable
@@ -27,8 +27,12 @@ class SupportedFunction:
 
 
 def as_test_function(xi) -> SupportedFunction:
+    """The test function with vectorized value and derivative."""
     if isinstance(xi, SupportedFunction):
-        return xi
+        return SupportedFunction(
+            value=np.vectorize(xi.value, otypes=[float]),
+            derivative=np.vectorize(xi.derivative, otypes=[float]),
+            support=xi.support)
     if isinstance(xi, BumpFunction):
         return SupportedFunction(value=xi.value, derivative=xi.derivative,
                                  support=xi.support)
@@ -61,41 +65,37 @@ def hardy_identity_check(xi, n: int, r1: float, r2: float,
     LHS = int r^{n-1} (xi'^2 - ((n-2)/2)^2 xi^2 / r^2) dr,
     RHS = (n-2)/2 * phi(r1)^2 + int r phi'^2 dr with phi = xi r^{n/2-1}.
     The identity forces LHS = RHS >= 0.
+
+    xi is a BumpFunction or SupportedFunction, integrated over its support
+    within [r1, r2], or a callable with derivative dxi. Such a pair is
+    evaluated on arrays of radii, and a constant it returns is broadcast.
     """
     if n < 3:
         raise InvalidParameterError("identity requires n >= 3")
     if not (0 <= r1 < r2 < math.inf):
         raise InvalidParameterError("need 0 <= r1 < r2 < inf")
     if callable(xi) and dxi is not None:
-        val, dval = xi, dxi
+        val, dval, (lo, hi) = xi, dxi, (r1, r2)
     else:
         tf = as_test_function(xi)
         val, dval = tf.value, tf.derivative
+        lo, hi = max(r1, tf.support[0]), min(r2, tf.support[1])
     if abs(float(val(r2))) > 1e-10:
         raise InvalidParameterError("xi(r2) must vanish")
 
     c = ((n - 2) / 2.0) ** 2
+    m = n / 2.0 - 1.0
 
-    def lhs_integrand(r):
-        x = float(val(r))
-        dx = float(dval(r))
-        return r ** (n - 1) * dx * dx - c * r ** (n - 3) * x * x
+    def integrands(r):
+        x = np.broadcast_to(val(r), r.shape)
+        dx = np.broadcast_to(dval(r), r.shape)
+        lhs = r ** (n - 1) * dx * dx - c * r ** (n - 3) * x * x
+        dphi = dx * r ** m + m * x * r ** (m - 1.0)    # phi = xi r^m
+        return lhs, r * dphi * dphi
 
-    def phi(r):
-        return float(val(r)) * r ** (n / 2.0 - 1.0)
-
-    def dphi(r):
-        return (float(dval(r)) * r ** (n / 2.0 - 1.0)
-                + (n / 2.0 - 1.0) * float(val(r)) * r ** (n / 2.0 - 2.0))
-
-    def rhs_integrand(r):
-        d = dphi(r)
-        return r * d * d
-
-    lhs = quad(lhs_integrand, r1, r2, **_QUAD_OPTS)[0]
-    boundary = (n - 2) / 2.0 * phi(r1) ** 2 if r1 > 0 else 0.0
-    rhs = boundary + quad(rhs_integrand, r1, r2, **_QUAD_OPTS)[0]
-    return lhs, rhs
+    lhs, rhs = quad_1d(integrands, lo, hi) if lo < hi else (0.0, 0.0)
+    boundary = m * (float(val(r1)) * r1 ** m) ** 2 if r1 > 0 else 0.0
+    return lhs, boundary + rhs
 
 
 @dataclass
@@ -140,10 +140,8 @@ def check_condition_B(pot: Potential, n: int,
     env = envelope if envelope is not None else u_bound_function(pot, n)
     r_lo = pot.r_inner if pot.r_inner else 0.0
 
-    def integrand(r):
-        return float(env(r)) ** (n / 2.0) * r ** (n - 1)
-
-    integral = quad(integrand, r_lo, pot.r_outer, **_QUAD_OPTS)[0]
+    (integral,) = quad_1d(lambda r: (env(r) ** (n / 2.0) * r ** (n - 1),),
+                          r_lo, pot.r_outer)
     norm = (sphere_area(n) * integral) ** (2.0 / n)
     s_n = sobolev_constant(n)
     margin = s_n - norm
@@ -165,12 +163,10 @@ def second_variation(traj: Trajectory, xi, pot: Potential, n: int) -> float:
             % (a, b, r_lo, r_hi))
 
     def integrand(r):
-        x = float(tf.value(r))
-        dx = float(tf.derivative(r))
-        u = float(traj.u_of_r(r))
-        return r ** (n - 1) * (dx * dx - float(pot.d2v_duu(u, r)) * x * x)
+        x, dx = tf.value(r), tf.derivative(r)
+        return (r ** (n - 1) * (dx * dx - pot.d2v_duu(traj.u_of_r(r), r) * x * x),)
 
-    return quad(integrand, a, b, **_QUAD_OPTS)[0]
+    return quad_1d(integrand, a, b)[0]
 
 
 def energy_gap_lower_bound(xi, envelope, n: int) -> float:
@@ -179,8 +175,7 @@ def energy_gap_lower_bound(xi, envelope, n: int) -> float:
     a, b = tf.support
 
     def integrand(r):
-        x = float(tf.value(r))
-        dx = float(tf.derivative(r))
-        return r ** (n - 1) * (dx * dx - float(envelope(r)) * x * x)
+        x, dx = tf.value(r), tf.derivative(r)
+        return (r ** (n - 1) * (dx * dx - envelope(r) * x * x),)
 
-    return 0.5 * sphere_area(n) * quad(integrand, max(a, 0.0), b, **_QUAD_OPTS)[0]
+    return 0.5 * sphere_area(n) * quad_1d(integrand, max(a, 0.0), b)[0]

@@ -309,29 +309,36 @@ def rescale_log_potential(w: Potential, n_scale: int) -> Potential:
 
 class RadialCurvatureEnvelope:
     """U(r) = max(0, sup_u V''_uu(u, r)): the bounding function of the
-    minimality certificates, compactly supported in r."""
+    minimality certificates, compactly supported in r.
+
+    For V = lam f(u) g(r) it factors exactly: with c = lam g(r),
+    U(r) = max(0, c sup f'', c inf f''), the extremes of f'' taken over the
+    u-range once (grid scan plus local refinement)."""
 
     def __init__(self, pot: Potential, grid_density: int = 512):
+        if not isinstance(pot, ProductPotential):
+            raise InvalidParameterError(
+                "the curvature envelope needs a product potential")
         self.pot = pot
-        self.r_outer = pot.r_outer
-        self.r_inner = pot.r_inner
-        self._u_grid = np.linspace(-pot.u_bound, pot.u_bound, grid_density)
-
-    def _at(self, r: float) -> float:
-        vals = self.pot.d2v_duu(self._u_grid, r)
-        best = float(np.max(vals))
-        if best <= 0:
-            return 0.0
-        u0 = float(self._u_grid[int(np.argmax(vals))])
-        ub = self.pot.u_bound
-        u0, best = _refine_max_1d(self.pot.d2v_duu, (u0, r), 0, -ub, ub)
-        return max(best, 0.0)
+        self._f2_extremes = (0.0, 0.0) if pot.f is None else (
+            _f2_max(pot, grid_density, 1.0), -_f2_max(pot, grid_density, -1.0))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return self._at(float(r))
-        return np.array([self._at(float(x)) for x in r])
+        c = self.pot.lam * self.pot.g.value(r) if self.pot.g else 0.0 * r
+        hi, lo = self._f2_extremes
+        env = np.maximum(0.0, np.maximum(c * hi, c * lo))
+        return float(env) if r.ndim == 0 else env
+
+
+def _f2_max(pot: ProductPotential, grid_density: int, sign: float) -> float:
+    """sup over |u| <= u_bound of sign * f''(N u), N = n_scale."""
+    def d2(u, _):
+        return sign * pot.f.nth_derivative(pot.n_scale * np.asarray(u, float), 2)
+
+    uu = np.linspace(-pot.u_bound, pot.u_bound, grid_density)
+    u0 = float(uu[int(np.argmax(d2(uu, None)))])
+    return _refine_max_1d(d2, (u0, None), 0, -pot.u_bound, pot.u_bound)[1]
 
 
 def u_bound_function(pot: Potential, n: int,

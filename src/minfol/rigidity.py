@@ -9,11 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AccuracyError, DegenerateFitError, InvalidParameterError,
-                     MinfolError)
+from .errors import DegenerateFitError, InvalidParameterError, MinfolError
 from .jacobi import integrate_jacobi
 from .odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
 from .potential import Potential
+from .quadrature import quad_2d
 
 
 @dataclass(frozen=True)
@@ -132,28 +132,6 @@ def gibbs_density(w: Potential, s: PhaseState) -> float:
     return math.exp(-h)
 
 
-def _gl_tensor(f, u_lo, u_hi, t_lo, t_hi, order):
-    x, wx = np.polynomial.legendre.leggauss(order)
-    vu = 0.5 * (u_hi - u_lo) * x + 0.5 * (u_hi + u_lo)
-    vt = 0.5 * (t_hi - t_lo) * x + 0.5 * (t_hi + t_lo)
-    vals = f(vu[:, None], vt[None, :])
-    scale = 0.25 * (u_hi - u_lo) * (t_hi - t_lo)
-    return scale * float(wx @ vals @ wx)
-
-
-def _double_quad(f, u_lo, u_hi, t_lo, t_hi, tol, rel_tol=1e-9):
-    """Order-adaptive tensor Gauss-Legendre quadrature of the vectorized
-    integrand f(v, t) over the support rectangle."""
-    prev = _gl_tensor(f, u_lo, u_hi, t_lo, t_hi, 24)
-    for order in (48, 96, 192, 384):
-        cur = _gl_tensor(f, u_lo, u_hi, t_lo, t_hi, order)
-        if abs(cur - prev) <= max(tol, rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise AccuracyError("2-D quadrature did not converge (last delta=%g)"
-                        % abs(cur - prev), estimate=cur)
-
-
 def rescaled_inequality_sides(w: Potential, N: int,
                               quad_tol: float = 1e-12) -> tuple[float, float]:
     """The two sides of the discriminant inequality for the rescaled family:
@@ -167,19 +145,16 @@ def rescaled_inequality_sides(w: Potential, N: int,
     n2 = float(N) ** 2
     U, t_lo, t_hi = w.u_bound, w.t_lower, w.t_upper
 
-    def lhs_f(v, t):
+    def sides_f(v, t):
         e2 = np.exp(2.0 * t)
+        W = w.w(v, t)
+        gibbs = np.exp(-W * e2 / n2)
         g = e2 * w.dw_du(v, t)
-        return np.exp(-w.w(v, t) * e2 / n2) * g * g
+        h = e2 * (2.0 * W + w.dw_dt(v, t))
+        return gibbs * g * g, gibbs * h * h
 
-    def rhs_f(v, t):
-        e2 = np.exp(2.0 * t)
-        g = e2 * (2.0 * w.w(v, t) + w.dw_dt(v, t))
-        return np.exp(-w.w(v, t) * e2 / n2) * g * g
-
-    lhs = 4.0 / N**3 * _double_quad(lhs_f, -U, U, t_lo, t_hi, quad_tol)
-    rhs = 1.0 / N**5 * _double_quad(rhs_f, -U, U, t_lo, t_hi, quad_tol)
-    return max(lhs, 0.0), max(rhs, 0.0)
+    lhs, rhs = quad_2d(sides_f, -U, U, t_lo, t_hi, quad_tol)
+    return max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0)
 
 
 def discriminant_inequality_check(w: Potential, quad_tol: float = 1e-12
@@ -195,8 +170,12 @@ def discriminant_inequality_check(w: Potential, quad_tol: float = 1e-12
 def scaling_exponent_fit(w: Potential, N_list,
                          quad_tol: float = 1e-12,
                          max_search_N: int = 4096) -> ScalingFit:
-    """Log-log slopes of both sides against N, and the first N at which the
-    inequality fails (searching past the listed N by doubling if needed)."""
+    """Log-log slopes of both sides against N, and the first N >= 1 at which
+    the inequality fails.
+
+    Every integer below the first failing listed N is tried. When no listed
+    N fails, N doubles past the list until the inequality fails, and the
+    crossover is bisected between the last holding and the first failing N."""
     N_list = [int(N) for N in N_list]
     if len(N_list) < 3 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing N values")
@@ -212,18 +191,23 @@ def scaling_exponent_fit(w: Potential, N_list,
     slope_lhs = float(np.polyfit(logN, np.log(lhs), 1)[0])
     slope_rhs = float(np.polyfit(logN, np.log(rhs), 1)[0])
 
-    crossover = None
-    for N, (l, r) in sorted(sides.items()):
-        if l > r:
+    def fails(N):
+        if N not in sides:
+            sides[N] = rescaled_inequality_sides(w, N, quad_tol)
+        return sides[N][0] > sides[N][1]
+
+    crossover = next((N for N in N_list if fails(N)), None)
+    if crossover is not None:
+        crossover = next(N for N in range(1, crossover + 1) if fails(N))
+    else:
+        holds = max(N_list)
+        while holds < max_search_N and not fails(2 * holds):
+            holds *= 2
+        if holds < max_search_N:
+            N = 2 * holds
+            while N - holds > 1:
+                mid = (holds + N) // 2
+                holds, N = (holds, mid) if fails(mid) else (mid, N)
             crossover = N
-            break
-    if crossover is None:
-        N = max(N_list)
-        while N < max_search_N:
-            N *= 2
-            l, r = rescaled_inequality_sides(w, N, quad_tol)
-            if l > r:
-                crossover = N
-                break
     return ScalingFit(N_list=N_list, lhs=lhs, rhs=rhs, slope_lhs=slope_lhs,
                       slope_rhs=slope_rhs, crossover_N=crossover)

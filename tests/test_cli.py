@@ -141,13 +141,16 @@ class TestRunCommand:
         data = {"command": "hardy-check", "n": 3,
                 "hardy": {"n_list": [3], "num_random": 3}}
         path = _write(tmp_path, data)
-        reports = []
+        reports, lhs = [], []
         for seed, name in ((1, "a"), (2, "b")):
             out = str(tmp_path / name)
             main(["--config", path, "--out", out, "--seed", str(seed)])
             reports.append(json.load(open(os.path.join(out, "report.json"))))
-        assert (reports[0]["results"]["max_rel_err"]
-                != reports[1]["results"]["max_rel_err"])
+            with open(os.path.join(out, "results.csv"), newline="") as fh:
+                lhs.append({row[1]: row[2] for row in list(csv.reader(fh))[1:]})
+        assert lhs[0]["closed-form"] == lhs[1]["closed-form"]
+        random_cases = ["random-%d" % k for k in range(3)]
+        assert all(lhs[0][case] != lhs[1][case] for case in random_cases)
         assert reports[0]["config"]["seed"] == 1
 
     def test_jobs_do_not_change_results(self, tmp_path):

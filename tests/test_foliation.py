@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minfol import foliation
 from minfol.catalog import example_pair
 from minfol.errors import InapplicableError, InvalidParameterError
 from minfol.foliation import (LeafFamily, build_MA_family, build_NA_family,
@@ -84,6 +85,19 @@ class TestExplicitFamily:
     def test_variant_oracle_prefers_consistent_form(self):
         phi, psi = example_pair()
         assert select_example_446_variant(phi, psi) == "chain-rule"
+
+    def test_variant_oracle_integrates_each_probe_once(self, monkeypatch):
+        flows = []
+        original = foliation._first_order_flow
+
+        def counted(*args):
+            flows.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(foliation, "_first_order_flow", counted)
+        phi, psi = example_pair()
+        assert select_example_446_variant(phi, psi) == "chain-rule"
+        assert len(flows) == 5
 
     def test_selected_variant_solves_newton_equation(self):
         phi, psi = example_pair()

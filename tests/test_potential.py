@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from minfol.errors import InvalidParameterError, InvalidSupportError
 from minfol.potential import (example_446_potential, k_constant, make_bump,
@@ -150,6 +151,42 @@ class TestEnvelope:
         env = u_bound_function(strong_pot, 3)
         rr = np.linspace(0.5, 4.0, 64)
         assert np.all(env(rr) >= 0.0)
+
+    @pytest.mark.parametrize("case", ["certified", "negative-scale", "rescaled"])
+    def test_factored_envelope_matches_per_radius_search(self, case,
+                                                         certified_pot):
+        if case == "certified":
+            pot = certified_pot
+        elif case == "negative-scale":   # the max comes from inf f''
+            pot = scale_potential(certified_pot, -1.0)
+        else:
+            pot = rescale_log_potential(to_log_form(_product()), 4)
+        env = u_bound_function(pot, 3)
+        rr = np.linspace(pot.r_inner - 0.1, pot.r_outer + 0.1, 41)
+        uu = np.linspace(-pot.u_bound, pot.u_bound, 4001)
+        grid = pot.d2v_duu(uu[:, None], rr[None, :])
+        got = env(rr)
+        assert np.all(got >= np.max(grid, axis=0) - 1e-12)
+        # reference: the dense grid max at each radius, refined locally
+        ref = []
+        for j, r in enumerate(rr):
+            i = int(np.argmax(grid[:, j]))
+            lo, hi = uu[max(i - 1, 0)], uu[min(i + 1, len(uu) - 1)]
+            res = optimize.minimize_scalar(lambda u: -float(pot.d2v_duu(u, r)),
+                                           bounds=(lo, hi), method="bounded",
+                                           options={"xatol": 1e-12})
+            ref.append(max(0.0, grid[i, j], -res.fun))
+        assert np.max(np.abs(got - np.asarray(ref))) <= 1e-9
+        assert np.max(got) > 0.0
+
+    def test_zero_potential_envelope_is_zero(self):
+        env = u_bound_function(zero_potential(), 3)
+        assert np.all(env(np.linspace(0.5, 3.5, 16)) == 0.0)
+        assert env(2.0) == 0.0
+
+    def test_envelope_rejects_example446(self):
+        with pytest.raises(InvalidParameterError):
+            u_bound_function(_example446("chain-rule"), 3)
 
 
 def _product():

@@ -1,10 +1,13 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from minfol import catalog
 from minfol.errors import InvalidParameterError
 from minfol.odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
+from minfol.potential import make_bump, product_potential, to_log_form
 from minfol.rigidity import (conjugate_point_scan,
                              discriminant_inequality_check, gibbs_density,
                              rescaled_inequality_sides, scaling_exponent_fit,
@@ -102,6 +105,44 @@ class TestScaling:
         assert fit.crossover_N is not None
         l, r = rescaled_inequality_sides(scaling_log, fit.crossover_N)
         assert l > r
+
+    def test_crossover_is_the_first_failing_n(self, scaling_log):
+        # the listed N all fail; N = 1 holds and N = 2 already fails
+        fit = scaling_exponent_fit(scaling_log, [4, 8, 16, 32])
+        assert fit.crossover_N == 2
+        l1, r1 = rescaled_inequality_sides(scaling_log, 1)
+        assert l1 <= r1
+
+    def test_crossover_bisected_past_the_list(self):
+        # a wide u-profile on a narrow radial shell holds up to N = 20
+        w = to_log_form(product_potential(make_bump(0.0, 2.0, 0.2),
+                                          make_bump(2.0, 0.1, 0.1)))
+        fit = scaling_exponent_fit(w, [2, 4, 8])
+        N = fit.crossover_N
+        assert N is not None and N > 16 and N != 32
+        l, r = rescaled_inequality_sides(w, N)
+        assert l > r
+        l, r = rescaled_inequality_sides(w, N - 1)
+        assert l <= r
+
+    def test_one_field_pass_per_order(self):
+        w = catalog.scaling_log()
+        calls = collections.Counter()
+
+        class Counting:
+            def __getattr__(self, name):
+                attr = getattr(w, name)
+                if name not in ("w", "dw_du", "dw_dt"):
+                    return attr
+
+                def counted(*args):
+                    calls[name] += 1
+                    return attr(*args)
+                return counted
+
+        assert rescaled_inequality_sides(Counting(), 8) == \
+            rescaled_inequality_sides(w, 8)
+        assert calls == {"w": 4, "dw_du": 4, "dw_dt": 4}
 
     def test_zero_potential_is_identically_zero(self, flat_log):
         fit = scaling_exponent_fit(flat_log, [4, 8, 16])
