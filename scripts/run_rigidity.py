@@ -4,7 +4,6 @@ scaling-law experiment showing the two discriminant sides decay as 1/N^3
 and 1/N^5, forcing a crossover for any nonzero potential."""
 
 import argparse
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,15 +15,12 @@ from minfol.rigidity import (conjugate_point_scan,
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--grid", type=int, default=7)
     args = parser.parse_args()
 
     w = strong_log()
     grid = np.linspace(-0.5, 0.5, args.grid)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        scan = conjugate_point_scan(w, grid, grid, -2.0, w.t_upper + 10.0,
-                                    map_fn=pool.map)
+    scan = conjugate_point_scan(w, grid, grid, -2.0, w.t_upper + 10.0)
     print("scan: %d findings over %d cells (%d failures)" %
           (len(scan.findings), len(grid) ** 2, len(scan.failures)))
     if scan.findings:

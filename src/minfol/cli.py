@@ -11,8 +11,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -41,16 +39,6 @@ def _grid(spec) -> np.ndarray:
     if len(spec) == 3 and isinstance(spec[2], int) and spec[2] > 1:
         return np.linspace(float(spec[0]), float(spec[1]), spec[2])
     return np.asarray([float(x) for x in spec])
-
-
-def _pool(jobs: int):
-    if jobs > 1:
-        return ThreadPoolExecutor(max_workers=jobs)
-    return nullcontext()
-
-
-def _map_fn(pool):
-    return pool.map if hasattr(pool, "map") else map
 
 
 def _run_certify(cfg: ExperimentConfig, out_dir: str):
@@ -99,12 +87,9 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str):
     w = to_log_form(pot)
     p = cfg.params
     t_end = float(p["t_end"]) if p["t_end"] is not None else w.t_upper + 10.0
-    with _pool(cfg.jobs) as pool:
-        report = conjugate_point_scan(w, _grid(p["u0"]), _grid(p["p0"]),
-                                      float(p["t_start"]), t_end,
-                                      cfg=cfg.integrator,
-                                      n_slide=int(p["n_slide"]),
-                                      map_fn=_map_fn(pool))
+    report = conjugate_point_scan(w, _grid(p["u0"]), _grid(p["p0"]),
+                                  float(p["t_start"]), t_end,
+                                  cfg=cfg.integrator, n_slide=int(p["n_slide"]))
     num_cells = len(report.u0_grid) * len(report.p0_grid) * len(report.t_starts)
     if report.failures and not report.findings:
         u0, p0, ts, message = report.failures[0]
@@ -132,20 +117,14 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str):
     pot = build_potential(cfg)
     p = cfg.params
     alphas = [float(a) for a in _grid(p["alphas"])]
-    with _pool(cfg.jobs) as pool:
-        if p["family"] == "N_A":
-            fam = build_NA_family(pot, cfg.n, float(p["A"]), alphas,
-                                  cfg=cfg.integrator,
-                                  r_min=float(p["r_min"]),
-                                  r_start=float(p["r_start"]) if p["r_start"]
-                                  else None,
-                                  map_fn=_map_fn(pool))
-        else:
-            fam = build_MA_family(pot, cfg.n, float(p["A"]), alphas,
-                                  cfg=cfg.integrator,
-                                  r_end=float(p["r_end"]) if p["r_end"]
-                                  else None,
-                                  map_fn=_map_fn(pool))
+    if p["family"] == "N_A":
+        fam = build_NA_family(pot, cfg.n, float(p["A"]), alphas,
+                              cfg=cfg.integrator, r_min=float(p["r_min"]),
+                              r_start=float(p["r_start"]) if p["r_start"] else None)
+    else:
+        fam = build_MA_family(pot, cfg.n, float(p["A"]), alphas,
+                              cfg=cfg.integrator,
+                              r_end=float(p["r_end"]) if p["r_end"] else None)
     write_family_csv(fam, os.path.join(out_dir, "family.csv"))
     ordering = fam.ordering
     results = {"family": p["family"], "A": float(p["A"]), "alphas": alphas,
@@ -294,18 +273,11 @@ def main(argv=None) -> int:
                         help="JSON experiment configuration")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default: ./out)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker pool size (overrides config)")
     parser.add_argument("--seed", type=int, default=None, metavar="S",
                         help="random seed (overrides config)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
-            cfg.jobs = args.jobs
-            cfg.raw["jobs"] = args.jobs
         if args.seed is not None:
             cfg.seed = args.seed
             cfg.raw["seed"] = args.seed

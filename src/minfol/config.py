@@ -14,7 +14,7 @@ from .potential import (ProductPotential, make_bump, product_potential,
 COMMANDS = ("certify", "solve", "scan-conjugate", "foliate",
             "rigidity-scaling", "example446", "hardy-check")
 
-_TOP_KEYS = {"command", "n", "seed", "jobs", "potential", "integrator",
+_TOP_KEYS = {"command", "n", "seed", "potential", "integrator",
              "certify", "solve", "scan", "foliate", "scaling", "example446",
              "hardy"}
 
@@ -58,7 +58,6 @@ class ExperimentConfig:
     command: str
     n: int = 3
     seed: int = 0
-    jobs: int = 1
     potential: dict = field(default_factory=lambda: {"kind": "zero"})
     integrator: IntegratorConfig = IntegratorConfig()
     params: dict = field(default_factory=dict)   # command-specific section
@@ -102,9 +101,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError("command %r is a planar (n = 2) experiment" % command)
 
     seed = int(data.get("seed", 0))
-    jobs = int(data.get("jobs", 1))
-    if jobs < 1:
-        raise ConfigError("field 'jobs' must be >= 1")
 
     pot_spec = dict(data.get("potential", {"kind": "zero"}))
     _reject_unknown("potential", pot_spec, _SECTION_KEYS["potential"])
@@ -147,13 +143,13 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError("foliate.family must be N_A or M_A, got %r"
                           % params["family"])
 
-    echo = {"command": command, "n": n, "seed": seed, "jobs": jobs,
+    echo = {"command": command, "n": n, "seed": seed,
             "potential": pot_spec,
             "integrator": {"rel_tol": integrator.rel_tol,
                            "abs_tol": integrator.abs_tol,
                            "event_tol": integrator.event_tol},
             section: params}
-    return ExperimentConfig(command=command, n=n, seed=seed, jobs=jobs,
+    return ExperimentConfig(command=command, n=n, seed=seed,
                             potential=pot_spec, integrator=integrator,
                             params=params, raw=echo)
 

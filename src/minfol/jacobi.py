@@ -7,18 +7,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy import optimize
 
-from .errors import (ContractViolationError, InapplicableError,
-                     IntegrationFailureError, InvalidParameterError)
-from .odeflow import IntegratorConfig, Trajectory, _sample_grid
+from .errors import ContractViolationError, InapplicableError, InvalidParameterError
+from .odeflow import IntegratorConfig, LegSolution, Trajectory, _sample_grid, integrate_legs
 from .potential import Potential
-
-# |omega| beyond this marks a Riccati blow-up (finite surrogate for infinity)
-BLOWUP_CAP = 1e8
-# |xi| below this without a sign change flags a degenerate near-zero
-DEGENERATE_XI = 1e-10
 
 
 @dataclass
@@ -30,30 +23,17 @@ class JacobiField:
     t_init: float
     xi0: float
     dxi0: float
-    sol: object
+    sol: LegSolution  # the joint run (u, p, xi, xi')
     t: np.ndarray
     xi: np.ndarray
     xidot: np.ndarray
     zeros: list[float] = field(default_factory=list)
-    degenerate: list[float] = field(default_factory=list)
 
     def value(self, t):
-        return self.sol(t)[0]
+        return self.sol(t)[2]
 
     def derivative(self, t):
-        return self.sol(t)[1]
-
-
-def _refine_zero(sol, a, b, tol):
-    fa = float(sol(a)[0])
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = float(sol(m)[0])
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+        return self.sol(t)[3]
 
 
 def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
@@ -65,7 +45,8 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
 
     mode "log-form" has no damping (the n = 2 Jacobi equation); "radial-form"
     carries the (n-2) damping of the general radial linearization.  All
-    derivatives and zero locations are in log time.
+    derivatives and zero locations are in log time.  The flow is integrated
+    again together with the field, from the trajectory's state at t_init.
     """
     if mode not in ("log-form", "radial-form"):
         raise InvalidParameterError("unknown mode %r" % (mode,))
@@ -78,45 +59,13 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
     if t_init == t_end or lo < traj.t_min - 1e-9 or hi > traj.t_max + 1e-9:
         raise InvalidParameterError("requested range not covered by the trajectory")
     damping = 0.0 if mode == "log-form" else traj.damping
-    w = traj.w
-
-    def rhs(t, y):
-        u = float(traj.sol(t)[0])
-        coeff = math.exp(2.0 * t) * float(w.d2w_duu(u, t))
-        return (y[1], -damping * y[1] - coeff * y[0])
-
-    res = solve_ivp(rhs, (t_init, t_end), (xi0, dxi0), method="DOP853",
-                    dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step)
-    if not res.success:
-        raise IntegrationFailureError("Jacobi integration failed: %s" % res.message)
-
+    u, p = traj.state(t_init)
+    sol = integrate_legs(traj.w, t_init, (float(u), float(p), xi0, dxi0), t_end,
+                         cfg, (traj.damping, damping))
     ts = _sample_grid(lo, hi)
-    ys = res.sol(ts)
-    xi, xidot = ys[0], ys[1]
-
-    zeros, degenerate = [], []
-    scale = float(np.max(np.abs(xi))) or 1.0
-    sign_change = xi[:-1] * xi[1:] < 0
-    for i in np.flatnonzero(sign_change):
-        zeros.append(_refine_zero(res.sol, float(ts[i]), float(ts[i + 1]),
-                                  cfg.event_tol))
-    for i in np.flatnonzero((np.abs(xi) < DEGENERATE_XI * scale)
-                            & (np.abs(xi) > 0)):
-        ti = float(ts[i])
-        if not any(abs(ti - z) < 10 * _zero_sep(cfg) for z in zeros):
-            degenerate.append(ti)
-    # exact zeros at samples (e.g. the imposed initial zero)
-    for i in np.flatnonzero(xi == 0.0):
-        ti = float(ts[i])
-        if not any(abs(ti - z) <= cfg.event_tol for z in zeros):
-            zeros.append(ti)
-    zeros.sort()
-    zeros = [z for i, z in enumerate(zeros)
-             if i == 0 or z - zeros[i - 1] > cfg.event_tol]
+    ys = sol(ts)
     return JacobiField(traj=traj, mode=mode, t_init=t_init, xi0=xi0, dxi0=dxi0,
-                       sol=res.sol, t=ts, xi=xi, xidot=xidot, zeros=zeros,
-                       degenerate=degenerate)
+                       sol=sol, t=ts, xi=ys[2], xidot=ys[3], zeros=sol.zeros)
 
 
 def _zero_sep(cfg):
@@ -153,26 +102,16 @@ class RiccatiTrace:
 
     fld: JacobiField
     t: np.ndarray
-    omega: np.ndarray  # nan where masked by a blow-up
+    omega: np.ndarray  # nan where xi vanishes at a sample
     blowups: list[float] = field(default_factory=list)
-    K: float = 0.0
-    T: float = 0.0
 
 
 def riccati_from_jacobi(fld: JacobiField) -> RiccatiTrace:
-    """Build the Riccati trace; zeros of xi become blow-up markers."""
+    """Build the Riccati trace; the zeros of xi are its blow-up markers."""
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = fld.xidot / fld.xi
-    bad = ~np.isfinite(omega) | (np.abs(omega) > BLOWUP_CAP)
-    omega = np.where(bad, np.nan, omega)
-    markers = sorted(set(fld.zeros))
-    for i in np.flatnonzero(bad):
-        ti = float(fld.t[i])
-        if not any(abs(ti - m) < 5 * 1e-2 for m in markers):
-            markers.append(ti)
-    w = fld.traj.w
-    return RiccatiTrace(fld=fld, t=fld.t, omega=omega, blowups=sorted(markers),
-                        K=w.k_curvature, T=w.t_upper)
+    omega = np.where(np.isfinite(omega), omega, np.nan)
+    return RiccatiTrace(fld=fld, t=fld.t, omega=omega, blowups=list(fld.zeros))
 
 
 def riccati_blowup_window(omega0: float, B: float,
@@ -275,7 +214,7 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
     """
     if trace.blowups:
         raise InapplicableError("trace has blow-up markers; bounds do not apply")
-    K, T = trace.K, trace.T
+    K, T = w.k_curvature, w.t_upper
     cap = K * math.exp(T)
     t = trace.t
     om = trace.omega
@@ -291,13 +230,10 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
         env[i] = max(certified_lower_envelope(K, float(t[i])), -cap)
     envelope_margin = om - env
 
-    traj = trace.fld.traj
     region_ok = True
-    for i in range(len(t)):
-        uu, pp = traj.state(float(t[i]))
-        lo, hi = _region_bound(float(uu), float(pp), float(t[i]), K, T,
-                               w.u_bound)
-        if not (lo - tol <= om[i] <= hi + tol):
+    for uu, pp, tt, o in zip(*trace.fld.traj.state(t), t, om):
+        lo, hi = _region_bound(float(uu), float(pp), float(tt), K, T, w.u_bound)
+        if not (lo - tol <= o <= hi + tol):
             region_ok = False
             break
 

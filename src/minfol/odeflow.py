@@ -1,11 +1,25 @@
-"""Phase flow of the radial equation in log time and its verification tools.
+"""Phase flow of the radial equation in log time, in three legs.
 
 Everything is integrated in t = ln r, so the (n-1)/r coordinate singularity
 never appears: the second-order equation becomes
     u'' + (n-2) u' + e^{2t} W'_u(u, t) = 0,
 which for n = 2 is the Hamiltonian system (u' = p, p' = -e^{2t} W'_u).
-Outside the support strip the force evaluators are exactly zero, so explicit
-Runge-Kutta steps reproduce free motion to machine precision.
+
+The force vanishes outside the support strip t_lower < t < t_upper, and an
+adaptive solver can step straight over a strip it has not yet sampled. A run
+is therefore split into three legs, clipped to its span in either direction:
+
+- free flight before and after the strip, in closed form: with damping
+  d = n - 2 the momentum is p_in e^{-d s} and u its integral, so for n = 2
+  u is linear in t;
+- one DOP853 solve across the strip, its step bounded by an eighth of the
+  strip width.
+
+A run may carry the linearization (xi, xi') of the flow along,
+xi'' + d_xi xi' + e^{2t} W''_uu(u, t) xi = 0, which follows the same free law
+outside the strip. Its zeros on the strip come from a sign-change event
+checked at every accepted step; a zero after the strip is found in closed
+form.
 """
 
 from __future__ import annotations
@@ -58,8 +72,151 @@ class SupportEvent:
     kind: str  # "enter" | "exit"
 
 
-# dense sample spacing for event scans and exported sample grids
+# dense sample spacing of the exported sample grids
 _SCAN_DX = 1e-2
+# strip-leg step bound: this fraction of the strip width. An error-controlled
+# step cannot span half an oscillation of xi, and for every catalog potential
+# width/8 < pi / (K e^{t_upper}), so by Sturm comparison no step holds two zeros.
+_STRIP_STEPS = 8
+
+
+def _free(y, s, damping):
+    """Free motion x'' + d x' = 0 over log time s (a number or an array) of
+    each (x, x') pair in y; damping holds one d per pair."""
+    out = []
+    for k, d in enumerate(damping):
+        x, dx = y[2 * k], y[2 * k + 1]
+        if d == 0.0:
+            out += [x + dx * s, dx + 0.0 * s]
+        else:
+            out += [x - dx * np.expm1(-d * s) / d, dx * np.exp(-d * s)]
+    return np.array(out)
+
+
+def _free_zero(x, dx, d, span):
+    """The s in (0, span] (span may be negative) at which the free motion from
+    (x, dx) with damping d vanishes, or None."""
+    if dx == 0.0 or span == 0.0:
+        return None
+    s = -x / dx
+    if d != 0.0:
+        if d * s >= 1.0:
+            return None
+        s = -math.log1p(-d * s) / d
+    return s if 0.0 < s / span <= 1.0 else None
+
+
+@dataclass
+class LegSolution:
+    """Dense solution of one three-leg run, callable on a time or an array of
+    times like scipy's OdeSolution. It is the free motion from (t0, y0) up to
+    t_in, the strip solve on [t_in, t_out] and the free motion from
+    (t_out, y_out) beyond. `ts` holds the strip leg's step times."""
+
+    t0: float
+    y0: np.ndarray
+    direction: float             # +1 forward in t, -1 backward
+    t_in: float
+    t_out: float
+    y_out: np.ndarray
+    strip: object                # scipy OdeSolution on the strip leg, or None
+    damping: tuple               # one damping per (x, x') pair
+    ts: np.ndarray
+    zeros: list[float] = field(default_factory=list)          # of xi
+    events: list[SupportEvent] = field(default_factory=list)  # of the flow
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        tt = t.reshape(-1)
+        before = self.direction * (tt - self.t_in) <= 0.0
+        after = ~before & (self.direction * (tt - self.t_out) >= 0.0)
+        mid = ~(before | after)
+        out = np.empty((len(self.y0), tt.size))
+        out[:, before] = _free(self.y0, tt[before] - self.t0, self.damping)
+        out[:, after] = _free(self.y_out, tt[after] - self.t_out, self.damping)
+        if np.any(mid):
+            out[:, mid] = self.strip(tt[mid])
+        return out.reshape((len(self.y0),) + t.shape)
+
+
+def _dedup(times, tol):
+    times = sorted(times)
+    return [z for i, z in enumerate(times) if i == 0 or z - times[i - 1] > tol]
+
+
+def integrate_legs(w: Potential, t0: float, y0, t_end: float,
+                   cfg: IntegratorConfig, damping) -> LegSolution:
+    """One three-leg run from y0 at t0 to t_end, in either direction.
+
+    y0 is the flow state (u, p), with damping = (d,), or the joint state
+    (u, p, xi, xi'), with damping = (d, d_xi). A flow run records where it
+    enters and leaves the support box; a joint run records the zeros of xi.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    joint = len(y0) == 4
+    direction = 1.0 if t_end >= t0 else -1.0
+    lo, hi = min(t0, t_end), max(t0, t_end)
+    a = min(max(w.t_lower, lo), hi)
+    b = min(max(w.t_upper, lo), hi)
+    t_in, t_out = (a, b) if direction > 0 else (b, a)
+    y_in = _free(y0, t_in - t0, damping)
+    d_u = damping[0]
+
+    if joint:
+        d_xi = damping[1]
+
+        def rhs(t, y):
+            e2 = math.exp(2.0 * t)
+            return (y[1], -d_u * y[1] - e2 * float(w.dw_du(y[0], t)),
+                    y[3], -d_xi * y[3] - e2 * float(w.d2w_duu(y[0], t)) * y[2])
+
+        def event(t, y):
+            return y[2]
+    else:
+        def rhs(t, y):
+            return (y[1], -d_u * y[1] - math.exp(2.0 * t) * float(w.dw_du(y[0], t)))
+
+        def event(t, y):
+            return abs(y[0]) - w.u_bound
+
+    strip, ts, y_out, hits = None, np.array([t_in]), y_in, ()
+    if t_in != t_out:
+        res = solve_ivp(rhs, (t_in, t_out), y_in, method="DOP853",
+                        dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                        max_step=min(cfg.max_step,
+                                     (w.t_upper - w.t_lower) / _STRIP_STEPS),
+                        events=event)
+        if not res.success:
+            last = PhaseState(u=float(res.y[0, -1]), p=float(res.y[1, -1]),
+                              t=float(res.t[-1]))
+            raise IntegrationFailureError("integration failed: %s" % res.message,
+                                          last_state=last)
+        strip, ts, y_out = res.sol, res.t, res.y[:, -1]
+        hits = zip(res.t_events[0], res.y_events[0])
+    sol = LegSolution(t0=t0, y0=y0, direction=direction, t_in=t_in, t_out=t_out,
+                      y_out=y_out, strip=strip, damping=tuple(damping), ts=ts)
+
+    if joint:
+        zeros = [t0] if y0[2] == 0.0 else []
+        for t_a, y_a, t_b in ((t0, y0, t_in), (t_out, y_out, t_end)):
+            s = _free_zero(y_a[2], y_a[3], d_xi, t_b - t_a)
+            if s is not None:
+                zeros.append(t_a + s)
+        zeros += [float(t) for t, _ in hits]
+        sol.zeros = _dedup(zeros, cfg.event_tol)
+    else:
+        events = [SupportEvent(t=float(t), kind="enter" if y[0] * y[1] < 0 else "exit")
+                  for t, y in hits]
+        for t_b, kind in ((w.t_lower, "enter"), (w.t_upper, "exit")):
+            if lo <= t_b <= hi and abs(float(sol(t_b)[0])) < w.u_bound:
+                events.append(SupportEvent(t=t_b, kind=kind))
+        sol.events = sorted(events, key=lambda ev: ev.t)
+    return sol
+
+
+def _sample_grid(t_lo, t_hi):
+    n_pts = max(int(math.ceil((t_hi - t_lo) / _SCAN_DX)), 16)
+    return np.linspace(t_lo, t_hi, n_pts + 1)
 
 
 @dataclass
@@ -69,7 +226,7 @@ class Trajectory:
     n: int
     w: Potential
     damping: float
-    sol: object  # scipy OdeSolution over [t_min, t_max]
+    sol: LegSolution  # over [t_min, t_max]
     t: np.ndarray
     u: np.ndarray
     p: np.ndarray
@@ -108,65 +265,21 @@ class Trajectory:
         return None
 
 
-def _inside_strip(w: Potential, u, t):
-    return (np.abs(u) < w.u_bound) & (t < w.t_upper) & (t > w.t_lower)
-
-
-def _locate_events(w: Potential, sol, t_lo, t_hi, event_tol):
-    """Support-box crossings of the dense solution, bisected to event_tol."""
-    n_pts = max(int(math.ceil((t_hi - t_lo) / _SCAN_DX)), 8)
-    ts = np.linspace(t_lo, t_hi, n_pts + 1)
-    inside = _inside_strip(w, sol(ts)[0], ts)
-    events = []
-    for i in np.flatnonzero(inside[:-1] != inside[1:]):
-        a, b = ts[i], ts[i + 1]
-        fa = bool(inside[i])
-        while b - a > event_tol:
-            m = 0.5 * (a + b)
-            fm = bool(_inside_strip(w, sol(m)[0], m))
-            if fm == fa:
-                a = m
-            else:
-                b = m
-        events.append(SupportEvent(t=0.5 * (a + b),
-                                   kind="enter" if not fa else "exit"))
-    return events
-
-
-def _sample_grid(t_lo, t_hi):
-    n_pts = max(int(math.ceil((t_hi - t_lo) / _SCAN_DX)), 16)
-    return np.linspace(t_lo, t_hi, n_pts + 1)
-
-
-def _run_flow(w: Potential, n: int, t0: float, u0: float, p0: float,
-              cfg: IntegratorConfig, t_end: float) -> Trajectory:
+def _trajectory(w: Potential, n: int, t0: float, u0: float, p0: float,
+                cfg: IntegratorConfig, t_end: float) -> Trajectory:
     damping = float(n - 2)
-
-    def rhs(t, y):
-        force = float(w.dw_du(y[0], t))
-        return (y[1], -damping * y[1] - math.exp(2.0 * t) * force)
-
-    res = solve_ivp(rhs, (t0, t_end), (u0, p0), method="DOP853",
-                    dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step)
-    if not res.success:
-        last = PhaseState(u=float(res.y[0, -1]), p=float(res.y[1, -1]),
-                          t=float(res.t[-1]))
-        raise IntegrationFailureError("integration failed: %s" % res.message,
-                                      last_state=last)
-    t_lo, t_hi = min(t0, t_end), max(t0, t_end)
-    ts = _sample_grid(t_lo, t_hi)
-    ys = res.sol(ts)
-    events = _locate_events(w, res.sol, t_lo, t_hi, cfg.event_tol)
-    return Trajectory(n=n, w=w, damping=damping, sol=res.sol, t=ts,
-                      u=ys[0], p=ys[1], events=events, cfg=cfg)
+    sol = integrate_legs(w, t0, (u0, p0), t_end, cfg, (damping,))
+    ts = _sample_grid(min(t0, t_end), max(t0, t_end))
+    ys = sol(ts)
+    return Trajectory(n=n, w=w, damping=damping, sol=sol, t=ts,
+                      u=ys[0], p=ys[1], events=sol.events, cfg=cfg)
 
 
 def integrate_hamiltonian(w: Potential, s0: PhaseState,
                           cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Flow of u' = p, p' = -e^{2t} W'_u from the given state (n = 2)."""
     t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
-    return _run_flow(w, 2, s0.t, s0.u, s0.p, cfg, t_end)
+    return _trajectory(w, 2, s0.t, s0.u, s0.p, cfg, t_end)
 
 
 def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
@@ -186,7 +299,7 @@ def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
     t0 = math.log(r0)
     p0 = r0 * du0
     t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
-    return _run_flow(w, n, t0, u0, p0, cfg, t_end)
+    return _trajectory(w, n, t0, u0, p0, cfg, t_end)
 
 
 def hamiltonian_value(w: Potential, s: PhaseState) -> float:
@@ -221,22 +334,13 @@ def asymptotic_match_outer(traj: Trajectory, n: int) -> AsymptoticFit:
 
 def flow_volume_check(w: Potential, s0: PhaseState,
                       cfg: IntegratorConfig = IntegratorConfig()) -> float:
-    """Jacobian determinant of the time-t flow map via the variational system.
+    """Jacobian determinant of the time-t flow map, as the Wronskian
+    xi_a xi_b' - xi_b xi_a' of the linearizations started at (xi, xi') = (1, 0)
+    and (0, 1).
 
     The flow preserves the Liouville measure dp du, so the exact value is 1.
     """
     t0, t_end = cfg.t_range if cfg.t_range else (s0.t, w.t_upper + 10.0)
-
-    def rhs(t, y):
-        u, p, a, b, c, d = y
-        coeff = math.exp(2.0 * t) * float(w.d2w_duu(u, t))
-        force = math.exp(2.0 * t) * float(w.dw_du(u, t))
-        return (p, -force, c, d, -coeff * a, -coeff * b)
-
-    res = solve_ivp(rhs, (t0, t_end), (s0.u, s0.p, 1.0, 0.0, 0.0, 1.0),
-                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step)
-    if not res.success:
-        raise IntegrationFailureError("variational integration failed: %s" % res.message)
-    a, b, c, d = res.y[2:, -1]
-    return float(a * d - b * c)
+    a, b = (integrate_legs(w, t0, (s0.u, s0.p) + xi, t_end, cfg, (0.0, 0.0))(t_end)
+            for xi in ((1.0, 0.0), (0.0, 1.0)))
+    return float(a[2] * b[3] - b[2] * a[3])

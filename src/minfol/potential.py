@@ -40,29 +40,33 @@ _VARIANT_POWER = {"as-printed": 1, "chain-rule": 2}
 def _profile(s, n: int):
     """n-th derivative (n <= 3) of the bump profile g(s) = exp(1 - 1/(1-s^2)).
 
-    It vanishes identically for |s| >= 1.
+    It vanishes identically for |s| >= 1. A single point skips the masking;
+    exp and the powers go through the same ufuncs either way, so the two
+    branches agree to the last bit.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        return _profile_inside(s[()], n) if abs(s) < 1.0 else np.float64(0.0)
     out = np.zeros_like(s)
     m = np.abs(s) < 1.0
     if np.any(m):
-        sm = s[m]
-        q = 1.0 - sm * sm
-        val = np.exp(1.0 - 1.0 / q)
-        if n >= 1:
-            h1 = -2.0 * sm / q**2
-        if n >= 2:
-            h2 = -2.0 * (1.0 + 3.0 * sm * sm) / q**3
-        if n == 0:
-            out[m] = val
-        elif n == 1:
-            out[m] = h1 * val
-        elif n == 2:
-            out[m] = (h2 + h1 * h1) * val
-        else:
-            h3 = -24.0 * sm * (1.0 + sm * sm) / q**4
-            out[m] = (h3 + 3.0 * h1 * h2 + h1**3) * val
+        out[m] = _profile_inside(s[m], n)
     return out
+
+
+def _profile_inside(s, n: int):
+    q = 1.0 - s * s
+    val = np.exp(1.0 - 1.0 / q)
+    if n == 0:
+        return val
+    h1 = -2.0 * s / np.square(q)
+    if n == 1:
+        return h1 * val
+    h2 = -2.0 * (1.0 + 3.0 * s * s) / np.power(q, 3)
+    if n == 2:
+        return (h2 + h1 * h1) * val
+    h3 = -24.0 * s * (1.0 + s * s) / np.power(q, 4)
+    return (h3 + 3.0 * h1 * h2 + np.power(h1, 3)) * val
 
 
 @dataclass(frozen=True)

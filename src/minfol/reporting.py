@@ -17,7 +17,7 @@ TRAJECTORY_SAMPLES = 512
 def _fmt(x) -> str:
     """Shortest round-trip decimal form of a float (deterministic)."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # numpy floats would print as np.float64(...)
     return str(x)
 
 
@@ -39,29 +39,6 @@ def write_trajectory_csv(traj: Trajectory, path: str,
         h = hamiltonian_value(traj.w, PhaseState(u=u, p=p, t=float(t)))
         rows.append((float(t), math.exp(float(t)), u, p, h))
     write_csv(path, ("t", "r", "u", "p", "H"), rows)
-
-
-def write_jacobi_csv(fld, path: str, trace=None) -> None:
-    """Columns t, xi, xidot, omega, flags; omega is blank at zeros of xi."""
-    rows = []
-    if trace is not None:
-        omega_at = dict(zip(map(float, trace.t), map(float, trace.omega)))
-    for i, t in enumerate(map(float, fld.t)):
-        xi = float(fld.xi[i])
-        xidot = float(fld.xidot[i])
-        if trace is not None and t in omega_at and math.isfinite(omega_at[t]):
-            omega = _fmt(omega_at[t])
-        elif xi != 0.0:
-            omega = _fmt(xidot / xi)
-        else:
-            omega = ""
-        flags = []
-        if any(abs(t - z) <= 1e-12 for z in fld.zeros):
-            flags.append("zero")
-        if fld.degenerate:
-            flags.append("degenerate")
-        rows.append((t, xi, xidot, omega, "|".join(flags)))
-    write_csv(path, ("t", "xi", "xidot", "omega", "flags"), rows)
 
 
 def write_findings_csv(findings, path: str) -> None:

@@ -4,14 +4,15 @@ discriminant inequality, and the rescaling scaling law that forces W = 0."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
 from .jacobi import integrate_jacobi
-from .odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
+from .odeflow import (IntegratorConfig, PhaseState, integrate_hamiltonian,
+                      integrate_legs)
 from .potential import Potential
 from .quadrature import quad_2d
 
@@ -47,14 +48,10 @@ class ScalingFit:
 
 
 def _first_conjugate_time(w, u0, p0, t_start, t_end, cfg):
-    s0 = PhaseState(u=u0, p=p0, t=t_start)
-    run_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_step=cfg.max_step, t_range=(t_start, t_end),
-                               event_tol=cfg.event_tol)
-    traj = integrate_hamiltonian(w, s0, run_cfg)
-    fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form", cfg=run_cfg,
-                           t_init=t_start)
-    zeros = [z for z in fld.zeros if z > t_start + 1e-9]
+    """First zero after t_start of the Jacobi field with xi(t_start) = 0,
+    xi'(t_start) = 1, from one joint run of the flow and the field."""
+    run = integrate_legs(w, t_start, (u0, p0, 0.0, 1.0), t_end, cfg, (0.0, 0.0))
+    zeros = [z for z in run.zeros if z > t_start + 1e-9]
     return zeros[0] if zeros else None
 
 
@@ -107,21 +104,18 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
 def verify_finding(w: Potential, finding: ConjugateFinding,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    t_end: Optional[float] = None) -> float:
-    """Re-verify the finding's Jacobi zero: rebuild the trajectory over the
-    same span the scan used (the flow through a strong potential is highly
-    sensitive, so the span must match), then re-integrate the linearized
-    field at halved tolerances; returns |xi(t2)| normalized by the field's
+    """Re-verify the finding's Jacobi zero with a step sequence of its own:
+    the flow and the linearized field are integrated again at halved
+    tolerances, with the strip step bounded by a 64th of the strip width
+    instead of the scan's eighth; returns |xi(t2)| normalized by the field's
     sup on [t1, t2 + 0.5]."""
     t_end = t_end if t_end is not None else w.t_upper + 10.0
     s0 = PhaseState(u=finding.u0, p=finding.p0, t=finding.t_start)
-    run_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_step=cfg.max_step,
-                               t_range=(finding.t_start, t_end),
-                               event_tol=cfg.event_tol)
+    run_cfg = replace(cfg.halved(), t_range=(finding.t_start, t_end),
+                      max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
     traj = integrate_hamiltonian(w, s0, run_cfg)
-    fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form",
-                           cfg=run_cfg.halved(), t_init=finding.t1,
-                           t_end=min(finding.t2 + 0.5, t_end))
+    fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form", cfg=run_cfg,
+                           t_init=finding.t1, t_end=min(finding.t2 + 0.5, t_end))
     scale = float(np.max(np.abs(fld.xi))) or 1.0
     return abs(float(fld.value(finding.t2))) / scale
 

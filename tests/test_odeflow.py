@@ -169,3 +169,22 @@ def test_liouville_for_rescaled_hamiltonian(scaling_log):
     det = flow_volume_check(wn, PhaseState(u=0.05, p=0.1, t=-5.0),
                             IntegratorConfig(t_range=(-5.0, 5.0)))
     assert abs(det - 1.0) <= 1e-6
+
+
+def test_strip_leg_is_step_bounded_and_dense_on_arrays(strong_log):
+    w = strong_log
+    t_end = w.t_upper + 5.0
+    cfg = IntegratorConfig(t_range=(-2.0, t_end))
+    traj = integrate_hamiltonian(w, PhaseState(u=0.1, p=0.2, t=-2.0), cfg)
+    ts = traj.sol.ts
+    assert ts[0] == w.t_lower and ts[-1] == w.t_upper
+    assert np.max(np.diff(ts)) <= (w.t_upper - w.t_lower) / 8 * (1 + 1e-12)
+    grid = np.linspace(-2.0, t_end, 9)
+    ys = traj.sol(grid)
+    assert ys.shape == (2, 9)
+    for k, t in enumerate(grid):
+        assert np.allclose(traj.sol(float(t)), ys[:, k], rtol=0.0, atol=1e-14)
+    # after the strip the flow is free: u linear in t, p constant
+    u_out, p_out = traj.state(w.t_upper)
+    assert ys[1, -1] == p_out
+    assert ys[0, -1] == pytest.approx(u_out + p_out * (t_end - w.t_upper), abs=1e-14)

@@ -1,11 +1,15 @@
 import collections
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from minfol import catalog
 from minfol.errors import InvalidParameterError
+from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
 from minfol.potential import make_bump, product_potential, to_log_form
 from minfol.rigidity import (conjugate_point_scan,
@@ -14,6 +18,28 @@ from minfol.rigidity import (conjugate_point_scan,
                              verify_finding)
 
 GRID = np.linspace(-0.4, 0.4, 4)
+# the (u0, p0) grid of configs/scan-conjugate.json
+CONFIG_GRID = np.linspace(-0.5, 0.5, 11)
+
+
+def _load_reference():
+    """perfbench/reference.py: the planar flow and its Jacobi field written
+    apart from minfol, with closed-form legs outside the strip."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                        "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def config_scan(strong_log):
+    """The shipped scan config: 11 x 11 cells from t_start = -2."""
+    rep = conjugate_point_scan(strong_log, CONFIG_GRID, CONFIG_GRID, -2.0,
+                               strong_log.t_upper + 10.0)
+    return {(f.u0, f.p0): f.t2 for f in rep.findings}
 
 
 def _simpson_sides(w, N, num=801):
@@ -69,6 +95,61 @@ class TestScan:
             conjugate_point_scan(flat_log, [], GRID, -1.0, 5.0)
         with pytest.raises(InvalidParameterError):
             conjugate_point_scan(flat_log, GRID, GRID, 5.0, -1.0)
+
+
+class TestStripCannotBeSteppedOver:
+    """Cells where a solver unbounded outside the strip stepped across the
+    force; reference values from perfbench/reference.py at rtol 1e-12."""
+
+    ROW = {1: 0.6289389467560432, 2: 0.6357161384984258,
+           3: 0.6364604758387199, 7: 0.5830019332548906,
+           8: 0.5607632635405511, 9: 0.5437578321201293}
+
+    def test_config_row_p0_one_tenth(self, config_scan):
+        p0 = CONFIG_GRID[6]
+        assert p0 == 0.10000000000000009
+        for i, t2 in self.ROW.items():
+            assert config_scan[(CONFIG_GRID[i], p0)] == pytest.approx(t2, abs=1e-9)
+
+    def test_repro_cell_is_a_hit(self, strong_log):
+        rep = conjugate_point_scan(strong_log, [-0.25], [0.5], -2.0,
+                                   strong_log.t_upper + 10.0)
+        assert len(rep.findings) == 1
+        assert rep.findings[0].t2 == pytest.approx(0.7597353985188967, abs=1e-9)
+
+    def test_last_bit_of_the_launch_state(self, strong_log, config_scan):
+        rep = conjugate_point_scan(strong_log, [0.3], [0.1], -2.0,
+                                   strong_log.t_upper + 10.0)
+        grid_t2 = config_scan[(CONFIG_GRID[8], CONFIG_GRID[6])]
+        assert abs(rep.findings[0].t2 - grid_t2) < 1e-9
+
+    def test_cell_alone_matches_the_grid(self, strong_log, config_scan):
+        for i, j in ((8, 6), (0, 10), (5, 5), (3, 9)):
+            u0, p0 = CONFIG_GRID[i], CONFIG_GRID[j]
+            rep = conjugate_point_scan(strong_log, [u0], [p0], -2.0,
+                                       strong_log.t_upper + 10.0)
+            alone = rep.findings[0].t2 if rep.findings else None
+            assert alone == config_scan.get((u0, p0))
+
+
+class TestZeroCount:
+    @pytest.mark.parametrize("u0,p0", [(0.0, 0.0), (0.25, 0.25),
+                                       (-0.25, 0.5), (0.4, -0.1),
+                                       (-0.5, -0.5)])
+    def test_every_zero_matches_the_reference(self, strong_log, u0, p0):
+        ref = _load_reference()
+        t_end = strong_log.t_upper + 10.0
+        flow = ref.planar_flow(ref.scan_potential(), u0, p0, -2.0)
+        expected = list(flow.strip_zeros)
+        _, _, xi, dxi = flow.exit
+        if dxi != 0.0 and flow.t_out < flow.t_out - xi / dxi <= t_end:
+            expected.append(flow.t_out - xi / dxi)
+        traj = integrate_hamiltonian(strong_log, PhaseState(u=u0, p=p0, t=-2.0),
+                                     IntegratorConfig(t_range=(-2.0, t_end)))
+        fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form", t_init=-2.0)
+        zeros = [z for z in fld.zeros if z > -2.0]
+        assert len(zeros) == len(expected)
+        assert np.allclose(zeros, expected, rtol=0.0, atol=1e-7)
 
 
 class TestGibbs:
