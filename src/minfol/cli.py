@@ -107,6 +107,7 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str):
         "findings": [{"u0": f.u0, "p0": f.p0, "t1": f.t1, "t2": f.t2,
                       "verification_residual": v}
                      for f, v in zip(findings, verifications)],
+        "diagnostics": report.diagnostics,
     }
     found = len(findings) > 0
     return (0 if found else 1), results, \

@@ -263,17 +263,3 @@ def select_example_446_variant(phi: BumpFunction, psi: BumpFunction,
                            for us, uddot in flows)
     return min(res, key=res.get)
 
-
-def decaying_jacobi_inward(traj: Trajectory, n: int,
-                           cfg: Optional[IntegratorConfig] = None):
-    """Jacobi field matching the decaying free mode 1/r^{n-2} outside the
-    support, integrated inward along the leaf; realizes xi(inf) = 0."""
-    from .jacobi import integrate_jacobi
-
-    cfg = cfg or traj.cfg
-    t_hi = traj.t_max
-    # xi = e^{-(n-2) t}, dxi/dt = -(n-2) e^{-(n-2) t} at the outer end
-    xi0 = math.exp(-(n - 2) * t_hi)
-    dxi0 = -(n - 2) * xi0
-    return integrate_jacobi(traj, xi0, dxi0, mode="radial-form", cfg=cfg,
-                            t_init=traj.t_min, t_end=t_hi)

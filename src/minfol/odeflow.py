@@ -20,6 +20,10 @@ xi'' + d_xi xi' + e^{2t} W''_uu(u, t) xi = 0, which follows the same free law
 outside the strip. Its zeros on the strip come from a sign-change event
 checked at every accepted step; a zero after the strip is found in closed
 form.
+
+Many joint runs from one potential step together in `integrate_legs_batch`:
+scipy's DOP853 rules applied per cell to a (state, cell) array, the
+right-hand side evaluated once per stage on the array of active cells.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .errors import IntegrationFailureError, InsufficientRangeError, InvalidParameterError
 from .potential import Potential, to_log_form
@@ -78,6 +83,7 @@ _SCAN_DX = 1e-2
 # step cannot span half an oscillation of xi, and for every catalog potential
 # width/8 < pi / (K e^{t_upper}), so by Sturm comparison no step holds two zeros.
 _STRIP_STEPS = 8
+_EPS = np.finfo(float).eps
 
 
 def _free(y, s, damping):
@@ -144,6 +150,17 @@ def _dedup(times, tol):
     return [z for i, z in enumerate(times) if i == 0 or z - times[i - 1] > tol]
 
 
+def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros, tol):
+    """Zeros of xi over a joint run: t0 if xi starts at 0, the closed-form
+    zero of each free leg, and the strip leg's zeros."""
+    zeros = [t0] if y0[2] == 0.0 else []
+    for t_a, y_a, t_b in ((t0, y0, t_in), (t_out, y_out, t_end)):
+        s = _free_zero(y_a[2], y_a[3], d_xi, t_b - t_a)
+        if s is not None:
+            zeros.append(t_a + s)
+    return _dedup(zeros + strip_zeros, tol)
+
+
 def integrate_legs(w: Potential, t0: float, y0, t_end: float,
                    cfg: IntegratorConfig, damping) -> LegSolution:
     """One three-leg run from y0 at t0 to t_end, in either direction.
@@ -197,13 +214,8 @@ def integrate_legs(w: Potential, t0: float, y0, t_end: float,
                       y_out=y_out, strip=strip, damping=tuple(damping), ts=ts)
 
     if joint:
-        zeros = [t0] if y0[2] == 0.0 else []
-        for t_a, y_a, t_b in ((t0, y0, t_in), (t_out, y_out, t_end)):
-            s = _free_zero(y_a[2], y_a[3], d_xi, t_b - t_a)
-            if s is not None:
-                zeros.append(t_a + s)
-        zeros += [float(t) for t, _ in hits]
-        sol.zeros = _dedup(zeros, cfg.event_tol)
+        sol.zeros = _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi,
+                                 [float(t) for t, _ in hits], cfg.event_tol)
     else:
         events = [SupportEvent(t=float(t), kind="enter" if y[0] * y[1] < 0 else "exit")
                   for t, y in hits]
@@ -212,6 +224,152 @@ def integrate_legs(w: Potential, t0: float, y0, t_end: float,
                 events.append(SupportEvent(t=t_b, kind=kind))
         sol.events = sorted(events, key=lambda ev: ev.t)
     return sol
+
+
+@dataclass
+class LegBatch:
+    """Per cell of `integrate_legs_batch`: the zeros of xi as in
+    `LegSolution.zeros`, the failure or None, and the work done."""
+
+    zeros: list
+    failures: list
+    stages: np.ndarray      # right-hand-side evaluations
+    accepted: np.ndarray    # strip steps
+    rejected: np.ndarray
+
+
+def _combine(K, coef, h):
+    """h * sum_j coef[j] K[j] term by term, so that a cell's bits never
+    depend on the other cells in the arrays."""
+    acc = 0.0
+    for c, k in zip(coef, K):
+        if c != 0.0:
+            acc = acc + c * k
+    return acc * h
+
+
+def _norm(x):
+    """np.linalg.norm of each cell's column."""
+    return np.sqrt(sum(c * c for c in x))
+
+
+def _dense_zero(F, y_old, t_old, t_new):
+    """brentq at scipy's event tolerances on one component of a DOP853 step's
+    dense output, its coefficient row F evaluated as scipy does."""
+    def value(t):
+        x, v = (t - t_old) / (t_new - t_old), 0.0
+        for i, f in enumerate(reversed(F)):
+            v = (v + f) * (x if i % 2 == 0 else 1 - x)
+        return v + y_old
+    return brentq(value, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+
+
+def integrate_legs_batch(w: Potential, t0, y0, t_end: float,
+                         cfg: IntegratorConfig, damping) -> LegBatch:
+    """Joint three-leg runs of many cells at once, forward from t0 (one time
+    or one per cell) and the (u, p, xi, xi') columns of y0 to t_end.
+
+    Each cell's strip leg is scipy's DOP853 as `integrate_legs` runs it: the
+    same tables, error norm, step controller, initial step and step bound,
+    with the cell's own time, step and error norm; the right-hand side is
+    evaluated once per stage on the array of active cells. A zero of xi is
+    located only over a step on which xi changes sign, by brentq on the
+    step's dense output. A step below scipy's minimum, or an error norm that
+    is not finite, fails that cell alone.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    m = y0.shape[1]
+    t0 = np.broadcast_to(np.asarray(t0, dtype=float), (m,))
+    if np.any(t0 > t_end):
+        raise InvalidParameterError("batched runs go forward: need t0 <= t_end")
+    t_in = np.minimum(np.maximum(w.t_lower, t0), t_end)
+    t_out = np.minimum(np.maximum(w.t_upper, t0), t_end)
+    t, y = t_in.copy(), _free(y0, t_in - t0, damping)
+    d_u, d_xi = damping
+
+    def rhs(t, y):
+        e2 = np.exp(2.0 * t)
+        return np.array((y[1], -d_u * y[1] - e2 * w.dw_du(y[0], t),
+                         y[3], -d_xi * y[3] - e2 * w.d2w_duu(y[0], t) * y[2]))
+
+    RK, atol, rms = DOP853, cfg.abs_tol, math.sqrt(len(y))
+    rtol = max(cfg.rel_tol, 100 * _EPS)     # scipy's floor on rtol
+    max_step = min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS)
+    power = -1 / (RK.error_estimator_order + 1)
+    res = LegBatch([[] for _ in range(m)], [None] * m, *np.zeros((3, m), dtype=int))
+    active, retry = t < t_out, np.zeros(m, dtype=bool)
+
+    def fail(cells, message):
+        for c in cells:
+            res.failures[c] = IntegrationFailureError(
+                "integration failed: " + message,
+                last_state=PhaseState(u=float(y[0, c]), p=float(y[1, c]), t=float(t[c])))
+        active[cells] = False
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i = np.flatnonzero(active)   # scipy's initial step, per cell
+        ti, yi, span, f = t[i], y[:, i], t_out[i] - t[i], np.zeros_like(y)
+        f[:, i] = fi = rhs(ti, yi)
+        scale = atol + np.abs(yi) * rtol
+        d0, d1 = _norm(yi / scale) / rms, _norm(fi / scale) / rms
+        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
+        d2 = _norm((rhs(ti + h0, yi + h0 * fi) - fi) / scale) / rms / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** -power)
+        h_abs = np.zeros(m)
+        h_abs[i] = np.minimum(np.minimum(100 * h0, h1), np.minimum(span, max_step))
+        res.stages[i] += 2
+        while np.any(active):
+            i = np.flatnonzero(active)
+            ti, h = t[i], h_abs[i]
+            min_step = 10 * np.abs(np.nextafter(ti, np.inf) - ti)
+            new = ~retry[i]      # a new step starts clipped to [min_step, max_step]
+            h = np.where(new & (h > max_step), max_step,
+                         np.where(new & (h < min_step), min_step, h))
+            small = h < min_step     # False for a NaN step, whose error norm fails
+            fail(i[small], "Required step size is less than spacing between numbers.")
+            i, ti, h = i[~small], ti[~small], h[~small]
+            t_new = np.minimum(ti + h, t_out[i])
+            h = t_new - ti
+            yi, K = y[:, i], [f[:, i]]
+            for row, frac in zip(RK.A[1:], RK.C[1:]):
+                K.append(rhs(ti + frac * h, yi + _combine(K, row, h)))
+            y_new = yi + _combine(K, RK.B, h)
+            K.append(rhs(t_new, y_new))
+            res.stages[i] += RK.n_stages
+            scale = atol + np.maximum(np.abs(yi), np.abs(y_new)) * rtol
+            n5 = _norm(_combine(K, RK.E5, 1.0) / scale) ** 2
+            n3 = _norm(_combine(K, RK.E3, 1.0) / scale) ** 2
+            err = np.where((n5 == 0) & (n3 == 0), 0.0,
+                           h * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
+            fail(i[~np.isfinite(err)], "error norm is not finite")
+            ok = err < 1
+            grow = np.where(err == 0, 10.0, np.minimum(10.0, 0.9 * err ** power))
+            h_abs[i] = h * np.where(ok, np.where(retry[i], np.minimum(1.0, grow), grow),
+                                    np.maximum(0.2, 0.9 * err ** power))
+            retry[i] = ~ok
+            res.rejected[i[~ok & np.isfinite(err)]] += 1
+            k = np.flatnonzero(ok)
+            cells, g, g_new = i[k], yi[2, k], y_new[2, k]
+            res.accepted[cells] += 1
+            t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[-1][:, k]
+            active[cells] = t_new[k] < t_out[cells]
+            s = k[((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))]
+            if s.size:   # xi changes sign: the three dense-output stages
+                K = [stage[:, s] for stage in K]
+                for row, frac in zip(RK.A_EXTRA, RK.C_EXTRA):
+                    K.append(rhs(ti[s] + frac * h[s], yi[:, s] + _combine(K, row, h[s])))
+                res.stages[i[s]] += len(RK.C_EXTRA)
+                dy = y_new[2, s] - yi[2, s]
+                F = [dy, h[s] * K[0][2] - dy, 2 * dy - h[s] * (K[12][2] + K[0][2])]
+                F += [_combine(K, row, h[s])[2] for row in RK.D]
+                for j, q in enumerate(s):
+                    res.zeros[i[q]].append(_dense_zero([float(x[j]) for x in F],
+                                                       yi[2, q], ti[q], t_new[q]))
+    res.zeros = [[] if res.failures[c] else
+                 _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end,
+                              d_xi, res.zeros[c], cfg.event_tol) for c in range(m)]
+    return res
 
 
 def _sample_grid(t_lo, t_hi):

@@ -3,6 +3,7 @@ discriminant inequality, and the rescaling scaling law that forces W = 0."""
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -10,9 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
-from .jacobi import integrate_jacobi
-from .odeflow import (IntegratorConfig, PhaseState, integrate_hamiltonian,
-                      integrate_legs)
+from .odeflow import (IntegratorConfig, LegBatch, PhaseState, _sample_grid,
+                      integrate_legs, integrate_legs_batch)
 from .potential import Potential
 from .quadrature import quad_2d
 
@@ -34,6 +34,7 @@ class ScanReport:
     t_end: float
     findings: list[ConjugateFinding] = field(default_factory=list)
     failures: list[tuple[float, float, float, str]] = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)  # stepper work, failures by type
 
 
 @dataclass
@@ -47,21 +48,16 @@ class ScalingFit:
     identically_zero: bool = False
 
 
-def _first_conjugate_time(w, u0, p0, t_start, t_end, cfg):
-    """First zero after t_start of the Jacobi field with xi(t_start) = 0,
-    xi'(t_start) = 1, from one joint run of the flow and the field."""
-    run = integrate_legs(w, t_start, (u0, p0, 0.0, 1.0), t_end, cfg, (0.0, 0.0))
-    zeros = [z for z in run.zeros if z > t_start + 1e-9]
-    return zeros[0] if zeros else None
-
-
 def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
                          t_end: float,
                          cfg: IntegratorConfig = IntegratorConfig(),
                          n_slide: int = 1, map_fn=map) -> ScanReport:
     """For each (u0, p0) launch the flow and a Jacobi field with
     xi(t_start) = 0, xi'(t_start) = 1; record the first later vanishing.
-    t_start additionally slides over a coarse grid of n_slide positions."""
+    t_start additionally slides over a coarse grid of n_slide positions.
+
+    The cells of one t_start step together in `integrate_legs_batch`, and
+    map_fn maps over the slides; a cell's result depends on neither."""
     u0_grid = [float(x) for x in u0_grid]
     p0_grid = [float(x) for x in p0_grid]
     if t_start >= t_end:
@@ -75,49 +71,58 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
     else:
         t_starts = list(np.linspace(t_start, 0.5 * (t_start + t_end), n_slide))
 
-    cells = [(u0, p0, ts) for ts in t_starts for u0 in u0_grid for p0 in p0_grid]
+    cells = [(u0, p0) for u0 in u0_grid for p0 in p0_grid]
+    y0 = [[u0 for u0, _ in cells], [p0 for _, p0 in cells],
+          [0.0] * len(cells), [1.0] * len(cells)]
 
-    def run(cell):
-        u0, p0, ts = cell
+    def run(ts):
         try:
-            t2 = _first_conjugate_time(w, u0, p0, ts, t_end, cfg)
-        except MinfolError as exc:  # failures recorded, scan continues
-            return ("error", cell, str(exc))
-        if t2 is None:
-            return None
-        return ("hit", cell, t2)
+            return integrate_legs_batch(w, ts, y0, t_end, cfg, (0.0, 0.0))
+        except MinfolError as exc:  # the slide's cells fail, the scan continues
+            n = len(cells)
+            return LegBatch([[]] * n, [exc] * n, *np.zeros((3, n), dtype=int))
 
     report = ScanReport(u0_grid=u0_grid, p0_grid=p0_grid, t_starts=t_starts,
                         t_end=t_end)
-    for res in map_fn(run, cells):
-        if res is None:
-            continue
-        tag, (u0, p0, ts), payload = res
-        if tag == "error":
-            report.failures.append((u0, p0, ts, payload))
-        else:
-            report.findings.append(ConjugateFinding(u0=u0, p0=p0, t_start=ts,
-                                                    t1=ts, t2=payload))
+    batches = list(map_fn(run, t_starts))
+    for ts, batch in zip(t_starts, batches):
+        for (u0, p0), zeros, exc in zip(cells, batch.zeros, batch.failures):
+            later = [float(z) for z in zeros if z > ts + 1e-9]
+            if exc is not None:
+                report.failures.append((u0, p0, ts, str(exc)))
+            elif later:
+                report.findings.append(ConjugateFinding(u0=u0, p0=p0, t_start=ts,
+                                                        t1=ts, t2=later[0]))
+    accepted = np.concatenate([b.accepted for b in batches])
+    report.diagnostics = {
+        "stage_evaluations": int(sum(b.stages.sum() for b in batches)),
+        "accepted_steps": int(accepted.sum()),
+        "rejected_steps": int(sum(b.rejected.sum() for b in batches)),
+        "max_accepted_steps_per_cell": int(accepted.max()),
+        "failures_by_type": dict(sorted(collections.Counter(
+            type(exc).__name__ for b in batches for exc in b.failures
+            if exc is not None).items())),
+    }
     return report
 
 
 def verify_finding(w: Potential, finding: ConjugateFinding,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    t_end: Optional[float] = None) -> float:
-    """Re-verify the finding's Jacobi zero with a step sequence of its own:
-    the flow and the linearized field are integrated again at halved
-    tolerances, with the strip step bounded by a 64th of the strip width
-    instead of the scan's eighth; returns |xi(t2)| normalized by the field's
-    sup on [t1, t2 + 0.5]."""
+    """Re-verify the finding's Jacobi zero on another integrator than the
+    scan's: one joint `integrate_legs` run (scipy's DOP853) of the flow and
+    the field from (u0, p0, 0, 1) at t1 = t_start, at halved tolerances, with
+    the strip step bounded by a 64th of the strip width instead of the scan's
+    eighth; returns |xi(t2)| normalized by the field's sup on
+    [t1, t2 + 0.5]."""
     t_end = t_end if t_end is not None else w.t_upper + 10.0
-    s0 = PhaseState(u=finding.u0, p=finding.p0, t=finding.t_start)
-    run_cfg = replace(cfg.halved(), t_range=(finding.t_start, t_end),
+    t_hi = min(finding.t2 + 0.5, t_end)
+    run_cfg = replace(cfg.halved(),
                       max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
-    traj = integrate_hamiltonian(w, s0, run_cfg)
-    fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form", cfg=run_cfg,
-                           t_init=finding.t1, t_end=min(finding.t2 + 0.5, t_end))
-    scale = float(np.max(np.abs(fld.xi))) or 1.0
-    return abs(float(fld.value(finding.t2))) / scale
+    run = integrate_legs(w, finding.t1, (finding.u0, finding.p0, 0.0, 1.0), t_hi,
+                         run_cfg, (0.0, 0.0))
+    scale = float(np.max(np.abs(run(_sample_grid(finding.t1, t_hi))[2]))) or 1.0
+    return abs(float(run(finding.t2)[2])) / scale
 
 
 def gibbs_density(w: Potential, s: PhaseState) -> float:

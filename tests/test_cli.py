@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from minfol.cli import main, run_command
@@ -137,6 +139,27 @@ class TestRunCommand:
             b = open(os.path.join(outs[1], fname), "rb").read()
             assert a == b
 
+    def test_scan_diagnostics_rerun_is_byte_identical(self, tmp_path):
+        data = {"command": "scan-conjugate", "n": 2,
+                "potential": {"kind": "product",
+                              "f": {"center": 0.0, "width": 1.0,
+                                    "amplitude": -6.0},
+                              "g": {"center": 2.0, "width": 1.0,
+                                    "amplitude": 1.0}},
+                "scan": {"u0": [-0.5, 0.5, 3], "p0": [-0.5, 0.5, 3],
+                         "t_start": -2.0, "n_slide": 2}}
+        path = _write(tmp_path, data)
+        raw = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert main(["--config", path, "--out", out]) == 0
+            raw.append(open(os.path.join(out, "report.json"), "rb").read())
+        assert raw[0] == raw[1]
+        diag = _validate_report(str(tmp_path / "a"))["results"]["diagnostics"]
+        assert diag["failures_by_type"] == {}
+        assert 0 < diag["max_accepted_steps_per_cell"] < diag["accepted_steps"]
+        assert diag["stage_evaluations"] > 12 * diag["accepted_steps"]
+
     def test_seed_changes_random_draws(self, tmp_path):
         data = {"command": "hardy-check", "n": 3,
                 "hardy": {"n_list": [3], "num_random": 3}}
@@ -182,7 +205,7 @@ class TestScanFailures:
         def fail(*args, **kwargs):
             raise IntegrationFailureError("injected")
 
-        monkeypatch.setattr("minfol.rigidity.integrate_legs", fail)
+        monkeypatch.setattr("minfol.rigidity.integrate_legs_batch", fail)
         out = tmp_path / "out"
         assert main(["--config", _write(tmp_path, self.CONFIG),
                      "--out", str(out)]) == 2
@@ -195,6 +218,31 @@ class TestScanFailures:
         def fail(*args, **kwargs):
             raise ZeroDivisionError("injected")
 
-        monkeypatch.setattr("minfol.rigidity.integrate_legs", fail)
+        monkeypatch.setattr("minfol.rigidity.integrate_legs_batch", fail)
         with pytest.raises(ZeroDivisionError):
             conjugate_point_scan(flat_log, [0.0, 0.1], [0.0], -1.0, 2.0)
+
+    def test_nan_curvature_fails_only_its_cells(self, strong_log):
+        from minfol.rigidity import conjugate_point_scan
+
+        def d2w_duu(u, t):
+            return np.where(np.asarray(u) > 0.3, np.nan, strong_log.d2w_duu(u, t))
+
+        bad = SimpleNamespace(w=strong_log.w, dw_du=strong_log.dw_du,
+                              d2w_duu=d2w_duu, dw_dt=strong_log.dw_dt,
+                              u_bound=strong_log.u_bound,
+                              t_lower=strong_log.t_lower,
+                              t_upper=strong_log.t_upper,
+                              k_curvature=strong_log.k_curvature)
+        grid = np.linspace(-0.5, 0.5, 5)
+        t_end = strong_log.t_upper + 10.0
+        rep = conjugate_point_scan(bad, grid, grid, -2.0, t_end)
+        clean = conjugate_point_scan(strong_log, grid, grid, -2.0, t_end)
+        failed = {(u0, p0) for u0, p0, _, _ in rep.failures}
+        assert 0 < len(failed) < 25
+        assert rep.diagnostics["failures_by_type"] == {
+            "IntegrationFailureError": len(failed)}
+        assert not clean.failures
+        expected = {(f.u0, f.p0): f.t2 for f in clean.findings
+                    if (f.u0, f.p0) not in failed}
+        assert {(f.u0, f.p0): f.t2 for f in rep.findings} == expected

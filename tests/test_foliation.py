@@ -5,8 +5,8 @@ from minfol import foliation
 from minfol.catalog import example_pair
 from minfol.errors import InapplicableError, InvalidParameterError
 from minfol.foliation import (LeafFamily, build_MA_family, build_NA_family,
-                              check_ordering, decaying_jacobi_inward,
-                              example_446_check, select_example_446_variant)
+                              check_ordering, example_446_check,
+                              select_example_446_variant)
 from minfol.odeflow import asymptotic_match_outer
 from minfol.potential import zero_potential
 
@@ -33,11 +33,6 @@ class TestOuterFamily:
 
     def test_grid_shape(self, family):
         assert family.u_matrix.shape == (len(family.r_grid), len(ALPHAS))
-
-    def test_decaying_field_stays_positive(self, family):
-        fld = decaying_jacobi_inward(family.trajectories[2], 3)
-        assert fld.zeros == []
-        assert np.all(fld.xi > 0)
 
     def test_rejects_unsorted_alphas(self, certified_pot):
         with pytest.raises(InvalidParameterError):

@@ -7,6 +7,7 @@ from minfol.errors import InvalidParameterError
 from minfol.odeflow import (IntegratorConfig, PhaseState,
                             asymptotic_match_outer, flow_volume_check,
                             hamiltonian_value, integrate_hamiltonian,
+                            integrate_legs, integrate_legs_batch,
                             integrate_radial_ivp)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
@@ -188,3 +189,25 @@ def test_strip_leg_is_step_bounded_and_dense_on_arrays(strong_log):
     u_out, p_out = traj.state(w.t_upper)
     assert ys[1, -1] == p_out
     assert ys[0, -1] == pytest.approx(u_out + p_out * (t_end - w.t_upper), abs=1e-14)
+
+
+@pytest.mark.parametrize("damping", [(0.0, 0.0), (1.0, 1.0)])
+def test_batch_takes_scipys_steps(strong_log, damping):
+    # each cell: the same accepted strip steps and zeros as its own solve_ivp
+    w = strong_log
+    t0 = np.array([-2.0, -1.0, 0.5, 0.3, w.t_upper + 1.0])
+    y0 = np.array([[0.25, -0.25, 0.4, 0.0, 0.1], [0.25, 0.5, -0.1, 0.0, 0.2],
+                   [0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.5, 1.0, 1.0]])
+    t_end = w.t_upper + 10.0
+    batch = integrate_legs_batch(w, t0, y0, t_end, IntegratorConfig(), damping)
+    assert batch.failures == [None] * 5
+    for c in range(5):
+        run = integrate_legs(w, t0[c], y0[:, c], t_end, IntegratorConfig(),
+                             damping)
+        strip = run.strip is not None
+        assert batch.accepted[c] == (len(run.ts) - 1 if strip else 0)
+        assert len(batch.zeros[c]) == len(run.zeros)
+        assert np.allclose(batch.zeros[c], run.zeros, rtol=0.0, atol=1e-12)
+    with pytest.raises(InvalidParameterError):
+        integrate_legs_batch(w, t_end + 1.0, y0, t_end, IntegratorConfig(),
+                             damping)

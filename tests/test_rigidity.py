@@ -3,6 +3,8 @@ import importlib.util
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ import pytest
 from minfol import catalog
 from minfol.errors import InvalidParameterError
 from minfol.jacobi import integrate_jacobi
-from minfol.odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
+from minfol.odeflow import (IntegratorConfig, PhaseState, integrate_hamiltonian,
+                            integrate_legs)
 from minfol.potential import make_bump, product_potential, to_log_form
-from minfol.rigidity import (conjugate_point_scan,
+from minfol.rigidity import (ConjugateFinding, conjugate_point_scan,
                              discriminant_inequality_check, gibbs_density,
                              rescaled_inequality_sides, scaling_exponent_fit,
                              verify_finding)
@@ -68,6 +71,15 @@ class TestScan:
         for f in rep.findings:
             assert f.t1 < f.t2
             assert verify_finding(strong_log, f) < 1e-6
+
+    def test_scan_makes_no_solve_ivp_call(self, strong_log, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr("minfol.odeflow.solve_ivp", forbidden)
+        rep = conjugate_point_scan(strong_log, GRID, GRID, -2.0,
+                                   strong_log.t_upper + 10.0, n_slide=2)
+        assert rep.findings and not rep.failures
 
     def test_flat_has_none(self, flat_log):
         rep = conjugate_point_scan(flat_log, GRID, GRID, -1.0, 5.0)
@@ -130,6 +142,71 @@ class TestStripCannotBeSteppedOver:
                                        strong_log.t_upper + 10.0)
             alone = rep.findings[0].t2 if rep.findings else None
             assert alone == config_scan.get((u0, p0))
+
+
+class TestChunkIndependence:
+    """A cell's result depends neither on the chunk map_fn hands it in nor on
+    where its t_start slide falls."""
+
+    def test_pooled_config_scan_equals_serial(self, strong_log, config_scan):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rep = conjugate_point_scan(strong_log, CONFIG_GRID, CONFIG_GRID,
+                                       -2.0, strong_log.t_upper + 10.0,
+                                       map_fn=pool.map)
+        assert {(f.u0, f.p0): f.t2 for f in rep.findings} == config_scan
+
+    def test_pooled_slides_equal_serial(self, strong_log):
+        args = (strong_log, GRID, GRID, -2.0, strong_log.t_upper + 10.0)
+        serial = conjugate_point_scan(*args, n_slide=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = conjugate_point_scan(*args, n_slide=3, map_fn=pool.map)
+        assert pooled.findings == serial.findings
+        assert pooled.failures == serial.failures == []
+        assert pooled.diagnostics == serial.diagnostics
+        assert serial.diagnostics["accepted_steps"] > 0
+
+    def test_slides_match_joint_runs(self, strong_log):
+        # slides at -1, 0.1 and 1.2: before, inside and after the strip
+        t_end = 3.4
+        rep = conjugate_point_scan(strong_log, GRID, GRID, -1.0, t_end,
+                                   n_slide=3)
+        assert strong_log.t_lower < rep.t_starts[1] < strong_log.t_upper
+        assert rep.t_starts[2] > strong_log.t_upper
+        found = {(f.u0, f.p0, f.t_start): f.t2 for f in rep.findings}
+        assert any(ts == rep.t_starts[1] for _, _, ts in found)
+        for ts in rep.t_starts:
+            for u0 in GRID:
+                for p0 in GRID:
+                    run = integrate_legs(strong_log, ts, (u0, p0, 0.0, 1.0),
+                                         t_end, IntegratorConfig(), (0.0, 0.0))
+                    zeros = [z for z in run.zeros if z > ts + 1e-9]
+                    got = found.get((float(u0), float(p0), ts))
+                    assert (got is None) == (not zeros)
+                    if zeros:
+                        assert abs(got - zeros[0]) < 1e-9
+
+
+class TestVerification:
+    @staticmethod
+    def _two_solves(w, f, cfg=IntegratorConfig()):
+        """The verification as a flow solve followed by a Jacobi solve."""
+        t_end = w.t_upper + 10.0
+        run_cfg = replace(cfg.halved(), t_range=(f.t_start, t_end),
+                          max_step=min(cfg.max_step,
+                                       (w.t_upper - w.t_lower) / 64))
+        traj = integrate_hamiltonian(w, PhaseState(u=f.u0, p=f.p0, t=f.t_start),
+                                     run_cfg)
+        fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form", cfg=run_cfg,
+                               t_init=f.t1, t_end=min(f.t2 + 0.5, t_end))
+        scale = float(np.max(np.abs(fld.xi))) or 1.0
+        return abs(float(fld.value(f.t2))) / scale
+
+    def test_single_solve_equals_two_solves(self, strong_log, config_scan):
+        for i, j in ((8, 6), (0, 10), (3, 9)):
+            u0, p0 = CONFIG_GRID[i], CONFIG_GRID[j]
+            f = ConjugateFinding(u0=u0, p0=p0, t_start=-2.0, t1=-2.0,
+                                 t2=config_scan[(u0, p0)])
+            assert verify_finding(strong_log, f) == self._two_solves(strong_log, f)
 
 
 class TestZeroCount:
