@@ -25,5 +25,6 @@ from .foliation import (LeafFamily, build_NA_family, build_MA_family,
                         select_example_446_variant)
 from .rigidity import (conjugate_point_scan, gibbs_density,
                        rescaled_inequality_sides, scaling_exponent_fit,
-                       discriminant_inequality_check, verify_finding)
+                       discriminant_inequality_check, verify_finding,
+                       verify_findings)
 from .config import ExperimentConfig, load_config, validate_config

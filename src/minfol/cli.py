@@ -27,7 +27,7 @@ from .reporting import (write_family_csv, write_csv, write_findings_csv,
                         write_report, write_trajectory_csv)
 from .rigidity import (conjugate_point_scan, discriminant_inequality_check,
                        rescaled_inequality_sides, scaling_exponent_fit,
-                       verify_finding)
+                       verify_findings)
 
 SLOPE_TOL = 0.15
 RESIDUAL_TOL = 1e-7
@@ -41,7 +41,7 @@ def _grid(spec) -> np.ndarray:
     return np.asarray([float(x) for x in spec])
 
 
-def _run_certify(cfg: ExperimentConfig, out_dir: str):
+def _run_certify(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     if pot is None:
         raise ConfigError("certify requires a radial potential "
@@ -55,7 +55,7 @@ def _run_certify(cfg: ExperimentConfig, out_dir: str):
     return (0 if certified else 1), results, verdict
 
 
-def _run_solve(cfg: ExperimentConfig, out_dir: str):
+def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     if pot is None:
         raise ConfigError("solve requires a radial potential")
@@ -82,14 +82,16 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str):
     return 0, results, "solved"
 
 
-def _run_scan(cfg: ExperimentConfig, out_dir: str):
+def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     w = to_log_form(pot)
     p = cfg.params
     t_end = float(p["t_end"]) if p["t_end"] is not None else w.t_upper + 10.0
+    t0 = time.perf_counter()
     report = conjugate_point_scan(w, _grid(p["u0"]), _grid(p["p0"]),
                                   float(p["t_start"]), t_end,
                                   cfg=cfg.integrator, n_slide=int(p["n_slide"]))
+    t1 = time.perf_counter()
     num_cells = len(report.u0_grid) * len(report.p0_grid) * len(report.t_starts)
     if report.failures and not report.findings:
         u0, p0, ts, message = report.failures[0]
@@ -97,9 +99,9 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str):
                           "failed; first at (u0=%g, p0=%g, t_start=%g): %s"
                           % (len(report.failures), num_cells, u0, p0, ts, message))
     findings = sorted(report.findings, key=lambda f: (f.t_start, f.u0, f.p0))
+    verifications, work = verify_findings(w, findings, cfg.integrator, t_end=t_end)
+    timing.update(scan_seconds=t1 - t0, verify_seconds=time.perf_counter() - t1)
     write_findings_csv(findings, os.path.join(out_dir, "findings.csv"))
-    verifications = [verify_finding(w, f, cfg.integrator, t_end=t_end)
-                     for f in findings]
     results = {
         "num_cells": num_cells,
         "num_findings": len(findings),
@@ -107,14 +109,14 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str):
         "findings": [{"u0": f.u0, "p0": f.p0, "t1": f.t1, "t2": f.t2,
                       "verification_residual": v}
                      for f, v in zip(findings, verifications)],
-        "diagnostics": report.diagnostics,
+        "diagnostics": {**report.diagnostics, "verification": work},
     }
     found = len(findings) > 0
     return (0 if found else 1), results, \
         ("conjugate-points-found" if found else "no-conjugate-points")
 
 
-def _run_foliate(cfg: ExperimentConfig, out_dir: str):
+def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     p = cfg.params
     alphas = [float(a) for a in _grid(p["alphas"])]
@@ -136,7 +138,7 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str):
     return (0 if ordered else 1), results, ordering.verdict
 
 
-def _run_scaling(cfg: ExperimentConfig, out_dir: str):
+def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     w = to_log_form(pot)
     p = cfg.params
@@ -173,7 +175,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str):
         ("scaling-law-confirmed" if ok else "scaling-law-not-confirmed")
 
 
-def _run_example446(cfg: ExperimentConfig, out_dir: str):
+def _run_example446(cfg: ExperimentConfig, out_dir: str, timing: dict):
     phi, psi = build_bumps(cfg)
     p = cfg.params
     variant = cfg.potential.get("variant", "auto")
@@ -210,7 +212,7 @@ def _random_test_function(rng, r1, r2):
     return make_bump(center, width, amplitude)
 
 
-def _run_hardy(cfg: ExperimentConfig, out_dir: str):
+def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
     p = cfg.params
     rel_tol = float(p["rel_tol"])
     rng = np.random.default_rng(cfg.seed)
@@ -256,12 +258,12 @@ _RUNNERS = {
 
 def run_command(cfg: ExperimentConfig, out_dir: str) -> tuple[int, dict]:
     os.makedirs(out_dir, exist_ok=True)
-    t0 = time.time()
-    code, results, verdict = _RUNNERS[cfg.command](cfg, out_dir)
+    t0, timing = time.time(), {}
+    code, results, verdict = _RUNNERS[cfg.command](cfg, out_dir, timing)
     report = {"tool": "minfol", "version": __version__,
               "command": cfg.command, "config": cfg.raw,
               "results": results, "verdict": verdict, "exit_code": code}
-    write_report(report, out_dir, wall_clock=time.time() - t0)
+    write_report(report, out_dir, wall_clock=time.time() - t0, **timing)
     return code, report
 
 

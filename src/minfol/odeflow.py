@@ -23,7 +23,8 @@ form.
 
 Many joint runs from one potential step together in `integrate_legs_batch`:
 scipy's DOP853 rules applied per cell to a (state, cell) array, the
-right-hand side evaluated once per stage on the array of active cells.
+right-hand side evaluated once per stage on the array of active cells: the
+cells of a conjugate-point scan, or all of its findings when they are checked.
 """
 
 from __future__ import annotations
@@ -236,6 +237,7 @@ class LegBatch:
     stages: np.ndarray      # right-hand-side evaluations
     accepted: np.ndarray    # strip steps
     rejected: np.ndarray
+    samples: list = field(default_factory=list)  # (4, k) states at the sample times
 
 
 def _combine(K, coef, h):
@@ -253,33 +255,39 @@ def _norm(x):
     return np.sqrt(sum(c * c for c in x))
 
 
+def _horner(F, x):
+    """A DOP853 step's dense output less y_old at the step fraction x, its
+    coefficient rows F summed in scipy's order."""
+    v = 0.0
+    for i, f in enumerate(reversed(F)):
+        v = (v + f) * (x if i % 2 == 0 else 1 - x)
+    return v
+
+
 def _dense_zero(F, y_old, t_old, t_new):
-    """brentq at scipy's event tolerances on one component of a DOP853 step's
-    dense output, its coefficient row F evaluated as scipy does."""
-    def value(t):
-        x, v = (t - t_old) / (t_new - t_old), 0.0
-        for i, f in enumerate(reversed(F)):
-            v = (v + f) * (x if i % 2 == 0 else 1 - x)
-        return v + y_old
-    return brentq(value, t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+    """brentq at scipy's event tolerances on one row of a step's dense output."""
+    return brentq(lambda t: _horner(F, (t - t_old) / (t_new - t_old)) + y_old,
+                  t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
 
 
-def integrate_legs_batch(w: Potential, t0, y0, t_end: float,
-                         cfg: IntegratorConfig, damping) -> LegBatch:
-    """Joint three-leg runs of many cells at once, forward from t0 (one time
-    or one per cell) and the (u, p, xi, xi') columns of y0 to t_end.
+def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
+                         damping, samples=None) -> LegBatch:
+    """Joint three-leg runs of many cells at once, forward from t0 to t_end
+    (each one time or one per cell) from the (u, p, xi, xi') columns of y0.
 
     Each cell's strip leg is scipy's DOP853 as `integrate_legs` runs it: the
     same tables, error norm, step controller, initial step and step bound,
     with the cell's own time, step and error norm; the right-hand side is
-    evaluated once per stage on the array of active cells. A zero of xi is
-    located only over a step on which xi changes sign, by brentq on the
-    step's dense output. A step below scipy's minimum, or an error norm that
-    is not finite, fails that cell alone.
+    evaluated once per stage on the array of active cells. Only over a step
+    on which xi changes sign, or that holds some of the cell's sample times
+    (samples: one array per cell), are the dense-output stages computed, for
+    brentq on xi and for the samples, read on the legs and steps that
+    `LegSolution` reads them from. A step below scipy's minimum, or an error
+    norm that is not finite, fails that cell alone.
     """
     y0 = np.asarray(y0, dtype=float)
     m = y0.shape[1]
-    t0 = np.broadcast_to(np.asarray(t0, dtype=float), (m,))
+    t0, t_end = (np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in (t0, t_end))
     if np.any(t0 > t_end):
         raise InvalidParameterError("batched runs go forward: need t0 <= t_end")
     t_in = np.minimum(np.maximum(w.t_lower, t0), t_end)
@@ -298,6 +306,16 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end: float,
     power = -1 / (RK.error_estimator_order + 1)
     res = LegBatch([[] for _ in range(m)], [None] * m, *np.zeros((3, m), dtype=int))
     active, retry = t < t_out, np.zeros(m, dtype=bool)
+    # samples flat as given; a cell's strip samples, sorted, run from nxt to stop
+    ts = [np.ravel(np.asarray(x, dtype=float)) for x in samples or [()] * m]
+    sizes = np.array([x.size for x in ts], dtype=int)
+    owner, ts = np.repeat(np.arange(m), sizes), np.concatenate(ts + [np.zeros(0)])
+    order = np.lexsort((ts, owner))
+    ts_sorted = np.append(ts[order], np.inf)
+    out, before = np.full((len(y), len(ts)), np.nan), ts <= t_in[owner]
+    start = np.cumsum(sizes) - sizes
+    nxt = start + np.bincount(owner[before], minlength=m)
+    stop = start + np.bincount(owner[ts < t_out[owner]], minlength=m)
 
     def fail(cells, message):
         for c in cells:
@@ -354,20 +372,34 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end: float,
             res.accepted[cells] += 1
             t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[-1][:, k]
             active[cells] = t_new[k] < t_out[cells]
-            s = k[((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))]
-            if s.size:   # xi changes sign: the three dense-output stages
+            sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
+            due = (nxt[cells] < stop[cells]) & (ts_sorted[nxt[cells]] <= t_new[k])
+            s = k[sign | due]
+            sign, due = sign[sign | due], due[sign | due]
+            if s.size:   # the three dense-output stages
                 K = [stage[:, s] for stage in K]
                 for row, frac in zip(RK.A_EXTRA, RK.C_EXTRA):
                     K.append(rhs(ti[s] + frac * h[s], yi[:, s] + _combine(K, row, h[s])))
                 res.stages[i[s]] += len(RK.C_EXTRA)
-                dy = y_new[2, s] - yi[2, s]
-                F = [dy, h[s] * K[0][2] - dy, 2 * dy - h[s] * (K[12][2] + K[0][2])]
-                F += [_combine(K, row, h[s])[2] for row in RK.D]
-                for j, q in enumerate(s):
-                    res.zeros[i[q]].append(_dense_zero([float(x[j]) for x in F],
+                dy = y_new[:, s] - yi[:, s]
+                F = [dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[12] + K[0])]
+                F += [_combine(K, row, h[s]) for row in RK.D]
+                for j, q in zip(np.flatnonzero(sign), s[sign]):
+                    res.zeros[i[q]].append(_dense_zero([float(x[2, j]) for x in F],
                                                        yi[2, q], ti[q], t_new[q]))
+                j = np.flatnonzero(due)
+                while j.size:   # the strip samples this step holds
+                    q, at = s[j], nxt[i[s[j]]]
+                    x = (ts_sorted[at] - ti[q]) / h[q]
+                    out[:, order[at]] = _horner([row[:, j] for row in F], x) + yi[:, q]
+                    nxt[i[q]] += 1
+                    j = j[(at + 1 < stop[i[q]]) & (ts_sorted[at + 1] <= t_new[q])]
+    after = ~before & (ts >= t_out[owner]) & (t[owner] == t_out[owner])  # not failed
+    for leg, y_a, t_a in ((before, y0, t0), (after, y, t_out)):
+        out[:, leg] = _free(y_a[:, owner[leg]], ts[leg] - t_a[owner[leg]], damping)
+    res.samples = [out[:, a:b] for a, b in zip(start, start + sizes)]
     res.zeros = [[] if res.failures[c] else
-                 _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end,
+                 _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end[c],
                               d_xi, res.zeros[c], cfg.event_tol) for c in range(m)]
     return res
 
@@ -406,19 +438,9 @@ class Trajectory:
     def u_of_r(self, r):
         return self.state(np.log(np.asarray(r, float)))[0]
 
-    def du_dr(self, r):
-        r = np.asarray(r, float)
-        return self.state(np.log(r))[1] / r
-
     def first_entry(self) -> Optional[float]:
         for ev in self.events:
             if ev.kind == "enter":
-                return ev.t
-        return None
-
-    def last_exit(self) -> Optional[float]:
-        for ev in reversed(self.events):
-            if ev.kind == "exit":
                 return ev.t
         return None
 

@@ -54,9 +54,10 @@ def write_family_csv(fam, path: str) -> None:
     write_csv(path, header, rows)
 
 
-def write_report(report: dict, out_dir: str, wall_clock: float) -> str:
-    """report.json is byte-identical across reruns; the wall-clock time is
-    written to a timing.txt sidecar so it never perturbs the report."""
+def write_report(report: dict, out_dir: str, wall_clock: float, **phases) -> str:
+    """report.json is byte-identical across reruns; the wall-clock time and
+    the phase times (name=seconds) are written to a timing.txt sidecar so
+    they never perturb the report."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -64,4 +65,5 @@ def write_report(report: dict, out_dir: str, wall_clock: float) -> str:
                             allow_nan=False) + "\n")
     with open(os.path.join(out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
         fh.write("wall_clock_seconds=%.6f\n" % wall_clock)
+        fh.writelines("%s=%.6f\n" % item for item in phases.items())
     return path

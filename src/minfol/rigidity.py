@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
 from .odeflow import (IntegratorConfig, LegBatch, PhaseState, _sample_grid,
-                      integrate_legs, integrate_legs_batch)
+                      integrate_legs_batch)
 from .potential import Potential
 from .quadrature import quad_2d
 
@@ -72,8 +72,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
         t_starts = list(np.linspace(t_start, 0.5 * (t_start + t_end), n_slide))
 
     cells = [(u0, p0) for u0 in u0_grid for p0 in p0_grid]
-    y0 = [[u0 for u0, _ in cells], [p0 for _, p0 in cells],
-          [0.0] * len(cells), [1.0] * len(cells)]
+    y0 = np.reshape([(u0, p0, 0.0, 1.0) for u0, p0 in cells], (-1, 4)).T
 
     def run(ts):
         try:
@@ -93,12 +92,9 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
             elif later:
                 report.findings.append(ConjugateFinding(u0=u0, p0=p0, t_start=ts,
                                                         t1=ts, t2=later[0]))
-    accepted = np.concatenate([b.accepted for b in batches])
     report.diagnostics = {
-        "stage_evaluations": int(sum(b.stages.sum() for b in batches)),
-        "accepted_steps": int(accepted.sum()),
-        "rejected_steps": int(sum(b.rejected.sum() for b in batches)),
-        "max_accepted_steps_per_cell": int(accepted.max()),
+        **_work(batches),
+        "max_accepted_steps_per_cell": int(max(b.accepted.max() for b in batches)),
         "failures_by_type": dict(sorted(collections.Counter(
             type(exc).__name__ for b in batches for exc in b.failures
             if exc is not None).items())),
@@ -106,23 +102,37 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
     return report
 
 
+def _work(batches) -> dict:
+    return {"stage_evaluations": int(sum(b.stages.sum() for b in batches)),
+            "accepted_steps": int(sum(b.accepted.sum() for b in batches)),
+            "rejected_steps": int(sum(b.rejected.sum() for b in batches))}
+
+
+def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorConfig(),
+                    t_end: Optional[float] = None) -> tuple[list[float], dict]:
+    """Re-verify every finding's Jacobi zero in one `integrate_legs_batch`
+    run, on another step sequence than the scan's: from (u0, p0, 0, 1) at
+    t1 = t_start to min(t2 + 0.5, t_end), at halved tolerances, the strip
+    step bounded by a 64th of the strip width instead of an eighth. Returns
+    |xi(t2)| over the field's sup on the sample grid, one per finding, and
+    the run's stepper work; raises the first failed finding's error."""
+    t_hi = [min(f.t2 + 0.5, w.t_upper + 10.0 if t_end is None else t_end) for f in findings]
+    run_cfg = replace(cfg.halved(), max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
+    y0 = np.reshape([(f.u0, f.p0, 0.0, 1.0) for f in findings], (-1, 4)).T
+    run = integrate_legs_batch(w, [f.t1 for f in findings], y0, t_hi, run_cfg, (0.0, 0.0),
+                               [np.append(_sample_grid(f.t1, hi), f.t2)
+                                for f, hi in zip(findings, t_hi)])
+    for exc in filter(None, run.failures):
+        raise exc
+    return [abs(float(y[2, -1])) / (float(np.max(np.abs(y[2, :-1]))) or 1.0)
+            for y in run.samples], _work([run])
+
+
 def verify_finding(w: Potential, finding: ConjugateFinding,
                    cfg: IntegratorConfig = IntegratorConfig(),
                    t_end: Optional[float] = None) -> float:
-    """Re-verify the finding's Jacobi zero on another integrator than the
-    scan's: one joint `integrate_legs` run (scipy's DOP853) of the flow and
-    the field from (u0, p0, 0, 1) at t1 = t_start, at halved tolerances, with
-    the strip step bounded by a 64th of the strip width instead of the scan's
-    eighth; returns |xi(t2)| normalized by the field's sup on
-    [t1, t2 + 0.5]."""
-    t_end = t_end if t_end is not None else w.t_upper + 10.0
-    t_hi = min(finding.t2 + 0.5, t_end)
-    run_cfg = replace(cfg.halved(),
-                      max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
-    run = integrate_legs(w, finding.t1, (finding.u0, finding.p0, 0.0, 1.0), t_hi,
-                         run_cfg, (0.0, 0.0))
-    scale = float(np.max(np.abs(run(_sample_grid(finding.t1, t_hi))[2]))) or 1.0
-    return abs(float(run(finding.t2)[2])) / scale
+    """`verify_findings` of one finding."""
+    return verify_findings(w, [finding], cfg, t_end)[0][0]
 
 
 def gibbs_density(w: Potential, s: PhaseState) -> float:

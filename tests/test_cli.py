@@ -159,6 +159,15 @@ class TestRunCommand:
         assert diag["failures_by_type"] == {}
         assert 0 < diag["max_accepted_steps_per_cell"] < diag["accepted_steps"]
         assert diag["stage_evaluations"] > 12 * diag["accepted_steps"]
+        check = diag["verification"]
+        assert sorted(check) == ["accepted_steps", "rejected_steps",
+                                 "stage_evaluations"]
+        # the check steps at a 64th of the strip width, the scan at an eighth
+        assert check["accepted_steps"] > diag["accepted_steps"]
+        assert check["stage_evaluations"] > 12 * check["accepted_steps"]
+        timing = open(os.path.join(str(tmp_path / "a"), "timing.txt")).read()
+        assert [line.split("=")[0] for line in timing.splitlines()] == [
+            "wall_clock_seconds", "scan_seconds", "verify_seconds"]
 
     def test_seed_changes_random_draws(self, tmp_path):
         data = {"command": "hardy-check", "n": 3,
@@ -193,10 +202,22 @@ class TestMainExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+def _nan_curvature(w, u_max=0.3):
+    """w with W''_uu = NaN for u > u_max: a cell that gets there fails."""
+    def d2w_duu(u, t):
+        return np.where(np.asarray(u) > u_max, np.nan, w.d2w_duu(u, t))
+
+    return SimpleNamespace(w=w.w, dw_du=w.dw_du, d2w_duu=d2w_duu, dw_dt=w.dw_dt,
+                           u_bound=w.u_bound, t_lower=w.t_lower,
+                           t_upper=w.t_upper, k_curvature=w.k_curvature)
+
+
 class TestScanFailures:
     CONFIG = {"command": "scan-conjugate", "n": 2,
               "scan": {"u0": [-0.2, 0.2, 3], "p0": [-0.2, 0.2, 3],
                        "t_start": -1.0}}
+    SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "scan-conjugate.json")
 
     def test_all_cells_failing_is_2_without_report(self, tmp_path,
                                                    monkeypatch):
@@ -225,15 +246,7 @@ class TestScanFailures:
     def test_nan_curvature_fails_only_its_cells(self, strong_log):
         from minfol.rigidity import conjugate_point_scan
 
-        def d2w_duu(u, t):
-            return np.where(np.asarray(u) > 0.3, np.nan, strong_log.d2w_duu(u, t))
-
-        bad = SimpleNamespace(w=strong_log.w, dw_du=strong_log.dw_du,
-                              d2w_duu=d2w_duu, dw_dt=strong_log.dw_dt,
-                              u_bound=strong_log.u_bound,
-                              t_lower=strong_log.t_lower,
-                              t_upper=strong_log.t_upper,
-                              k_curvature=strong_log.k_curvature)
+        bad = _nan_curvature(strong_log)
         grid = np.linspace(-0.5, 0.5, 5)
         t_end = strong_log.t_upper + 10.0
         rep = conjugate_point_scan(bad, grid, grid, -2.0, t_end)
@@ -246,3 +259,27 @@ class TestScanFailures:
         expected = {(f.u0, f.p0): f.t2 for f in clean.findings
                     if (f.u0, f.p0) not in failed}
         assert {(f.u0, f.p0): f.t2 for f in rep.findings} == expected
+
+    def test_failed_verification_is_2_without_artifacts(self, tmp_path,
+                                                       monkeypatch):
+        from minfol.rigidity import verify_findings
+
+        def verify_on_nan_curvature(w, *args, **kwargs):
+            return verify_findings(_nan_curvature(w), *args, **kwargs)
+
+        monkeypatch.setattr("minfol.cli.verify_findings", verify_on_nan_curvature)
+        out = tmp_path / "out"
+        assert main(["--config", self.SHIPPED, "--out", str(out)]) == 2
+        assert os.listdir(out) == []
+
+    def test_shipped_scan_makes_no_solve_ivp_call(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr("minfol.odeflow.solve_ivp", forbidden)
+        out = str(tmp_path / "out")
+        assert main(["--config", self.SHIPPED, "--out", out]) == 0
+        report = _validate_report(out)
+        assert report["results"]["num_findings"] == 87
+        assert max(f["verification_residual"]
+                   for f in report["results"]["findings"]) < 1e-6

@@ -211,3 +211,27 @@ def test_batch_takes_scipys_steps(strong_log, damping):
     with pytest.raises(InvalidParameterError):
         integrate_legs_batch(w, t_end + 1.0, y0, t_end, IntegratorConfig(),
                              damping)
+
+
+@pytest.mark.parametrize("damping", [(0.0, 0.0), (1.0, 1.0)])
+def test_batch_samples_match_the_dense_runs(strong_log, damping):
+    # per-cell end times, before, inside and after the strip, on step times,
+    # in any order: the states LegSolution gives at the same times
+    w = strong_log
+    t0 = np.array([-2.0, -1.0, 0.5, w.t_upper + 1.0, -2.0])
+    t_end = np.array([w.t_upper + 3.0, 0.7, w.t_upper + 0.5, w.t_upper + 4.0, -1.0])
+    y0 = np.array([[0.25, -0.25, 0.4, 0.1, 0.3], [0.25, 0.5, -0.1, 0.2, 0.1],
+                   [0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.5, 1.0, 1.0]])
+    cfg = IntegratorConfig()
+    runs = [integrate_legs(w, t0[c], y0[:, c], t_end[c], cfg, damping)
+            for c in range(5)]
+    samples = [np.concatenate((np.linspace(t_end[c], t0[c], 37), run.ts[::3]))
+               for c, run in enumerate(runs)]
+    batch = integrate_legs_batch(w, t0, y0, t_end, cfg, damping, samples=samples)
+    for c, run in enumerate(runs):
+        assert batch.samples[c].shape == (4, len(samples[c]))
+        assert np.allclose(batch.samples[c], run(samples[c]), rtol=1e-12, atol=1e-12)
+        assert len(batch.zeros[c]) == len(run.zeros)
+        alone = integrate_legs_batch(w, t0[c], y0[:, c:c + 1], t_end[c], cfg,
+                                     damping, samples=samples[c:c + 1])
+        assert np.array_equal(alone.samples[0], batch.samples[c])

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from minfol import catalog
-from minfol.errors import InvalidParameterError
+from minfol.errors import IntegrationFailureError, InvalidParameterError
 from minfol.jacobi import integrate_jacobi
-from minfol.odeflow import (IntegratorConfig, PhaseState, integrate_hamiltonian,
-                            integrate_legs)
+from minfol.odeflow import (IntegratorConfig, PhaseState, _sample_grid,
+                            integrate_hamiltonian, integrate_legs,
+                            integrate_legs_batch)
 from minfol.potential import make_bump, product_potential, to_log_form
 from minfol.rigidity import (ConjugateFinding, conjugate_point_scan,
                              discriminant_inequality_check, gibbs_density,
                              rescaled_inequality_sides, scaling_exponent_fit,
-                             verify_finding)
+                             verify_finding, verify_findings)
 
 GRID = np.linspace(-0.4, 0.4, 4)
 # the (u0, p0) grid of configs/scan-conjugate.json
@@ -188,6 +189,17 @@ class TestChunkIndependence:
 
 class TestVerification:
     @staticmethod
+    def _joint_run(w, f, cfg=IntegratorConfig()):
+        """The verification as one scipy joint run of the flow and the field."""
+        t_hi = min(f.t2 + 0.5, w.t_upper + 10.0)
+        run_cfg = replace(cfg.halved(),
+                          max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
+        run = integrate_legs(w, f.t1, (f.u0, f.p0, 0.0, 1.0), t_hi, run_cfg,
+                             (0.0, 0.0))
+        scale = float(np.max(np.abs(run(_sample_grid(f.t1, t_hi))[2]))) or 1.0
+        return abs(float(run(f.t2)[2])) / scale
+
+    @staticmethod
     def _two_solves(w, f, cfg=IntegratorConfig()):
         """The verification as a flow solve followed by a Jacobi solve."""
         t_end = w.t_upper + 10.0
@@ -201,12 +213,44 @@ class TestVerification:
         scale = float(np.max(np.abs(fld.xi))) or 1.0
         return abs(float(fld.value(f.t2))) / scale
 
+    @staticmethod
+    def _findings(config_scan):
+        return [ConjugateFinding(u0=u0, p0=p0, t_start=-2.0, t1=-2.0, t2=t2)
+                for (u0, p0), t2 in sorted(config_scan.items())]
+
     def test_single_solve_equals_two_solves(self, strong_log, config_scan):
         for i, j in ((8, 6), (0, 10), (3, 9)):
             u0, p0 = CONFIG_GRID[i], CONFIG_GRID[j]
             f = ConjugateFinding(u0=u0, p0=p0, t_start=-2.0, t1=-2.0,
                                  t2=config_scan[(u0, p0)])
-            assert verify_finding(strong_log, f) == self._two_solves(strong_log, f)
+            assert self._joint_run(strong_log, f) == self._two_solves(strong_log, f)
+
+    def test_batch_matches_the_joint_runs(self, strong_log, config_scan):
+        findings = self._findings(config_scan)
+        assert len(findings) == 87
+        got, work = verify_findings(strong_log, findings)
+        expected = [self._joint_run(strong_log, f) for f in findings]
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
+        assert max(got) < 1e-6
+        assert 0 < work["accepted_steps"] < work["stage_evaluations"]
+
+    def test_finding_alone_equals_the_batch(self, strong_log, config_scan):
+        findings = self._findings(config_scan)
+        batch, _ = verify_findings(strong_log, findings)
+        for k in (0, 40, 86):
+            assert verify_finding(strong_log, findings[k]) == batch[k]
+
+    def test_first_failed_finding_is_raised(self, strong_log, config_scan,
+                                            monkeypatch):
+        def failing(*args, **kwargs):
+            res = integrate_legs_batch(*args, **kwargs)
+            res.failures[2] = IntegrationFailureError("third")
+            res.failures[4] = IntegrationFailureError("fifth")
+            return res
+
+        monkeypatch.setattr("minfol.rigidity.integrate_legs_batch", failing)
+        with pytest.raises(IntegrationFailureError, match="third"):
+            verify_findings(strong_log, self._findings(config_scan)[:6])
 
 
 class TestZeroCount:
