@@ -179,8 +179,11 @@ def _run_example446(cfg: ExperimentConfig, out_dir: str, timing: dict):
     phi, psi = build_bumps(cfg)
     p = cfg.params
     variant = cfg.potential.get("variant", "auto")
+    diagnostics, t0 = {}, time.perf_counter()
     if variant == "auto":
-        variant = select_example_446_variant(phi, psi)
+        variant = select_example_446_variant(
+            phi, psi, diagnostics=diagnostics.setdefault("variant_selection", {}))
+    t1 = time.perf_counter()
     if p["u0_grid"] is not None:
         u0_grid = [float(x) for x in _grid(p["u0_grid"])]
     else:
@@ -189,6 +192,7 @@ def _run_example446(cfg: ExperimentConfig, out_dir: str, timing: dict):
         u0_grid = list(np.linspace(lo + inset, hi - inset, 11))
     rep = example_446_check(phi, psi, u0_grid, variant=variant,
                             fd_step=float(p["fd_step"]))
+    timing.update(select_seconds=t1 - t0, leaves_seconds=time.perf_counter() - t1)
     header = ["t"] + ["u_leaf_%d" % j for j in range(len(rep.leaves))]
     ts = rep.leaves[0].t
     rows = [[float(t)] + [float(leaf.u[i]) for leaf in rep.leaves]
@@ -198,7 +202,8 @@ def _run_example446(cfg: ExperimentConfig, out_dir: str, timing: dict):
                "max_residual": rep.max_residual,
                "min_pairwise_gap": rep.min_pairwise_gap,
                "crossings": rep.crossings,
-               "residuals": [leaf.max_residual for leaf in rep.leaves]}
+               "residuals": [leaf.max_residual for leaf in rep.leaves],
+               "diagnostics": {"leaves": rep.diagnostics, **diagnostics}}
     ok = rep.max_residual <= RESIDUAL_TOL and rep.crossings == 0
     return (0 if ok else 1), results, \
         ("leaves-verified" if ok else "leaves-not-verified")

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (InapplicableError, IntegrationFailureError,
                      InvalidParameterError, MinfolError, PartialFamilyError)
-from .odeflow import IntegratorConfig, Trajectory, integrate_radial_ivp
+from .odeflow import (IntegratorConfig, Trajectory, _dop853_batch,
+                      integrate_radial_ivp, stepper_work)
 from .potential import (BumpFunction, Potential, example_446_potential,
                         to_log_form)
 
@@ -178,39 +178,34 @@ class ExampleReport:
     min_pairwise_gap: float
     initial_gap: float
     crossings: int
-
-
-def _first_order_flow(phi: BumpFunction, psi: BumpFunction, u0, t_span, cfg):
-    def rhs(t, y):
-        return (float(phi.derivative(y[0])) * float(psi.value(t)),)
-
-    res = solve_ivp(rhs, t_span, (u0,), method="DOP853", dense_output=True,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    if not res.success:
-        raise IntegrationFailureError("first-order flow failed: %s" % res.message)
-    return res.sol
+    diagnostics: dict = field(default_factory=dict)   # stepper work of the leaves
 
 
 def _example_leaves(phi, psi, u0_grid, cfg, fd_step):
-    """The sample times, and per initial value u0 the leaf u and its u'' by a
-    fourth-order stencil on the dense first-order flow du/dt = phi'(u) psi(t).
-    The leaves do not depend on the variant of W."""
+    """The sample times, per initial value u0 the leaf u and its u'' by a
+    fourth-order stencil on the dense first-order flow du/dt = phi'(u) psi(t),
+    and the stepper work. All leaves step together in one `_dop853_batch`
+    run. The leaves do not depend on the variant of W."""
     t_lo, t_hi = psi.support
     t_span = (t_lo - 0.5, t_hi + 0.5)
+    if len(u0_grid) == 0:
+        raise InvalidParameterError("the u0 grid is empty")
+    if not 0.0 < 4 * fd_step < t_span[1] - t_span[0]:
+        raise InvalidParameterError("need 0 < 4 fd_step < %r, got fd_step = %r"
+                                    % (t_span[1] - t_span[0], fd_step))
     ts = np.linspace(t_span[0] + 2 * fd_step, t_span[1] - 2 * fd_step, 801)
-    leaves = []
-    for u0 in u0_grid:
-        sol = _first_order_flow(phi, psi, u0, t_span, cfg)
-
-        def udot(t):
-            uu = sol(np.asarray(t))[0]
-            return phi.derivative(uu) * psi.value(np.asarray(t))
-
-        h = fd_step
-        uddot = (-udot(ts + 2 * h) + 8 * udot(ts + h) - 8 * udot(ts - h)
-                 + udot(ts - 2 * h)) / (12.0 * h)
-        leaves.append((sol(ts)[0], uddot))
-    return ts, leaves
+    h, m = fd_step, len(u0_grid)
+    stencil = np.concatenate((ts + 2 * h, ts + h, ts - h, ts - 2 * h, ts))
+    run, _, _, out = _dop853_batch(
+        lambda t, y: (phi.derivative(y[0]) * psi.value(t))[None],
+        np.full(m, t_span[0]), np.full(m, t_span[1]), np.array([u0_grid], dtype=float),
+        cfg, math.inf, np.tile(stencil, m), np.repeat(np.arange(m), stencil.size))
+    for message in filter(None, run.failures):
+        raise IntegrationFailureError("first-order flow failed: %s" % message)
+    u = out[0].reshape(m, 5, len(ts))
+    udot = phi.derivative(u) * psi.value(stencil.reshape(5, len(ts)))
+    uddot = (-udot[:, 0] + 8 * udot[:, 1] - 8 * udot[:, 2] + udot[:, 3]) / (12.0 * h)
+    return ts, list(zip(u[:, 4], uddot)), stepper_work([run])
 
 
 def _newton_residual(w, ts, u, uddot) -> float:
@@ -229,16 +224,13 @@ def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
     w = example_446_potential(phi, psi, variant=variant)
     u0_grid = sorted(float(x) for x in u0_grid)
-    ts, flows = _example_leaves(phi, psi, u0_grid, cfg, fd_step)
+    ts, flows, work = _example_leaves(phi, psi, u0_grid, cfg, fd_step)
     leaves = [ExampleLeaf(u0=u0, t=ts, u=us,
                           max_residual=_newton_residual(w, ts, us, uddot))
               for u0, (us, uddot) in zip(u0_grid, flows)]
-    curves = [us for us, _ in flows]
-
-    max_res = max(leaf.max_residual for leaf in leaves) if leaves else 0.0
-    if len(curves) >= 2:
-        mat = np.column_stack(curves)
-        diffs = np.diff(mat, axis=1)
+    max_res = max(leaf.max_residual for leaf in leaves)
+    if len(leaves) >= 2:
+        diffs = np.diff(np.column_stack([us for us, _ in flows]), axis=1)
         min_gap = float(np.min(diffs))
         crossings = int(np.count_nonzero(np.min(diffs, axis=0) <= 0))
         initial_gap = float(np.min(np.diff(np.asarray(u0_grid))))
@@ -246,20 +238,23 @@ def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
         min_gap, crossings, initial_gap = math.inf, 0, math.inf
     return ExampleReport(variant=variant, leaves=leaves, max_residual=max_res,
                          min_pairwise_gap=min_gap, initial_gap=initial_gap,
-                         crossings=crossings)
+                         crossings=crossings, diagnostics=work)
 
 
 def select_example_446_variant(phi: BumpFunction, psi: BumpFunction,
-                               cfg: IntegratorConfig = IntegratorConfig()) -> str:
+                               cfg: IntegratorConfig = IntegratorConfig(),
+                               diagnostics: Optional[dict] = None) -> str:
     """Residual oracle: pick the variant whose Newton residual along the
-    first-order flow is smaller. Both are scored on the same probe leaves."""
+    first-order flow is smaller. Both are scored on the same probe leaves,
+    whose stepper work is added to `diagnostics` when it is given."""
     lo, hi = phi.support
     probes = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
-    ts, flows = _example_leaves(phi, psi, probes, cfg, 2e-4)
-    res = {}
-    for variant in ("as-printed", "chain-rule"):
-        w = example_446_potential(phi, psi, variant=variant)
-        res[variant] = max(_newton_residual(w, ts, us, uddot)
-                           for us, uddot in flows)
+    # the potentials first: their curvature grid is freed before the leaves run
+    ws = {v: example_446_potential(phi, psi, variant=v) for v in ("as-printed", "chain-rule")}
+    ts, flows, work = _example_leaves(phi, psi, probes, cfg, 2e-4)
+    if diagnostics is not None:
+        diagnostics.update(work)
+    res = {v: max(_newton_residual(w, ts, us, uddot) for us, uddot in flows)
+           for v, w in ws.items()}
     return min(res, key=res.get)
 

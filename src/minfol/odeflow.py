@@ -21,10 +21,13 @@ outside the strip. Its zeros on the strip come from a sign-change event
 checked at every accepted step; a zero after the strip is found in closed
 form.
 
-Many joint runs from one potential step together in `integrate_legs_batch`:
-scipy's DOP853 rules applied per cell to a (state, cell) array, the
-right-hand side evaluated once per stage on the array of active cells: the
-cells of a conjugate-point scan, or all of its findings when they are checked.
+Every group of flows steps together in `_dop853_batch`: scipy's DOP853 rules
+applied per cell to a (state, cell) array, the right-hand side evaluated once
+per stage on the array of active cells. It runs the joint runs of
+`integrate_legs_batch` (the cells of a conjugate-point scan, or all of its
+findings when they are checked) and the first-order flows of
+`foliation.example_446_check`; scipy's own solver serves only the single
+dense runs of `integrate_legs`.
 """
 
 from __future__ import annotations
@@ -229,13 +232,13 @@ def integrate_legs(w: Potential, t0: float, y0, t_end: float,
 
 @dataclass
 class LegBatch:
-    """Per cell of `integrate_legs_batch`: the zeros of xi as in
-    `LegSolution.zeros`, the failure or None, and the work done."""
+    """Per cell of a batch run: the zeros (of xi as in `LegSolution.zeros`,
+    from `integrate_legs_batch`), the failure or None, and the work done."""
 
     zeros: list
     failures: list
     stages: np.ndarray      # right-hand-side evaluations
-    accepted: np.ndarray    # strip steps
+    accepted: np.ndarray    # steps (of the strip leg)
     rejected: np.ndarray
     samples: list = field(default_factory=list)  # (4, k) states at the sample times
 
@@ -270,63 +273,33 @@ def _dense_zero(F, y_old, t_old, t_new):
                   t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
 
 
-def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
-                         damping, samples=None) -> LegBatch:
-    """Joint three-leg runs of many cells at once, forward from t0 to t_end
-    (each one time or one per cell) from the (u, p, xi, xi') columns of y0.
-
-    Each cell's strip leg is scipy's DOP853 as `integrate_legs` runs it: the
-    same tables, error norm, step controller, initial step and step bound,
-    with the cell's own time, step and error norm; the right-hand side is
-    evaluated once per stage on the array of active cells. Only over a step
-    on which xi changes sign, or that holds some of the cell's sample times
-    (samples: one array per cell), are the dense-output stages computed, for
-    brentq on xi and for the samples, read on the legs and steps that
-    `LegSolution` reads them from. A step below scipy's minimum, or an error
-    norm that is not finite, fails that cell alone.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    m = y0.shape[1]
-    t0, t_end = (np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in (t0, t_end))
-    if np.any(t0 > t_end):
-        raise InvalidParameterError("batched runs go forward: need t0 <= t_end")
-    t_in = np.minimum(np.maximum(w.t_lower, t0), t_end)
-    t_out = np.minimum(np.maximum(w.t_upper, t0), t_end)
-    t, y = t_in.copy(), _free(y0, t_in - t0, damping)
-    d_u, d_xi = damping
-
-    def rhs(t, y):
-        e2 = np.exp(2.0 * t)
-        return np.array((y[1], -d_u * y[1] - e2 * w.dw_du(y[0], t),
-                         y[3], -d_xi * y[3] - e2 * w.d2w_duu(y[0], t) * y[2]))
-
+def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
+                  ts, owner, watch: Optional[int] = None):
+    """scipy's DOP853 run per cell of the (state, cell) array y, from t to
+    t_stop (one each per cell): its tables, error norm, controller, initial
+    step and step bound, with vectorized rhs(t, y) called once per stage on
+    the active cells. Only steps on which row `watch` changes sign (brentq
+    finds the zero) or that hold sample times ts (of cells owner) get the
+    dense-output stages; a sample is read from the step OdeSolution reads it
+    from. A step below scipy's minimum, or a non-finite error norm, fails
+    that cell alone. Returns a LegBatch (work, watched zeros, failure
+    messages), the final times and states, and the sampled states."""
+    t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
     RK, atol, rms = DOP853, cfg.abs_tol, math.sqrt(len(y))
     rtol = max(cfg.rel_tol, 100 * _EPS)     # scipy's floor on rtol
-    max_step = min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS)
     power = -1 / (RK.error_estimator_order + 1)
-    res = LegBatch([[] for _ in range(m)], [None] * m, *np.zeros((3, m), dtype=int))
-    active, retry = t < t_out, np.zeros(m, dtype=bool)
-    # samples flat as given; a cell's strip samples, sorted, run from nxt to stop
-    ts = [np.ravel(np.asarray(x, dtype=float)) for x in samples or [()] * m]
-    sizes = np.array([x.size for x in ts], dtype=int)
-    owner, ts = np.repeat(np.arange(m), sizes), np.concatenate(ts + [np.zeros(0)])
-    order = np.lexsort((ts, owner))
-    ts_sorted = np.append(ts[order], np.inf)
-    out, before = np.full((len(y), len(ts)), np.nan), ts <= t_in[owner]
-    start = np.cumsum(sizes) - sizes
-    nxt = start + np.bincount(owner[before], minlength=m)
-    stop = start + np.bincount(owner[ts < t_out[owner]], minlength=m)
-
-    def fail(cells, message):
-        for c in cells:
-            res.failures[c] = IntegrationFailureError(
-                "integration failed: " + message,
-                last_state=PhaseState(u=float(y[0, c]), p=float(y[1, c]), t=float(t[c])))
-        active[cells] = False
+    res = LegBatch([[] for _ in range(m)], np.array([None] * m), *np.zeros((3, m), dtype=int))
+    active, retry = t < t_stop, np.zeros(m, dtype=bool)
+    # samples by cell, then time, keyed exactly by (cell, rank of time); unread: nxt to stop
+    order, grid = np.lexsort((ts, owner)), np.sort(ts, kind="stable")
+    key = owner[order] * (grid.size + 1) + np.searchsorted(grid, ts[order])
+    edges = np.searchsorted(key, np.arange(m + 1) * (grid.size + 1))
+    nxt, stop = edges[:-1].copy(), edges[1:]
+    out = np.full((len(y), ts.size), np.nan)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i = np.flatnonzero(active)   # scipy's initial step, per cell
-        ti, yi, span, f = t[i], y[:, i], t_out[i] - t[i], np.zeros_like(y)
+        ti, yi, span, f = t[i], y[:, i], t_stop[i] - t[i], np.zeros_like(y)
         f[:, i] = fi = rhs(ti, yi)
         scale = atol + np.abs(yi) * rtol
         d0, d1 = _norm(yi / scale) / rms, _norm(fi / scale) / rms
@@ -345,9 +318,10 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
             h = np.where(new & (h > max_step), max_step,
                          np.where(new & (h < min_step), min_step, h))
             small = h < min_step     # False for a NaN step, whose error norm fails
-            fail(i[small], "Required step size is less than spacing between numbers.")
+            res.failures[i[small]], active[i[small]] = (
+                "Required step size is less than spacing between numbers.", False)
             i, ti, h = i[~small], ti[~small], h[~small]
-            t_new = np.minimum(ti + h, t_out[i])
+            t_new = np.minimum(ti + h, t_stop[i])
             h = t_new - ti
             yi, K = y[:, i], [f[:, i]]
             for row, frac in zip(RK.A[1:], RK.C[1:]):
@@ -360,7 +334,8 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
             n3 = _norm(_combine(K, RK.E3, 1.0) / scale) ** 2
             err = np.where((n5 == 0) & (n3 == 0), 0.0,
                            h * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
-            fail(i[~np.isfinite(err)], "error norm is not finite")
+            bad = i[~np.isfinite(err)]
+            res.failures[bad], active[bad] = "error norm is not finite", False
             ok = err < 1
             grow = np.where(err == 0, 10.0, np.minimum(10.0, 0.9 * err ** power))
             h_abs[i] = h * np.where(ok, np.where(retry[i], np.minimum(1.0, grow), grow),
@@ -368,14 +343,19 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
             retry[i] = ~ok
             res.rejected[i[~ok & np.isfinite(err)]] += 1
             k = np.flatnonzero(ok)
-            cells, g, g_new = i[k], yi[2, k], y_new[2, k]
+            cells = i[k]
             res.accepted[cells] += 1
             t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[-1][:, k]
-            active[cells] = t_new[k] < t_out[cells]
+            active[cells] = t_new[k] < t_stop[cells]
+            g, g_new = ((yi[watch, k], y_new[watch, k]) if watch is not None
+                        else [np.ones(k.size)] * 2)
             sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
-            due = (nxt[cells] < stop[cells]) & (ts_sorted[nxt[cells]] <= t_new[k])
-            s = k[sign | due]
-            sign, due = sign[sign | due], due[sign | due]
+            # the samples due: up to t_new, and all that are left on a last step
+            upto = np.where(active[cells], np.searchsorted(key, cells * (grid.size + 1)
+                            + np.searchsorted(grid, t_new[k], "right")), stop[cells])
+            lo, nxt[cells] = nxt[cells], upto
+            sel = sign | (upto > lo)
+            s, sign, lo, count = k[sel], sign[sel], lo[sel], (upto - lo)[sel]
             if s.size:   # the three dense-output stages
                 K = [stage[:, s] for stage in K]
                 for row, frac in zip(RK.A_EXTRA, RK.C_EXTRA):
@@ -385,23 +365,66 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
                 F = [dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[12] + K[0])]
                 F += [_combine(K, row, h[s]) for row in RK.D]
                 for j, q in zip(np.flatnonzero(sign), s[sign]):
-                    res.zeros[i[q]].append(_dense_zero([float(x[2, j]) for x in F],
-                                                       yi[2, q], ti[q], t_new[q]))
-                j = np.flatnonzero(due)
-                while j.size:   # the strip samples this step holds
-                    q, at = s[j], nxt[i[s[j]]]
-                    x = (ts_sorted[at] - ti[q]) / h[q]
-                    out[:, order[at]] = _horner([row[:, j] for row in F], x) + yi[:, q]
-                    nxt[i[q]] += 1
-                    j = j[(at + 1 < stop[i[q]]) & (ts_sorted[at + 1] <= t_new[q])]
+                    res.zeros[i[q]].append(_dense_zero([float(x[watch, j]) for x in F],
+                                                       yi[watch, q], ti[q], t_new[q]))
+                # every (step, sample) pair gathered, in one Horner call
+                j = np.repeat(np.arange(s.size), count)
+                at = np.arange(j.size) + np.repeat(lo - np.cumsum(count) + count, count)
+                q, at = s[j], order[at]
+                out[:, at] = _horner([row[:, j] for row in F], (ts[at] - ti[q]) / h[q]) + yi[:, q]
+    return res, t, y, out
+
+
+def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
+                         damping, samples=None) -> LegBatch:
+    """Joint three-leg runs of many cells at once, forward from t0 to t_end
+    (each one time or one per cell) from the (u, p, xi, xi') columns of y0:
+    each cell's strip leg as `integrate_legs` runs it, stepped by
+    `_dop853_batch` watching xi. The samples (one array of times per cell)
+    are read on the legs and steps `LegSolution` reads them from."""
+    y0 = np.asarray(y0, dtype=float)
+    m = y0.shape[1]
+    t0, t_end = (np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in (t0, t_end))
+    if np.any(t0 > t_end):
+        raise InvalidParameterError("batched runs go forward: need t0 <= t_end")
+    t_in = np.minimum(np.maximum(w.t_lower, t0), t_end)
+    t_out = np.minimum(np.maximum(w.t_upper, t0), t_end)
+    d_u, d_xi = damping
+
+    def rhs(t, y):
+        e2 = np.exp(2.0 * t)
+        return np.array((y[1], -d_u * y[1] - e2 * w.dw_du(y[0], t),
+                         y[3], -d_xi * y[3] - e2 * w.d2w_duu(y[0], t) * y[2]))
+
+    ts = [np.ravel(np.asarray(x, dtype=float)) for x in samples or [()] * m]
+    sizes = np.array([x.size for x in ts], dtype=int)
+    owner, ts = np.repeat(np.arange(m), sizes), np.concatenate(ts + [np.zeros(0)])
+    before, strip = ts <= t_in[owner], (ts > t_in[owner]) & (ts < t_out[owner])
+    res, t, y, out = _dop853_batch(rhs, t_in, t_out, _free(y0, t_in - t0, damping), cfg,
+                                   min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
+                                   ts[strip], owner[strip], watch=2)
+    res.failures = [msg and IntegrationFailureError(
+        "integration failed: " + msg,
+        last_state=PhaseState(u=float(y[0, c]), p=float(y[1, c]), t=float(t[c])))
+        for c, msg in enumerate(res.failures)]
+    states = np.full((len(y), ts.size), np.nan)
+    states[:, strip] = out
     after = ~before & (ts >= t_out[owner]) & (t[owner] == t_out[owner])  # not failed
     for leg, y_a, t_a in ((before, y0, t0), (after, y, t_out)):
-        out[:, leg] = _free(y_a[:, owner[leg]], ts[leg] - t_a[owner[leg]], damping)
-    res.samples = [out[:, a:b] for a, b in zip(start, start + sizes)]
+        states[:, leg] = _free(y_a[:, owner[leg]], ts[leg] - t_a[owner[leg]], damping)
+    start = np.cumsum(sizes) - sizes
+    res.samples = [states[:, a:b] for a, b in zip(start, start + sizes)]
     res.zeros = [[] if res.failures[c] else
                  _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end[c],
                               d_xi, res.zeros[c], cfg.event_tol) for c in range(m)]
     return res
+
+
+def stepper_work(batches) -> dict:
+    """The stepper work of some LegBatch runs, summed."""
+    return {"stage_evaluations": int(sum(b.stages.sum() for b in batches)),
+            "accepted_steps": int(sum(b.accepted.sum() for b in batches)),
+            "rejected_steps": int(sum(b.rejected.sum() for b in batches))}
 
 
 def _sample_grid(t_lo, t_hi):

@@ -40,17 +40,18 @@ _VARIANT_POWER = {"as-printed": 1, "chain-rule": 2}
 def _profile(s, n: int):
     """n-th derivative (n <= 3) of the bump profile g(s) = exp(1 - 1/(1-s^2)).
 
-    It vanishes identically for |s| >= 1. A single point skips the masking;
-    exp and the powers go through the same ufuncs either way, so the two
-    branches agree to the last bit.
+    It vanishes identically for |s| >= 1. A single point, or an array with
+    every point inside, skips the masking; exp and the powers go through the
+    same ufuncs either way, so the branches agree to the last bit.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
         return _profile_inside(s[()], n) if abs(s) < 1.0 else np.float64(0.0)
-    out = np.zeros_like(s)
     m = np.abs(s) < 1.0
-    if np.any(m):
-        out[m] = _profile_inside(s[m], n)
+    if m.all():
+        return _profile_inside(s, n)
+    out = np.zeros_like(s)
+    out[m] = _profile_inside(s[m], n)
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
 from .odeflow import (IntegratorConfig, LegBatch, PhaseState, _sample_grid,
-                      integrate_legs_batch)
+                      integrate_legs_batch, stepper_work)
 from .potential import Potential
 from .quadrature import quad_2d
 
@@ -93,19 +93,13 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
                 report.findings.append(ConjugateFinding(u0=u0, p0=p0, t_start=ts,
                                                         t1=ts, t2=later[0]))
     report.diagnostics = {
-        **_work(batches),
+        **stepper_work(batches),
         "max_accepted_steps_per_cell": int(max(b.accepted.max() for b in batches)),
         "failures_by_type": dict(sorted(collections.Counter(
             type(exc).__name__ for b in batches for exc in b.failures
             if exc is not None).items())),
     }
     return report
-
-
-def _work(batches) -> dict:
-    return {"stage_evaluations": int(sum(b.stages.sum() for b in batches)),
-            "accepted_steps": int(sum(b.accepted.sum() for b in batches)),
-            "rejected_steps": int(sum(b.rejected.sum() for b in batches))}
 
 
 def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorConfig(),
@@ -125,7 +119,7 @@ def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorCo
     for exc in filter(None, run.failures):
         raise exc
     return [abs(float(y[2, -1])) / (float(np.max(np.abs(y[2, :-1]))) or 1.0)
-            for y in run.samples], _work([run])
+            for y in run.samples], stepper_work([run])
 
 
 def verify_finding(w: Potential, finding: ConjugateFinding,

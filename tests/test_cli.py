@@ -13,6 +13,8 @@ from minfol.errors import ConfigError
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas",
                            "report.schema.json")
+EXAMPLE446 = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "example446.json")
 
 
 def _write(tmp_path, data):
@@ -169,6 +171,24 @@ class TestRunCommand:
         assert [line.split("=")[0] for line in timing.splitlines()] == [
             "wall_clock_seconds", "scan_seconds", "verify_seconds"]
 
+    def test_example446_rerun_is_byte_identical(self, tmp_path):
+        raw = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert main(["--config", EXAMPLE446, "--out", out]) == 0
+            raw.append([open(os.path.join(out, f), "rb").read()
+                        for f in ("report.json", "leaves.csv")])
+        assert raw[0] == raw[1]
+        diag = _validate_report(str(tmp_path / "a"))["results"]["diagnostics"]
+        assert sorted(diag) == ["leaves", "variant_selection"]
+        for work in diag.values():
+            assert sorted(work) == ["accepted_steps", "rejected_steps",
+                                    "stage_evaluations"]
+            assert work["stage_evaluations"] > 12 * work["accepted_steps"] > 0
+        timing = open(os.path.join(str(tmp_path / "a"), "timing.txt")).read()
+        assert [line.split("=")[0] for line in timing.splitlines()] == [
+            "wall_clock_seconds", "select_seconds", "leaves_seconds"]
+
     def test_seed_changes_random_draws(self, tmp_path):
         data = {"command": "hardy-check", "n": 3,
                 "hardy": {"n_list": [3], "num_random": 3}}
@@ -200,6 +220,28 @@ class TestMainExitCodes:
     def test_invalid_config_is_2(self, tmp_path, capsys):
         path = _write(tmp_path, {"command": "certify", "n": 2})
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestExample446:
+    @pytest.mark.parametrize("params", [{"u0_grid": []}, {"fd_step": 0},
+                                        {"fd_step": -0.001}, {"fd_step": 0.6}])
+    def test_bad_input_is_2_without_report(self, tmp_path, capsys, params):
+        data = json.load(open(EXAMPLE446))
+        data["example446"].update(params)
+        out = tmp_path / "out"
+        assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out / "report.json")
+
+    def test_shipped_run_makes_no_solve_ivp_call(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr("minfol.odeflow.solve_ivp", forbidden)
+        out = str(tmp_path / "out")
+        assert main(["--config", EXAMPLE446, "--out", out]) == 0
+        results = _validate_report(out)["results"]
+        assert results["variant"] == "chain-rule" and results["crossings"] == 0
 
 
 def _nan_curvature(w, u_max=0.3):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from minfol import foliation
 from minfol.catalog import example_pair
@@ -7,7 +10,7 @@ from minfol.errors import InapplicableError, InvalidParameterError
 from minfol.foliation import (LeafFamily, build_MA_family, build_NA_family,
                               check_ordering, example_446_check,
                               select_example_446_variant)
-from minfol.odeflow import asymptotic_match_outer
+from minfol.odeflow import IntegratorConfig, asymptotic_match_outer
 from minfol.potential import zero_potential
 
 ALPHAS = np.linspace(-0.4, 0.4, 5)
@@ -82,17 +85,10 @@ class TestExplicitFamily:
         assert select_example_446_variant(phi, psi) == "chain-rule"
 
     def test_variant_oracle_integrates_each_probe_once(self, monkeypatch):
-        flows = []
-        original = foliation._first_order_flow
-
-        def counted(*args):
-            flows.append(args[2])
-            return original(*args)
-
-        monkeypatch.setattr(foliation, "_first_order_flow", counted)
+        runs = _captured_runs(monkeypatch)
         phi, psi = example_pair()
         assert select_example_446_variant(phi, psi) == "chain-rule"
-        assert len(flows) == 5
+        assert [args[3].shape[1] for args, _ in runs] == [5]
 
     def test_selected_variant_solves_newton_equation(self):
         phi, psi = example_pair()
@@ -107,6 +103,82 @@ class TestExplicitFamily:
         u0s = np.linspace(-0.8, 0.8, 5)
         rep = example_446_check(phi, psi, u0s, variant="as-printed")
         assert rep.max_residual > 1e-3
+
+
+def _scipy_leaves(phi, psi, u0_grid, cfg, fd_step):
+    """The oracle: one scipy DOP853 run per leaf with scalar callbacks (the
+    former `foliation._first_order_flow`) and the stencil on its dense
+    output. Per leaf: the accepted steps, u and u'' at the sample times."""
+    t_lo, t_hi = psi.support
+    t_span = (t_lo - 0.5, t_hi + 0.5)
+    ts = np.linspace(t_span[0] + 2 * fd_step, t_span[1] - 2 * fd_step, 801)
+    leaves = []
+    for u0 in u0_grid:
+        res = solve_ivp(lambda t, y: (float(phi.derivative(y[0])) * float(psi.value(t)),),
+                        t_span, (u0,), method="DOP853", dense_output=True,
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        assert res.success
+
+        def udot(t):
+            return phi.derivative(res.sol(t)[0]) * psi.value(t)
+
+        h = fd_step
+        uddot = (-udot(ts + 2 * h) + 8 * udot(ts + h) - 8 * udot(ts - h)
+                 + udot(ts - 2 * h)) / (12.0 * h)
+        leaves.append((len(res.t) - 1, res.sol(ts)[0], uddot))
+    return ts, leaves
+
+
+def _captured_runs(monkeypatch):
+    """Records the arguments and results of every batch-core call."""
+    runs, core = [], foliation._dop853_batch
+
+    def captured(*args, **kwargs):
+        runs.append((args, core(*args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(foliation, "_dop853_batch", captured)
+    return runs
+
+
+PROBES = list(np.linspace(-0.8, 0.8, 5))
+CHECK_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
+
+
+class TestBatchedLeaves:
+    @pytest.mark.parametrize("cfg, u0s", [(IntegratorConfig(), PROBES),
+                                          (CHECK_CFG, list(np.linspace(-0.8, 0.8, 11)))])
+    def test_each_leaf_takes_scipys_steps(self, monkeypatch, cfg, u0s):
+        phi, psi = example_pair()
+        runs = _captured_runs(monkeypatch)
+        ts, flows, work = foliation._example_leaves(phi, psi, u0s, cfg, 2e-4)
+        ts_ref, oracle = _scipy_leaves(phi, psi, u0s, cfg, 2e-4)
+        assert np.array_equal(ts, ts_ref) and len(runs) == 1
+        accepted = runs[0][1][0].accepted
+        assert list(accepted) == [steps for steps, _, _ in oracle]
+        assert work["accepted_steps"] == sum(accepted)
+        for (us, uddot), (_, us_ref, uddot_ref) in zip(flows, oracle):
+            assert np.max(np.abs(us - us_ref)) <= 1e-12
+            # the stencil divides by 12 fd_step, so u'' moves about 10x as much as u
+            assert np.max(np.abs(uddot - uddot_ref)) <= 1e-11
+
+    def test_leaf_alone_equals_the_batch(self):
+        phi, psi = example_pair()
+        u0s = list(np.linspace(-0.8, 0.8, 11))
+        _, batch, _ = foliation._example_leaves(phi, psi, u0s, CHECK_CFG, 2e-4)
+        for j in (0, 3, 5, 10):
+            _, alone, _ = foliation._example_leaves(phi, psi, [u0s[j]], CHECK_CFG, 2e-4)
+            assert np.array_equal(alone[0][0], batch[j][0])
+            assert np.array_equal(alone[0][1], batch[j][1])
+
+    @pytest.mark.parametrize("u0s, fd_step", [([], 2e-4), (PROBES, 0.0),
+                                              (PROBES, -1e-3), (PROBES, math.nan),
+                                              (PROBES, math.inf), (PROBES, 0.5),
+                                              (PROBES, 0.6)])
+    def test_rejects_grids_and_steps_off_the_span(self, u0s, fd_step):
+        phi, psi = example_pair()
+        with pytest.raises(InvalidParameterError):
+            example_446_check(phi, psi, u0s, fd_step=fd_step)
 
 
 class TestFreeFamilies:

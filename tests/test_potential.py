@@ -72,6 +72,20 @@ class TestBumpFunction:
         assert vals[0] == 0.0 and vals[20] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("s", [np.linspace(-0.95, 0.95, 11), np.array([0.3]),
+                               np.linspace(-1.5, 1.5, 13), np.array([-1.0, 1.0, 2.5])],
+                         ids=["all-inside", "one-inside", "mixed", "all-outside"])
+def test_profile_fast_path_equals_masked_branch(s, n):
+    from minfol.potential import _profile, _profile_inside
+
+    masked = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    masked[inside] = _profile_inside(s[inside], n)
+    got = _profile(s, n)
+    assert got.shape == s.shape
+    assert np.array_equal(got.view(np.int64), masked.view(np.int64))
+
 class TestRadialPotential:
     def test_product_support(self):
         pot = product_potential(make_bump(0.0, 1.0, 1.0),
