@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,9 +21,8 @@ from .config import ExperimentConfig, build_bumps, build_potential, load_config
 from .errors import ConfigError, MinfolError
 from .foliation import (build_MA_family, build_NA_family, example_446_check,
                         select_example_446_variant)
-from .odeflow import (IntegratorConfig, asymptotic_match_outer,
-                      integrate_radial_ivp)
-from .potential import make_bump, to_log_form
+from .odeflow import asymptotic_match_outer, integrate_radial_ivp
+from .potential import make_bump
 from .reporting import (write_family_csv, write_csv, write_findings_csv,
                         write_report, write_trajectory_csv)
 from .rigidity import (conjugate_point_scan, discriminant_inequality_check,
@@ -62,11 +62,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     p = cfg.params
     r0 = float(p["r0"]) if p["r0"] else 2.0 * pot.r_outer
     r_end = float(p["r_end"]) if p["r_end"] else 1e-2
-    run_cfg = IntegratorConfig(rel_tol=cfg.integrator.rel_tol,
-                               abs_tol=cfg.integrator.abs_tol,
-                               max_step=cfg.integrator.max_step,
-                               t_range=(math.log(r0), math.log(r_end)),
-                               event_tol=cfg.integrator.event_tol)
+    run_cfg = replace(cfg.integrator, t_range=(math.log(r0), math.log(r_end)))
     traj = integrate_radial_ivp(pot, cfg.n, r0, float(p["u0"]), float(p["du0"]),
                                 run_cfg)
     write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"),
@@ -83,8 +79,10 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
 
 
 def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
-    pot = build_potential(cfg)
-    w = to_log_form(pot)
+    w = build_potential(cfg)
+    if w is None:
+        raise ConfigError("scan-conjugate requires a radial potential "
+                          "(kind zero or product)")
     p = cfg.params
     t_end = float(p["t_end"]) if p["t_end"] is not None else w.t_upper + 10.0
     t0 = time.perf_counter()
@@ -139,8 +137,10 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
 
 
 def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
-    pot = build_potential(cfg)
-    w = to_log_form(pot)
+    w = build_potential(cfg)
+    if w is None:
+        raise ConfigError("rigidity-scaling requires a radial potential "
+                          "(kind zero or product)")
     p = cfg.params
     quad_tol = float(p["quad_tol"])
     fit = scaling_exponent_fit(w, [int(N) for N in p["N_list"]],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -12,8 +12,7 @@ from .errors import (InapplicableError, IntegrationFailureError,
                      InvalidParameterError, MinfolError, PartialFamilyError)
 from .odeflow import (IntegratorConfig, Trajectory, _dop853_batch,
                       integrate_radial_ivp, stepper_work)
-from .potential import (BumpFunction, Potential, example_446_potential,
-                        to_log_form)
+from .potential import BumpFunction, Potential, example_446_potential
 
 GRID_POINTS = 512
 
@@ -63,21 +62,6 @@ def check_ordering(fam: LeafFamily) -> OrderingReport:
     return report
 
 
-def _family_on_grid(kind, n, A, alphas, trajectories, r_grid):
-    u_matrix = np.column_stack([traj.u_of_r(r_grid) for traj in trajectories])
-    fam = LeafFamily(kind=kind, n=n, A=A, alpha_grid=np.asarray(alphas, float),
-                     r_grid=r_grid, u_matrix=u_matrix, trajectories=trajectories)
-    if len(trajectories) >= 2:
-        fam.ordering = check_ordering(fam)
-    else:
-        # a single leaf is trivially ordered
-        mid = float(u_matrix[len(r_grid) // 2, 0])
-        fam.ordering = OrderingReport(min_gap=math.inf, gaps=[],
-                                      min_dudalpha=math.inf, verdict="ordered",
-                                      coverage=(mid, mid))
-    return fam
-
-
 def build_NA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     r_min: float = 1e-4,
@@ -86,32 +70,12 @@ def build_NA_family(pot: Potential, n: int, A: float, alphas,
     """Leaves with outer form u = alpha / r^{n-2} + A, integrated inward."""
     if n < 3:
         raise InvalidParameterError("outer-pinned family requires n >= 3")
-    alphas = list(alphas)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise InvalidParameterError("alpha grid must be strictly increasing")
     r_start = r_start if r_start else 2.0 * pot.r_outer
-    w = to_log_form(pot)
-    inward_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                                  max_step=cfg.max_step,
-                                  t_range=(math.log(r_start), math.log(r_min)),
-                                  event_tol=cfg.event_tol)
 
-    def leaf(alpha):
-        u0 = alpha / r_start ** (n - 2) + A
-        du0 = -(n - 2) * alpha / r_start ** (n - 1)
-        return integrate_radial_ivp(pot, n, r_start, u0, du0, inward_cfg, w=w)
+    def start(alpha):
+        return alpha / r_start ** (n - 2) + A, -(n - 2) * alpha / r_start ** (n - 1)
 
-    trajectories, failed = [], []
-    for alpha, res in zip(alphas, map_fn(_safe(leaf), alphas)):
-        if isinstance(res, Exception):
-            failed.append(alpha)
-        else:
-            trajectories.append(res)
-    if failed:
-        raise PartialFamilyError("leaves failed for alpha in %r" % (failed,),
-                                 failed_alphas=failed)
-    r_grid = np.geomspace(r_min, r_start, GRID_POINTS)
-    return _family_on_grid("N_A", n, A, alphas, trajectories, r_grid)
+    return _pinned_family("N_A", pot, n, A, alphas, r_start, r_min, cfg, map_fn, start)
 
 
 def build_MA_family(pot: Potential, n: int, A: float, alphas,
@@ -124,42 +88,47 @@ def build_MA_family(pot: Potential, n: int, A: float, alphas,
         raise InvalidParameterError("inner-pinned family requires n >= 3")
     if not pot.r_inner or pot.r_inner <= 0:
         raise InapplicableError("potential has no inner support gap r_inner > 0")
+    r0 = pot.r_inner
+    r_end = r_end if r_end else 2.0 * pot.r_outer
+
+    def start(alpha):
+        return A / r0 ** (n - 2) + alpha, -(n - 2) * A / r0 ** (n - 1)
+
+    return _pinned_family("M_A", pot, n, A, alphas, r0, r_end, cfg, map_fn, start)
+
+
+def _pinned_family(kind, pot, n, A, alphas, r0, r_far, cfg, map_fn, start) -> LeafFamily:
+    """The leaves run from (u, u') = start(alpha) at r0 to r_far, on the
+    geometric r-grid from the inner to the outer radius (N_A inward)."""
     alphas = list(alphas)
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha grid must be strictly increasing")
-    r0 = pot.r_inner
-    r_end = r_end if r_end else 2.0 * pot.r_outer
-    w = to_log_form(pot)
-    out_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_step=cfg.max_step,
-                               t_range=(math.log(r0), math.log(r_end)),
-                               event_tol=cfg.event_tol)
+    run_cfg = replace(cfg, t_range=(math.log(r0), math.log(r_far)))
 
     def leaf(alpha):
-        u0 = A / r0 ** (n - 2) + alpha
-        du0 = -(n - 2) * A / r0 ** (n - 1)
-        return integrate_radial_ivp(pot, n, r0, u0, du0, out_cfg, w=w)
+        try:
+            return integrate_radial_ivp(pot, n, r0, *start(alpha), run_cfg)
+        except IntegrationFailureError as exc:
+            return exc
 
-    trajectories, failed = [], []
-    for alpha, res in zip(alphas, map_fn(_safe(leaf), alphas)):
-        if isinstance(res, Exception):
-            failed.append(alpha)
-        else:
-            trajectories.append(res)
+    trajectories = list(map_fn(leaf, alphas))
+    failed = [a for a, res in zip(alphas, trajectories) if isinstance(res, Exception)]
     if failed:
         raise PartialFamilyError("leaves failed for alpha in %r" % (failed,),
                                  failed_alphas=failed)
-    r_grid = np.geomspace(r0, r_end, GRID_POINTS)
-    return _family_on_grid("M_A", n, A, alphas, trajectories, r_grid)
-
-
-def _safe(fn):
-    def wrapped(x):
-        try:
-            return fn(x)
-        except IntegrationFailureError as exc:
-            return exc
-    return wrapped
+    r_grid = np.geomspace(*((r_far, r0) if kind == "N_A" else (r0, r_far)), GRID_POINTS)
+    u_matrix = np.column_stack([traj.u_of_r(r_grid) for traj in trajectories])
+    fam = LeafFamily(kind=kind, n=n, A=A, alpha_grid=np.asarray(alphas, float),
+                     r_grid=r_grid, u_matrix=u_matrix, trajectories=trajectories)
+    if len(trajectories) >= 2:
+        fam.ordering = check_ordering(fam)
+    else:
+        # a single leaf is trivially ordered
+        mid = float(u_matrix[len(r_grid) // 2, 0])
+        fam.ordering = OrderingReport(min_gap=math.inf, gaps=[],
+                                      min_dudalpha=math.inf, verdict="ordered",
+                                      coverage=(mid, mid))
+    return fam
 
 
 @dataclass
@@ -249,7 +218,6 @@ def select_example_446_variant(phi: BumpFunction, psi: BumpFunction,
     whose stepper work is added to `diagnostics` when it is given."""
     lo, hi = phi.support
     probes = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
-    # the potentials first: their curvature grid is freed before the leaves run
     ws = {v: example_446_potential(phi, psi, variant=v) for v in ("as-printed", "chain-rule")}
     ts, flows, work = _example_leaves(phi, psi, probes, cfg, 2e-4)
     if diagnostics is not None:

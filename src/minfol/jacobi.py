@@ -68,10 +68,6 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
                        sol=sol, t=ts, xi=ys[2], xidot=ys[3], zeros=sol.zeros)
 
 
-def _zero_sep(cfg):
-    return max(cfg.event_tol, 1e-9)
-
-
 def find_vanishing(fld: JacobiField, kind: str, from_t: float) -> list[float]:
     """Zeros of xi strictly after from_t.
 
@@ -92,8 +88,7 @@ def find_vanishing(fld: JacobiField, kind: str, from_t: float) -> list[float]:
             raise ContractViolationError(
                 "focal search needs xi'(from_t)=0, xi(from_t)=1; "
                 "got (%g, %g)" % (v, dv))
-    sep = _zero_sep(fld.traj.cfg)
-    return [z for z in fld.zeros if z > from_t + sep]
+    return [z for z in fld.zeros if z > from_t + max(fld.traj.cfg.event_tol, 1e-9)]
 
 
 @dataclass
@@ -215,6 +210,9 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
     if trace.blowups:
         raise InapplicableError("trace has blow-up markers; bounds do not apply")
     K, T = w.k_curvature, w.t_upper
+    if K is None:
+        raise InvalidParameterError("the bounds need the curvature constant K: "
+                                    "pass the potential through to_log_form")
     cap = K * math.exp(T)
     t = trace.t
     om = trace.omega

@@ -22,18 +22,19 @@ checked at every accepted step; a zero after the strip is found in closed
 form.
 
 Every group of flows steps together in `_dop853_batch`: scipy's DOP853 rules
-applied per cell to a (state, cell) array, the right-hand side evaluated once
-per stage on the array of active cells. It runs the joint runs of
-`integrate_legs_batch` (the cells of a conjugate-point scan, or all of its
-findings when they are checked) and the first-order flows of
-`foliation.example_446_check`; scipy's own solver serves only the single
-dense runs of `integrate_legs`.
+applied per cell to a (state, cell) array, the right-hand side (one potential
+jet) evaluated once per stage on the active cells, and each step's stages in
+one buffer, summed in stage order so that no cell's bits depend on another.
+It runs the joint runs of `integrate_legs_batch` (the cells of a
+conjugate-point scan, or all of its findings when they are checked) and the
+first-order flows of `foliation.example_446_check`; scipy's own solver
+serves only the single dense runs of `integrate_legs`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import IntegrationFailureError, InsufficientRangeError, InvalidParameterError
-from .potential import Potential, to_log_form
+from .potential import Potential
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,7 @@ class IntegratorConfig:
             raise InvalidParameterError("degenerate t_range")
 
     def halved(self) -> "IntegratorConfig":
-        return IntegratorConfig(rel_tol=self.rel_tol / 2, abs_tol=self.abs_tol / 2,
-                                max_step=self.max_step, t_range=self.t_range,
-                                event_tol=self.event_tol)
+        return replace(self, rel_tol=self.rel_tol / 2, abs_tol=self.abs_tol / 2)
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,13 @@ _SCAN_DX = 1e-2
 # width/8 < pi / (K e^{t_upper}), so by Sturm comparison no step holds two zeros.
 _STRIP_STEPS = 8
 _EPS = np.finfo(float).eps
+# DOP853's coefficients as (stage, 1, 1) columns against a (stage, state, cell)
+# buffer: views of scipy's tables, each row cut to the stages it reads
+_NS = DOP853.n_stages
+_A = [DOP853.A[s, :s, None, None] for s in range(1, _NS)]
+_A_EXTRA = [row[:_NS + 1 + j, None, None] for j, row in enumerate(DOP853.A_EXTRA)]
+_B, _E5, _E3 = (c[:, None, None] for c in (DOP853.B, DOP853.E5, DOP853.E3))
+_D = [row[:, None, None] for row in DOP853.D]
 
 
 def _free(y, s, damping):
@@ -149,20 +155,30 @@ class LegSolution:
         return out.reshape((len(self.y0),) + t.shape)
 
 
-def _dedup(times, tol):
-    times = sorted(times)
-    return [z for i, z in enumerate(times) if i == 0 or z - times[i - 1] > tol]
-
-
 def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros, tol):
-    """Zeros of xi over a joint run: t0 if xi starts at 0, the closed-form
-    zero of each free leg, and the strip leg's zeros."""
+    """Zeros of xi over a joint run, sorted and closer than tol merged: t0 if
+    xi starts at 0, the closed-form zero of each free leg, and the strip
+    leg's zeros."""
     zeros = [t0] if y0[2] == 0.0 else []
     for t_a, y_a, t_b in ((t0, y0, t_in), (t_out, y_out, t_end)):
         s = _free_zero(y_a[2], y_a[3], d_xi, t_b - t_a)
         if s is not None:
             zeros.append(t_a + s)
-    return _dedup(zeros + strip_zeros, tol)
+    zeros = sorted(zeros + strip_zeros)
+    return [z for i, z in enumerate(zeros) if i == 0 or z - zeros[i - 1] > tol]
+
+
+def _joint_rhs(w: Potential, d_u: float, d_xi: float, exp):
+    """(u, p, xi, xi')' of the flow and its linearization, with one potential
+    jet a call; exp is math.exp for a scalar solve, np.exp for a batch."""
+    def rhs(t, y):
+        e2 = exp(2.0 * t)
+        du, duu = w.jet(y[0], t, (1, 2))
+        out = np.empty_like(y)
+        out[0], out[1] = y[1], -d_u * y[1] - e2 * du
+        out[2], out[3] = y[3], -d_xi * y[3] - e2 * duu * y[2]
+        return out
+    return rhs
 
 
 def integrate_legs(w: Potential, t0: float, y0, t_end: float,
@@ -185,11 +201,7 @@ def integrate_legs(w: Potential, t0: float, y0, t_end: float,
 
     if joint:
         d_xi = damping[1]
-
-        def rhs(t, y):
-            e2 = math.exp(2.0 * t)
-            return (y[1], -d_u * y[1] - e2 * float(w.dw_du(y[0], t)),
-                    y[3], -d_xi * y[3] - e2 * float(w.d2w_duu(y[0], t)) * y[2])
+        rhs = _joint_rhs(w, d_u, d_xi, math.exp)
 
         def event(t, y):
             return y[2]
@@ -243,14 +255,12 @@ class LegBatch:
     samples: list = field(default_factory=list)  # (4, k) states at the sample times
 
 
-def _combine(K, coef, h):
-    """h * sum_j coef[j] K[j] term by term, so that a cell's bits never
-    depend on the other cells in the arrays."""
-    acc = 0.0
-    for c, k in zip(coef, K):
-        if c != 0.0:
-            acc = acc + c * k
-    return acc * h
+def _stage_sum(coef, K, h):
+    """h * sum_j coef[j] K[j] over the first stages of the buffer K, added in
+    stage order from 0.0 as a term-by-term loop adds them, so that a cell's
+    bits depend on neither the other cells nor the layout of K: accumulate is
+    sequential by definition, where a reduction may sum pairwise."""
+    return (0.0 + np.add.accumulate(coef * K[:len(coef)], axis=0)[-1]) * h
 
 
 def _norm(x):
@@ -323,15 +333,17 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
             i, ti, h = i[~small], ti[~small], h[~small]
             t_new = np.minimum(ti + h, t_stop[i])
             h = t_new - ti
-            yi, K = y[:, i], [f[:, i]]
-            for row, frac in zip(RK.A[1:], RK.C[1:]):
-                K.append(rhs(ti + frac * h, yi + _combine(K, row, h)))
-            y_new = yi + _combine(K, RK.B, h)
-            K.append(rhs(t_new, y_new))
-            res.stages[i] += RK.n_stages
+            yi = y[:, i]
+            K = np.empty((_NS + 1 + len(_A_EXTRA),) + yi.shape)   # the step's stages
+            K[0] = f[:, i]
+            for st, (a, frac) in enumerate(zip(_A, RK.C[1:]), 1):
+                K[st] = rhs(ti + frac * h, yi + _stage_sum(a, K, h))
+            y_new = yi + _stage_sum(_B, K, h)
+            K[_NS] = rhs(t_new, y_new)
+            res.stages[i] += _NS
             scale = atol + np.maximum(np.abs(yi), np.abs(y_new)) * rtol
-            n5 = _norm(_combine(K, RK.E5, 1.0) / scale) ** 2
-            n3 = _norm(_combine(K, RK.E3, 1.0) / scale) ** 2
+            n5 = _norm(_stage_sum(_E5, K, 1.0) / scale) ** 2
+            n3 = _norm(_stage_sum(_E3, K, 1.0) / scale) ** 2
             err = np.where((n5 == 0) & (n3 == 0), 0.0,
                            h * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
             bad = i[~np.isfinite(err)]
@@ -345,7 +357,7 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
             k = np.flatnonzero(ok)
             cells = i[k]
             res.accepted[cells] += 1
-            t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[-1][:, k]
+            t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[_NS][:, k]
             active[cells] = t_new[k] < t_stop[cells]
             g, g_new = ((yi[watch, k], y_new[watch, k]) if watch is not None
                         else [np.ones(k.size)] * 2)
@@ -357,13 +369,13 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
             sel = sign | (upto > lo)
             s, sign, lo, count = k[sel], sign[sel], lo[sel], (upto - lo)[sel]
             if s.size:   # the three dense-output stages
-                K = [stage[:, s] for stage in K]
-                for row, frac in zip(RK.A_EXTRA, RK.C_EXTRA):
-                    K.append(rhs(ti[s] + frac * h[s], yi[:, s] + _combine(K, row, h[s])))
+                K = K[:, :, s]
+                for st, (a, frac) in enumerate(zip(_A_EXTRA, RK.C_EXTRA), _NS + 1):
+                    K[st] = rhs(ti[s] + frac * h[s], yi[:, s] + _stage_sum(a, K, h[s]))
                 res.stages[i[s]] += len(RK.C_EXTRA)
                 dy = y_new[:, s] - yi[:, s]
-                F = [dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[12] + K[0])]
-                F += [_combine(K, row, h[s]) for row in RK.D]
+                F = [dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[_NS] + K[0])]
+                F += [_stage_sum(d, K, h[s]) for d in _D]
                 for j, q in zip(np.flatnonzero(sign), s[sign]):
                     res.zeros[i[q]].append(_dense_zero([float(x[watch, j]) for x in F],
                                                        yi[watch, q], ti[q], t_new[q]))
@@ -389,13 +401,8 @@ def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
         raise InvalidParameterError("batched runs go forward: need t0 <= t_end")
     t_in = np.minimum(np.maximum(w.t_lower, t0), t_end)
     t_out = np.minimum(np.maximum(w.t_upper, t0), t_end)
-    d_u, d_xi = damping
-
-    def rhs(t, y):
-        e2 = np.exp(2.0 * t)
-        return np.array((y[1], -d_u * y[1] - e2 * w.dw_du(y[0], t),
-                         y[3], -d_xi * y[3] - e2 * w.d2w_duu(y[0], t) * y[2]))
-
+    d_xi = damping[1]
+    rhs = _joint_rhs(w, damping[0], d_xi, np.exp)
     ts = [np.ravel(np.asarray(x, dtype=float)) for x in samples or [()] * m]
     sizes = np.array([x.size for x in ts], dtype=int)
     owner, ts = np.repeat(np.arange(m), sizes), np.concatenate(ts + [np.zeros(0)])
@@ -490,15 +497,14 @@ def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
                          w: Optional[Potential] = None) -> Trajectory:
     """Radial solution of u'' + (n-1)/r u' + V'_u = 0 from (r0, u0, u'(r0)).
 
-    Integrated in t = ln r with p = r u'; pass a precomputed log form to
-    avoid repeating the curvature sup search.
+    Integrated in t = ln r with p = r u'; `w`, when given, is integrated in
+    place of pot (a potential reads in both coordinates; K is not used).
     """
     if r0 <= 0:
         raise InvalidParameterError("r0 must be positive")
     if n < 2:
         raise InvalidParameterError("dimension must be >= 2")
-    if w is None:
-        w = to_log_form(pot)
+    w = pot if w is None else w
     t0 = math.log(r0)
     p0 = r0 * du0
     t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0

@@ -13,15 +13,18 @@ by the n = 2 flow. There are two families:
 
 Both carry the support box (`u_bound`, `r_inner`, `r_outer`, `t_lower`,
 `t_upper`), the curvature constant K = sqrt(sup W''_uu) that controls the
-Riccati estimates (`k_curvature`, set by `to_log_form`), and the rescaling
-factor N of W_N(u, t) = W(N u, t) / N^2 (`n_scale`). Each family has one
-evaluator, which computes only the derivative order asked for; the views
-`w`, `dw_du`, `d2w_duu`, `dw_dt` and `v`, `dv_du`, `d2v_duu`, `dv_dr` are
-thin wrappers over it.
+Riccati estimates (`k_curvature`, set by `to_log_form`; only the Riccati
+checks read it), and the rescaling factor N of W_N(u, t) = W(N u, t) / N^2
+(`n_scale`). Each family has one evaluator, which returns every derivative
+asked for from one pass of each bump (`_profile` shares its powers of
+1/(1-s^2)). `Potential.jet(u, t, orders)` serves the flow and the quadrature;
+the views `w`, `dw_du`, `d2w_duu`, `dw_dt` and `v`, `dv_du`, `d2v_duu`,
+`dv_dr` are its one-order calls, with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -37,37 +40,48 @@ _ORDERS = ((0, 0), (1, 0), (2, 0), (0, 1))
 _VARIANT_POWER = {"as-printed": 1, "chain-rule": 2}
 
 
-def _profile(s, n: int):
-    """n-th derivative (n <= 3) of the bump profile g(s) = exp(1 - 1/(1-s^2)).
+def _profile(s, orders):
+    """The derivatives of the orders asked for (each <= 3) of the bump profile
+    g(s) = exp(1 - 1/(1-s^2)), one per order, from one pass.
 
-    It vanishes identically for |s| >= 1. A single point, or an array with
+    They vanish identically for |s| >= 1. A single point, or an array with
     every point inside, skips the masking; exp and the powers go through the
     same ufuncs either way, so the branches agree to the last bit.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
-        return _profile_inside(s[()], n) if abs(s) < 1.0 else np.float64(0.0)
+        return (_profile_inside(s[()], orders) if abs(s) < 1.0
+                else [np.float64(0.0)] * len(orders))
     m = np.abs(s) < 1.0
-    if m.all():
-        return _profile_inside(s, n)
-    out = np.zeros_like(s)
-    out[m] = _profile_inside(s[m], n)
+    if np.count_nonzero(m) == m.size:
+        return _profile_inside(s, orders)
+    out = [np.zeros_like(s) for _ in orders]
+    for o, d in zip(out, _profile_inside(s[m], orders)):
+        o[m] = d
     return out
 
 
-def _profile_inside(s, n: int):
+def _profile_inside(s, orders):
+    """Every order up to the highest asked for, on a shared g(s) and h1..h3."""
     q = 1.0 - s * s
     val = np.exp(1.0 - 1.0 / q)
-    if n == 0:
-        return val
-    h1 = -2.0 * s / np.square(q)
-    if n == 1:
-        return h1 * val
-    h2 = -2.0 * (1.0 + 3.0 * s * s) / np.power(q, 3)
-    if n == 2:
-        return (h2 + h1 * h1) * val
-    h3 = -24.0 * s * (1.0 + s * s) / np.power(q, 4)
-    return (h3 + 3.0 * h1 * h2 + np.power(h1, 3)) * val
+    d, top = [val], max(orders)
+    if top:
+        h1 = -2.0 * s / np.square(q)
+        d.append(h1 * val)
+        if top > 1:
+            h2 = -2.0 * (1.0 + 3.0 * s * s) / np.power(q, 3)
+            d.append((h2 + h1 * h1) * val)
+            if top > 2:
+                h3 = -24.0 * s * (1.0 + s * s) / np.power(q, 4)
+                d.append((h3 + 3.0 * h1 * h2 + np.power(h1, 3)) * val)
+    return list(map(d.__getitem__, orders))
+
+
+def _bump_view(n: int):
+    def view(self, x):
+        return self.jet(x, (n,))[0]
+    return view
 
 
 @dataclass(frozen=True)
@@ -86,29 +100,32 @@ class BumpFunction:
     def support(self) -> tuple[float, float]:
         return (self.center - self.width, self.center + self.width)
 
+    def jet(self, x, orders):
+        """The derivatives of the orders asked for (each 0..3) at x, one per
+        order, vectorized, from one profile pass."""
+        s = (np.asarray(x, dtype=float) - self.center) / self.width
+        a, w, out = self.amplitude, self.width, _profile(s, orders)
+        for k, n in enumerate(orders):   # x / 1.0 is exact: skipped
+            out[k] = a * out[k] if w**n == 1.0 else a * out[k] / w**n
+        return out
+
     def nth_derivative(self, x, n: int):
         """The n-th derivative (0 <= n <= 3) at x, vectorized."""
-        s = (np.asarray(x, dtype=float) - self.center) / self.width
-        return self.amplitude * _profile(s, n) / self.width**n
+        return self.jet(x, (n,))[0]
 
-    def value(self, x):
-        return self.nth_derivative(x, 0)
-
+    value, derivative, second_derivative, third_derivative = map(_bump_view, range(4))
     __call__ = value
-
-    def derivative(self, x):
-        return self.nth_derivative(x, 1)
-
-    def second_derivative(self, x):
-        return self.nth_derivative(x, 2)
-
-    def third_derivative(self, x):
-        return self.nth_derivative(x, 3)
 
 
 def make_bump(center: float, width: float, amplitude: float) -> BumpFunction:
     """Construct a smooth compactly supported bump (raises on width <= 0)."""
     return BumpFunction(center=center, width=width, amplitude=amplitude)
+
+
+def _potential_view(order: int, log: bool):
+    def view(self, u, x):
+        return self._jet(u, x, (order,), log)[0]
+    return view
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -128,38 +145,29 @@ class Potential:
     k_curvature: Optional[float]   # set by to_log_form
     n_scale: float
 
-    def _evaluate(self, u, x, order: int, log: bool):
-        """The family's evaluator: derivative `order` (an index of _ORDERS)
-        at (u, t = x) if log, else at (u, r = x), for n_scale = 1."""
+    def _evaluate(self, u, x, orders, log: bool):
+        """The family's evaluator: the derivatives `orders` (indices of
+        _ORDERS), one per index, at (u, t = x) if log, else at (u, r = x),
+        for n_scale = 1."""
         raise NotImplementedError
 
-    def _view(self, u, x, order: int, log: bool):
+    def _jet(self, u, x, orders, log: bool):
         N = self.n_scale
-        return self._evaluate(N * u, x, order, log) / (N * N, N, 1.0, N * N)[order]
+        if N == 1.0:    # 1.0 * u and d / 1.0 are exact: skip them
+            return self._evaluate(u, x, orders, log)
+        out, scale = self._evaluate(N * u, x, orders, log), (N * N, N, 1.0, N * N)
+        for k, o in enumerate(orders):
+            out[k] = out[k] / scale[o]
+        return out
 
-    def w(self, u, t):
-        return self._view(u, t, 0, True)
+    def jet(self, u, t, orders):
+        """W and its derivatives at (u, t), one per index of _ORDERS in orders
+        (0: W, 1: W_u, 2: W_uu, 3: W_t), from one pass of each bump."""
+        return self._jet(u, t, orders, True)
 
-    def dw_du(self, u, t):
-        return self._view(u, t, 1, True)
-
-    def d2w_duu(self, u, t):
-        return self._view(u, t, 2, True)
-
-    def dw_dt(self, u, t):
-        return self._view(u, t, 3, True)
-
-    def v(self, u, r):
-        return self._view(u, r, 0, False)
-
-    def dv_du(self, u, r):
-        return self._view(u, r, 1, False)
-
-    def d2v_duu(self, u, r):
-        return self._view(u, r, 2, False)
-
-    def dv_dr(self, u, r):
-        return self._view(u, r, 3, False)
+    # the one-order views: W, W_u, W_uu, W_t at (u, t) and V, V_u, V_uu, V_r at (u, r)
+    w, dw_du, d2w_duu, dw_dt = (_potential_view(o, True) for o in range(4))
+    v, dv_du, d2v_duu, dv_dr = (_potential_view(o, False) for o in range(4))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -170,13 +178,26 @@ class ProductPotential(Potential):
     g: Optional[BumpFunction]
     lam: float
 
-    def _evaluate(self, u, x, order, log):
+    def _evaluate(self, u, x, orders, log):
         if self.f is None:
-            return np.zeros(np.broadcast(np.asarray(u, float), np.asarray(x, float)).shape)
+            zero = np.zeros(np.broadcast(np.asarray(u, float), np.asarray(x, float)).shape)
+            return [zero] * len(orders)
         r = np.exp(np.asarray(x, float)) if log else x
-        du, dr = _ORDERS[order]
-        val = self.lam * (self.f.nth_derivative(u, du) * self.g.nth_derivative(r, dr))
-        return val * r if log and dr else val
+        du, dr, factors = _factor_orders(orders)
+        F, G, out = self.f.jet(u, du), self.g.jet(r, dr), []
+        for i, j, n in factors:   # 1.0 * x is exact: skipped
+            val = F[i] * G[j] if self.lam == 1.0 else self.lam * (F[i] * G[j])
+            out.append(val * r if log and n else val)
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_orders(orders):
+    """The orders of f and of g that the indices of _ORDERS in orders read,
+    and per index the positions of its two factors and its r-order."""
+    du, dr = (tuple(sorted({_ORDERS[o][k] for o in orders})) for k in (0, 1))
+    return du, dr, tuple((du.index(_ORDERS[o][0]), dr.index(_ORDERS[o][1]), _ORDERS[o][1])
+                         for o in orders)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -187,25 +208,32 @@ class Example446Potential(Potential):
     psi: BumpFunction
     psi_power: int
 
-    def _evaluate(self, u, x, order, log):
+    def _evaluate(self, u, x, orders, log):
         t = np.asarray(x, float) if log else np.log(np.asarray(x, float))
-        D, k = self.phi.nth_derivative, self.psi_power
-        e2 = np.exp(-2.0 * t)
-        P, P1 = self.psi.nth_derivative(t, 0), self.psi.nth_derivative(t, 1)
+        k, e2 = self.psi_power, np.exp(-2.0 * t)
+        need = sorted({n for o in orders for n in _PHI_ORDERS[o]})
+        F = dict(zip(need, self.phi.jet(u, need)))
+        P, P1, *P2 = self.psi.jet(t, (0, 1, 2) if 3 in orders else (0, 1))
         pk = P ** (k - 1)   # psi^k = P * pk
-        F1 = D(u, 1)
-        if order == 1:
-            return -e2 * (P1 * F1 + P * pk * F1 * D(u, 2))
-        if order == 2:
-            F2 = D(u, 2)
-            return -e2 * (P1 * F2 + P * pk * (F2 * F2 + F1 * D(u, 3)))
-        F = D(u, 0)
-        bracket = P1 * F + 0.5 * P * pk * F1 * F1
-        if order == 0:
-            return -e2 * bracket
-        dw_dt = 2.0 * e2 * bracket - e2 * (self.psi.nth_derivative(t, 2) * F
-                                           + 0.5 * k * pk * P1 * F1 * F1)
-        return dw_dt if log else dw_dt / x
+        if 0 in F:
+            bracket = P1 * F[0] + 0.5 * P * pk * F[1] * F[1]
+        out = []
+        for o in orders:
+            if o == 0:
+                out.append(-e2 * bracket)
+            elif o == 1:
+                out.append(-e2 * (P1 * F[1] + P * pk * F[1] * F[2]))
+            elif o == 2:
+                out.append(-e2 * (P1 * F[2] + P * pk * (F[2] * F[2] + F[1] * F[3])))
+            else:
+                dw_dt = 2.0 * e2 * bracket - e2 * (P2[0] * F[0]
+                                                   + 0.5 * k * pk * P1 * F[1] * F[1])
+                out.append(dw_dt if log else dw_dt / x)
+        return out
+
+
+# the phi orders that each index of _ORDERS reads
+_PHI_ORDERS = ((0, 1), (1, 2), (1, 2, 3), (0, 1))
 
 
 def _product(f, g, u_bound, r_inner, r_outer) -> ProductPotential:
@@ -285,23 +313,22 @@ def to_log_form(pot: Potential, grid_density: int = 512) -> Potential:
 
 
 def example_446_potential(phi: BumpFunction, psi: BumpFunction,
-                          variant: str = "chain-rule",
-                          grid_density: int = 512) -> Example446Potential:
+                          variant: str = "chain-rule") -> Example446Potential:
     """Explicit family W built from two bumps so that du/dt = phi'(u) psi(t)
     solves the Newton equation u'' = -e^{2t} W'_u.
 
     variant "as-printed" carries psi in the quadratic term; "chain-rule"
     carries psi^2 (the version consistent with direct differentiation).
+    K is left unset; `to_log_form` fills it in.
     """
     if variant not in _VARIANT_POWER:
         raise InvalidParameterError("unknown variant %r" % (variant,))
     t_lower, t_upper = psi.support
-    pot = Example446Potential(phi=phi, psi=psi, psi_power=_VARIANT_POWER[variant],
-                              u_bound=abs(phi.center) + phi.width,
-                              r_inner=math.exp(t_lower), r_outer=math.exp(t_upper),
-                              t_lower=t_lower, t_upper=t_upper, k_curvature=None,
-                              n_scale=1.0)
-    return to_log_form(pot, grid_density)
+    return Example446Potential(phi=phi, psi=psi, psi_power=_VARIANT_POWER[variant],
+                               u_bound=abs(phi.center) + phi.width,
+                               r_inner=math.exp(t_lower), r_outer=math.exp(t_upper),
+                               t_lower=t_lower, t_upper=t_upper, k_curvature=None,
+                               n_scale=1.0)
 
 
 def rescale_log_potential(w: Potential, n_scale: int) -> Potential:

@@ -150,10 +150,10 @@ def rescaled_inequality_sides(w: Potential, N: int,
 
     def sides_f(v, t):
         e2 = np.exp(2.0 * t)
-        W = w.w(v, t)
+        W, W_u, W_t = w.jet(v, t, (0, 1, 3))
         gibbs = np.exp(-W * e2 / n2)
-        g = e2 * w.dw_du(v, t)
-        h = e2 * (2.0 * W + w.dw_dt(v, t))
+        g = e2 * W_u
+        h = e2 * (2.0 * W + W_t)
         return gibbs * g * g, gibbs * h * h
 
     lhs, rhs = quad_2d(sides_f, -U, U, t_lo, t_hi, quad_tol)

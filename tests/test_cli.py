@@ -13,8 +13,8 @@ from minfol.errors import ConfigError
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "schemas",
                            "report.schema.json")
-EXAMPLE446 = os.path.join(os.path.dirname(__file__), "..", "configs",
-                          "example446.json")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+EXAMPLE446 = os.path.join(CONFIGS, "example446.json")
 
 
 def _write(tmp_path, data):
@@ -212,6 +212,31 @@ class TestRunCommand:
         assert os.path.exists(os.path.join(out, "timing.txt"))
 
 
+@pytest.mark.parametrize("name", ["scan-conjugate", "rigidity-scaling", "foliate",
+                                  "example446"])
+def test_no_command_runs_the_curvature_search(tmp_path, monkeypatch, name):
+    # only the Riccati checks read K; no shipped command computes it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("k_constant called")
+
+    monkeypatch.setattr("minfol.potential.k_constant", forbidden)
+    cfg = load_config(os.path.join(CONFIGS, name + ".json"))
+    code, report = run_command(cfg, str(tmp_path / "out"))
+    assert code == 0, report["verdict"]
+
+
+@pytest.mark.parametrize("command", ["scan-conjugate", "rigidity-scaling"])
+def test_n2_commands_need_a_radial_potential(tmp_path, capsys, command):
+    data = json.load(open(EXAMPLE446))
+    data["command"] = command
+    data.pop("example446")
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "radial potential" in err
+    assert not os.path.exists(out / "report.json")
+
+
 class TestMainExitCodes:
     def test_missing_config_is_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.json")]) == 2
@@ -249,7 +274,9 @@ def _nan_curvature(w, u_max=0.3):
     def d2w_duu(u, t):
         return np.where(np.asarray(u) > u_max, np.nan, w.d2w_duu(u, t))
 
+    views = (w.w, w.dw_du, d2w_duu, w.dw_dt)
     return SimpleNamespace(w=w.w, dw_du=w.dw_du, d2w_duu=d2w_duu, dw_dt=w.dw_dt,
+                           jet=lambda u, t, orders: [views[o](u, t) for o in orders],
                            u_bound=w.u_bound, t_lower=w.t_lower,
                            t_upper=w.t_upper, k_curvature=w.k_curvature)
 

@@ -21,13 +21,16 @@ TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 def _constant_coefficient_log(sign=1.0):
     """Synthetic potential with e^{2t} W''_uu = sign, so the linearized
     equation is xi'' + sign * xi = 0 along any trajectory."""
-    return SimpleNamespace(
+    w = SimpleNamespace(
         w=lambda u, t: np.zeros_like(np.asarray(u, float) * np.asarray(t, float)),
         dw_du=lambda u, t: np.zeros_like(np.asarray(u, float) * np.asarray(t, float)),
         d2w_duu=lambda u, t: sign * np.exp(-2.0 * np.asarray(t, float))
         * np.ones_like(np.asarray(u, float)),
         dw_dt=lambda u, t: np.zeros_like(np.asarray(u, float) * np.asarray(t, float)),
         u_bound=50.0, t_upper=50.0, t_lower=-50.0, k_curvature=1.0)
+    views = (w.w, w.dw_du, w.d2w_duu, w.dw_dt)
+    w.jet = lambda u, t, orders: [views[o](u, t) for o in orders]
+    return w
 
 
 def _trajectory(w, t0=0.0, t1=20.0, u0=0.0, p0=0.0):
@@ -180,6 +183,15 @@ class TestDisconjugacy:
         assert rep.all_ok
         assert rep.tail_ok and rep.region_ok
         assert np.all(rep.uniform_margin >= -1e-9)
+
+    def test_bounds_need_the_curvature_constant(self, weak_pot):
+        # a potential that did not pass through to_log_form has K = None
+        assert weak_pot.k_curvature is None
+        traj = _trajectory(weak_pot, t0=-2.0, t1=weak_pot.t_upper + 5.0,
+                           u0=0.1, p0=0.0)
+        trace = riccati_from_jacobi(nonvanishing_field(traj, TIGHT))
+        with pytest.raises(InvalidParameterError, match="to_log_form"):
+            riccati_bounds_check(trace, weak_pot)
 
 
 class TestFreeField:

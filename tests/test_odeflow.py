@@ -235,3 +235,57 @@ def test_batch_samples_match_the_dense_runs(strong_log, damping):
         alone = integrate_legs_batch(w, t0[c], y0[:, c:c + 1], t_end[c], cfg,
                                      damping, samples=samples[c:c + 1])
         assert np.array_equal(alone.samples[0], batch.samples[c])
+
+
+def _combine(K, coef, h):
+    """The oracle: h * sum_j coef[j] K[j] term by term over the nonzero
+    coefficients, from 0.0, as one list of stage arrays."""
+    acc = 0.0
+    for c, k in zip(coef, K):
+        if c != 0.0:
+            acc = acc + c * k
+    return acc * h
+
+
+def _dop853_rows():
+    from scipy.integrate import DOP853 as RK
+
+    return ([RK.A[s, :s] for s in range(1, RK.n_stages)] + [RK.B, RK.E5, RK.E3]
+            + [RK.A_EXTRA[j, :RK.n_stages + 1 + j] for j in range(3)] + list(RK.D))
+
+
+@pytest.mark.parametrize("neg_zero", [False, True])
+@pytest.mark.parametrize("layout", ["contiguous", "fancy-indexed", "one-element"])
+@pytest.mark.parametrize("cells", [3, 40])
+def test_stage_sums_equal_the_term_by_term_loop(cells, layout, neg_zero):
+    from minfol.odeflow import _stage_sum
+
+    rng = np.random.default_rng(cells)
+    K = rng.standard_normal((16, 4, cells)) * 10.0 ** rng.integers(-6, 6, (16, 4, cells))
+    h = rng.uniform(1e-3, 0.1, cells)
+    if neg_zero:   # an entry whose every stage is -0.0, one with some
+        K[:, 0, 0], K[::3, 1, 0] = -0.0, -0.0
+    if layout == "fancy-indexed":   # as the dense stages take their cells
+        pick = np.flatnonzero(rng.random(cells) < 0.7)
+        K, h = K[:, :, pick], h[pick]
+        assert not K.flags.c_contiguous
+    elif layout == "one-element":   # a one-cell first-order flow
+        K, h = K[:, :1, :1], h[:1]
+    for coef in _dop853_rows():
+        got = _stage_sum(coef[:, None, None], K, h)
+        want = _combine(list(K[:len(coef)]), coef, h)
+        assert got.shape == K.shape[1:]
+        assert got.tobytes() == want.tobytes()
+    if neg_zero and layout != "fancy-indexed":
+        assert np.signbit(K[0, 0, 0]) and not np.signbit(got[0, 0])
+
+
+def test_stage_coefficients_are_views_of_scipys_tables():
+    from scipy.integrate import DOP853 as RK
+
+    from minfol import odeflow
+
+    for table, rows in ((RK.A, odeflow._A), (RK.A_EXTRA, odeflow._A_EXTRA),
+                        (RK.D, odeflow._D), (RK.B, [odeflow._B]),
+                        (RK.E5, [odeflow._E5]), (RK.E3, [odeflow._E3])):
+        assert all(np.shares_memory(row, table) for row in rows)

@@ -81,8 +81,8 @@ def test_profile_fast_path_equals_masked_branch(s, n):
 
     masked = np.zeros_like(s)
     inside = np.abs(s) < 1.0
-    masked[inside] = _profile_inside(s[inside], n)
-    got = _profile(s, n)
+    masked[inside] = _profile_inside(s[inside], (n,))[0]
+    got = _profile(s, (n,))[0]
     assert got.shape == s.shape
     assert np.array_equal(got.view(np.int64), masked.view(np.int64))
 
@@ -288,3 +288,49 @@ def test_pickle_round_trip(name):
                 before = np.asarray(getattr(pot, view)(U, X))
                 after = np.asarray(getattr(copy, view)(U, X))
                 assert after.tobytes() == before.tobytes(), view
+
+
+def _jet_inputs(w):
+    """(u, t) pairs of each kind: one point, all inside the support box,
+    some inside, none inside."""
+    U, T = _interior_grid(w)
+    lo, hi = w.t_lower, w.t_upper
+    mixed = np.meshgrid(np.linspace(-1.5, 1.5, 9) * w.u_bound,
+                        np.linspace(lo - 0.5, hi + 0.5, 11), indexing="ij")
+    outside = (np.linspace(1.1, 3.0, 6) * w.u_bound, np.linspace(lo, hi, 6))
+    return {"0-d": (U[2, 3], T[2, 3]), "all-inside": (U, T), "mixed": mixed,
+            "all-outside": outside}
+
+
+JET_ORDERS = [(0, 1, 2, 3), (1, 2), (0, 1, 3), (3, 0), (2,)]
+
+
+@pytest.mark.parametrize("kind", ["0-d", "all-inside", "mixed", "all-outside"])
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_jet_equals_the_views_bit_for_bit(name, kind):
+    w, _ = _family_case(name)
+    u, t = _jet_inputs(w)[kind]
+    views = [getattr(w, view)(u, t) for view in LOG_VIEWS]
+    for orders in JET_ORDERS:
+        jet = w.jet(u, t, orders)
+        assert len(jet) == len(orders)
+        for o, got in zip(orders, jet):
+            want = np.asarray(views[o])
+            assert np.shape(got) == want.shape
+            assert np.asarray(got).tobytes() == want.tobytes(), (orders, o)
+
+
+@pytest.mark.parametrize("s", [np.float64(0.3), np.float64(1.5), np.linspace(-0.95, 0.95, 11),
+                               np.linspace(-1.5, 1.5, 13), np.array([-1.0, 1.0, 2.5])],
+                         ids=["0-d-inside", "0-d-outside", "all-inside", "mixed",
+                              "all-outside"])
+def test_profile_orders_equal_single_orders(s):
+    from minfol.potential import _profile
+
+    bump = make_bump(0.2, 0.7, -1.3)
+    for orders in [(0, 1, 2, 3), (1, 2), (0, 3), (2,), (3,)]:
+        got, jet = _profile(s, orders), bump.jet(s, orders)
+        for k, n in enumerate(orders):
+            assert np.asarray(got[k]).tobytes() == np.asarray(_profile(s, (n,))[0]).tobytes()
+            assert np.asarray(jet[k]).tobytes() == \
+                np.asarray(bump.nth_derivative(s, n)).tobytes()

@@ -100,6 +100,8 @@ class TestScan:
             d2w_duu=lambda u, t: -f.value(u) * g.value(t),
             dw_dt=lambda u, t: np.zeros_like(np.asarray(u) * np.asarray(t)),
             u_bound=1.0, t_upper=1.5, t_lower=0.5, k_curvature=0.0)
+        views = (w.w, w.dw_du, w.d2w_duu, w.dw_dt)
+        w.jet = lambda u, t, orders: [views[o](u, t) for o in orders]
         rep = conjugate_point_scan(w, GRID, GRID, -1.0, 5.0)
         assert rep.findings == []
 
@@ -334,17 +336,18 @@ class TestScaling:
         class Counting:
             def __getattr__(self, name):
                 attr = getattr(w, name)
-                if name not in ("w", "dw_du", "dw_dt"):
+                if name not in ("w", "dw_du", "dw_dt", "jet"):
                     return attr
 
                 def counted(*args):
-                    calls[name] += 1
+                    calls[name, *args[2:]] += 1
                     return attr(*args)
                 return counted
 
         assert rescaled_inequality_sides(Counting(), 8) == \
             rescaled_inequality_sides(w, 8)
-        assert calls == {"w": 4, "dw_du": 4, "dw_dt": 4}
+        # one jet of W, W_u and W_t per quadrature order
+        assert calls == {("jet", (0, 1, 3)): 4}
 
     def test_zero_potential_is_identically_zero(self, flat_log):
         fit = scaling_exponent_fit(flat_log, [4, 8, 16])
