@@ -21,7 +21,7 @@ from .config import ExperimentConfig, build_bumps, build_potential, load_config
 from .errors import ConfigError, MinfolError
 from .foliation import (build_MA_family, build_NA_family, example_446_check,
                         select_example_446_variant)
-from .odeflow import asymptotic_match_outer, integrate_radial_ivp
+from .odeflow import asymptotic_match_outer, integrate_radial_ivp, stepper_work
 from .potential import make_bump
 from .reporting import (write_family_csv, write_csv, write_findings_csv,
                         write_report, write_trajectory_csv)
@@ -70,7 +70,8 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     u_end, p_end = traj.state(traj.t_min if r_end < r0 else traj.t_max)
     results = {"r0": r0, "r_end": r_end,
                "final_state": {"u": u_end, "p": p_end},
-               "events": [{"t": ev.t, "kind": ev.kind} for ev in traj.events]}
+               "events": [{"t": ev.t, "kind": ev.kind} for ev in traj.events],
+               "diagnostics": stepper_work([traj.sol])}
     if cfg.n >= 3:
         fit = asymptotic_match_outer(traj, cfg.n)
         results["outer_fit"] = {"alpha": fit.alpha, "A": fit.A,
@@ -131,7 +132,8 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
     results = {"family": p["family"], "A": float(p["A"]), "alphas": alphas,
                "min_gap": ordering.min_gap,
                "min_dudalpha": ordering.min_dudalpha,
-               "coverage": list(ordering.coverage)}
+               "coverage": list(ordering.coverage),
+               "diagnostics": stepper_work([traj.sol for traj in fam.trajectories])}
     ordered = ordering.verdict == "ordered"
     return (0 if ordered else 1), results, ordering.verdict
 

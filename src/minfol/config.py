@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -154,10 +155,18 @@ def validate_config(data: dict) -> ExperimentConfig:
                             params=params, raw=echo)
 
 
+def _finite(literal: str, kind=float):
+    """A JSON number literal, or a NaN/Infinity that json accepts, as kind."""
+    if not math.isfinite(float(literal)):
+        raise ConfigError("config number %s is not finite" % literal)
+    return kind(literal)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                             parse_int=lambda literal: _finite(literal, int))
     except OSError as exc:
         raise ConfigError("cannot read config %r: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:

@@ -10,8 +10,9 @@ import numpy as np
 
 from .errors import (InapplicableError, IntegrationFailureError,
                      InvalidParameterError, MinfolError, PartialFamilyError)
-from .odeflow import (IntegratorConfig, Trajectory, _dop853_batch,
-                      integrate_radial_ivp, stepper_work)
+from .odeflow import (IntegratorConfig, Trajectory, _dop853_batch, _trajectories,
+                      stepper_work)
+from .odeflow import integrate_radial_ivp  # noqa: F401  (perfbench traces this name)
 from .potential import BumpFunction, Potential, example_446_potential
 
 GRID_POINTS = 512
@@ -65,8 +66,7 @@ def check_ordering(fam: LeafFamily) -> OrderingReport:
 def build_NA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     r_min: float = 1e-4,
-                    r_start: Optional[float] = None,
-                    map_fn=map) -> LeafFamily:
+                    r_start: Optional[float] = None) -> LeafFamily:
     """Leaves with outer form u = alpha / r^{n-2} + A, integrated inward."""
     if n < 3:
         raise InvalidParameterError("outer-pinned family requires n >= 3")
@@ -75,13 +75,12 @@ def build_NA_family(pot: Potential, n: int, A: float, alphas,
     def start(alpha):
         return alpha / r_start ** (n - 2) + A, -(n - 2) * alpha / r_start ** (n - 1)
 
-    return _pinned_family("N_A", pot, n, A, alphas, r_start, r_min, cfg, map_fn, start)
+    return _pinned_family("N_A", pot, n, A, alphas, r_start, r_min, cfg, start)
 
 
 def build_MA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
-                    r_end: Optional[float] = None,
-                    map_fn=map) -> LeafFamily:
+                    r_end: Optional[float] = None) -> LeafFamily:
     """Leaves with inner form u = A / r^{n-2} + alpha on (0, r_inner],
     integrated outward.  Requires a potential vanishing near the origin."""
     if n < 3:
@@ -94,24 +93,19 @@ def build_MA_family(pot: Potential, n: int, A: float, alphas,
     def start(alpha):
         return A / r0 ** (n - 2) + alpha, -(n - 2) * A / r0 ** (n - 1)
 
-    return _pinned_family("M_A", pot, n, A, alphas, r0, r_end, cfg, map_fn, start)
+    return _pinned_family("M_A", pot, n, A, alphas, r0, r_end, cfg, start)
 
 
-def _pinned_family(kind, pot, n, A, alphas, r0, r_far, cfg, map_fn, start) -> LeafFamily:
-    """The leaves run from (u, u') = start(alpha) at r0 to r_far, on the
-    geometric r-grid from the inner to the outer radius (N_A inward)."""
+def _pinned_family(kind, pot, n, A, alphas, r0, r_far, cfg, start) -> LeafFamily:
+    """The leaves run from (u, u') = start(alpha) at r0 to r_far, all in one
+    batch, read on the geometric r-grid from the inner to the outer radius
+    (N_A inward)."""
     alphas = list(alphas)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise InvalidParameterError("alpha grid must be strictly increasing")
-    run_cfg = replace(cfg, t_range=(math.log(r0), math.log(r_far)))
-
-    def leaf(alpha):
-        try:
-            return integrate_radial_ivp(pot, n, r0, *start(alpha), run_cfg)
-        except IntegrationFailureError as exc:
-            return exc
-
-    trajectories = list(map_fn(leaf, alphas))
+    if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise InvalidParameterError("alpha grid must be nonempty and strictly increasing")
+    t0, t_far = math.log(r0), math.log(r_far)
+    u0, du0 = np.array([start(alpha) for alpha in alphas]).T
+    trajectories = _trajectories(pot, n, t0, [u0, r0 * du0], replace(cfg, t_range=(t0, t_far)))
     failed = [a for a, res in zip(alphas, trajectories) if isinstance(res, Exception)]
     if failed:
         raise PartialFamilyError("leaves failed for alpha in %r" % (failed,),
@@ -165,13 +159,13 @@ def _example_leaves(phi, psi, u0_grid, cfg, fd_step):
     ts = np.linspace(t_span[0] + 2 * fd_step, t_span[1] - 2 * fd_step, 801)
     h, m = fd_step, len(u0_grid)
     stencil = np.concatenate((ts + 2 * h, ts + h, ts - h, ts - 2 * h, ts))
-    run, _, _, out = _dop853_batch(
+    run, _, _, rows = _dop853_batch(
         lambda t, y: (phi.derivative(y[0]) * psi.value(t))[None],
         np.full(m, t_span[0]), np.full(m, t_span[1]), np.array([u0_grid], dtype=float),
-        cfg, math.inf, np.tile(stencil, m), np.repeat(np.arange(m), stencil.size))
+        cfg, math.inf, dense=True)
     for message in filter(None, run.failures):
         raise IntegrationFailureError("first-order flow failed: %s" % message)
-    u = out[0].reshape(m, 5, len(ts))
+    u = np.array([leaf(stencil)[0] for leaf in rows]).reshape(m, 5, len(ts))
     udot = phi.derivative(u) * psi.value(stencil.reshape(5, len(ts)))
     uddot = (-udot[:, 0] + 8 * udot[:, 1] - 8 * udot[:, 2] + udot[:, 3]) / (12.0 * h)
     return ts, list(zip(u[:, 4], uddot)), stepper_work([run])

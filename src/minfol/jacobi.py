@@ -60,10 +60,11 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
         raise InvalidParameterError("requested range not covered by the trajectory")
     damping = 0.0 if mode == "log-form" else traj.damping
     u, p = traj.state(t_init)
-    sol = integrate_legs(traj.w, t_init, (float(u), float(p), xi0, dxi0), t_end,
-                         cfg, (traj.damping, damping))
     ts = _sample_grid(lo, hi)
-    ys = sol(ts)
+    run = integrate_legs(traj.w, t_init, [[float(u)], [float(p)], [xi0], [dxi0]], t_end,
+                         cfg, (traj.damping, damping), [ts])
+    run.raise_failure()
+    sol, ys = run.runs[0], run.samples[0]
     return JacobiField(traj=traj, mode=mode, t_init=t_init, xi0=xi0, dxi0=dxi0,
                        sol=sol, t=ts, xi=ys[2], xidot=ys[3], zeros=sol.zeros)
 

@@ -21,14 +21,13 @@ outside the strip. Its zeros on the strip come from a sign-change event
 checked at every accepted step; a zero after the strip is found in closed
 form.
 
-Every group of flows steps together in `_dop853_batch`: scipy's DOP853 rules
-applied per cell to a (state, cell) array, the right-hand side (one potential
-jet) evaluated once per stage on the active cells, and each step's stages in
-one buffer, summed in stage order so that no cell's bits depend on another.
-It runs the joint runs of `integrate_legs_batch` (the cells of a
-conjugate-point scan, or all of its findings when they are checked) and the
-first-order flows of `foliation.example_446_check`; scipy's own solver
-serves only the single dense runs of `integrate_legs`.
+Every run steps in `_dop853_batch`: scipy's DOP853 rules applied per cell to
+a (state, cell) array, the right-hand side (one potential jet) evaluated once
+per stage on the active cells, and each step's stages in one buffer, summed
+in stage order so that no cell's bits depend on another. A single run is a
+one-cell batch, and a backward batch steps forward in s = -t. A dense run
+keeps each accepted step's output rows, read by scipy's OdeSolution rule
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .errors import IntegrationFailureError, InsufficientRangeError, InvalidParameterError
@@ -110,8 +109,8 @@ def _free(y, s, damping):
 
 
 def _free_zero(x, dx, d, span):
-    """The s in (0, span] (span may be negative) at which the free motion from
-    (x, dx) with damping d vanishes, or None."""
+    """The s in (0, span] (span may be negative or infinite) at which the free
+    motion from (x, dx) with damping d vanishes, or None."""
     if dx == 0.0 or span == 0.0:
         return None
     s = -x / dx
@@ -119,15 +118,34 @@ def _free_zero(x, dx, d, span):
         if d * s >= 1.0:
             return None
         s = -math.log1p(-d * s) / d
-    return s if 0.0 < s / span <= 1.0 else None
+    return s if 0.0 < s * math.copysign(1.0, span) <= abs(span) else None
+
+
+@dataclass
+class StepRows:
+    """The dense output of one cell's accepted steps in its run's frame (time
+    times direction): per step its start s_old, length h, state y_old and
+    seven coefficient rows F (7, state, step)."""
+
+    s_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+
+    def __call__(self, s):
+        """The states at the times s, read as scipy's OdeSolution reads them:
+        from the step (s_old, s_old + h] holding s, else the first or last."""
+        j = np.maximum(np.searchsorted(self.s_old, s) - 1, 0)
+        return _horner(list(self.F[:, :, j]), (s - self.s_old[j]) / self.h[j]) + self.y_old[:, j]
 
 
 @dataclass
 class LegSolution:
     """Dense solution of one three-leg run, callable on a time or an array of
     times like scipy's OdeSolution. It is the free motion from (t0, y0) up to
-    t_in, the strip solve on [t_in, t_out] and the free motion from
-    (t_out, y_out) beyond. `ts` holds the strip leg's step times."""
+    t_in, the strip steps on [t_in, t_out] and the free motion from
+    (t_out, y_out) beyond. `ts` holds the strip leg's step times, and stages,
+    accepted and rejected its stepper work."""
 
     t0: float
     y0: np.ndarray
@@ -135,9 +153,12 @@ class LegSolution:
     t_in: float
     t_out: float
     y_out: np.ndarray
-    strip: object                # scipy OdeSolution on the strip leg, or None
+    strip: StepRows
     damping: tuple               # one damping per (x, x') pair
     ts: np.ndarray
+    stages: int
+    accepted: int
+    rejected: int
     zeros: list[float] = field(default_factory=list)          # of xi
     events: list[SupportEvent] = field(default_factory=list)  # of the flow
 
@@ -151,7 +172,7 @@ class LegSolution:
         out[:, before] = _free(self.y0, tt[before] - self.t0, self.damping)
         out[:, after] = _free(self.y_out, tt[after] - self.t_out, self.damping)
         if np.any(mid):
-            out[:, mid] = self.strip(tt[mid])
+            out[:, mid] = self.strip(self.direction * tt[mid])
         return out.reshape((len(self.y0),) + t.shape)
 
 
@@ -168,91 +189,40 @@ def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros, tol):
     return [z for i, z in enumerate(zeros) if i == 0 or z - zeros[i - 1] > tol]
 
 
-def _joint_rhs(w: Potential, d_u: float, d_xi: float, exp):
-    """(u, p, xi, xi')' of the flow and its linearization, with one potential
-    jet a call; exp is math.exp for a scalar solve, np.exp for a batch."""
+def _flow_rhs(w: Potential, damping):
+    """(u, p)' of the flow, and (xi, xi')' of its linearization when damping
+    holds a second entry, on a (state, cell) array: one potential jet a call."""
+    d_u, d_xi, orders = damping[0], damping[-1], (1, 2)[:len(damping)]
+
     def rhs(t, y):
-        e2 = exp(2.0 * t)
-        du, duu = w.jet(y[0], t, (1, 2))
+        e2 = np.exp(2.0 * t)
+        jet = w.jet(y[0], t, orders)
         out = np.empty_like(y)
-        out[0], out[1] = y[1], -d_u * y[1] - e2 * du
-        out[2], out[3] = y[3], -d_xi * y[3] - e2 * duu * y[2]
+        out[0], out[1] = y[1], -d_u * y[1] - e2 * jet[0]
+        if len(y) == 4:
+            out[2], out[3] = y[3], -d_xi * y[3] - e2 * jet[1] * y[2]
         return out
     return rhs
 
 
-def integrate_legs(w: Potential, t0: float, y0, t_end: float,
-                   cfg: IntegratorConfig, damping) -> LegSolution:
-    """One three-leg run from y0 at t0 to t_end, in either direction.
-
-    y0 is the flow state (u, p), with damping = (d,), or the joint state
-    (u, p, xi, xi'), with damping = (d, d_xi). A flow run records where it
-    enters and leaves the support box; a joint run records the zeros of xi.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    joint = len(y0) == 4
-    direction = 1.0 if t_end >= t0 else -1.0
-    lo, hi = min(t0, t_end), max(t0, t_end)
-    a = min(max(w.t_lower, lo), hi)
-    b = min(max(w.t_upper, lo), hi)
-    t_in, t_out = (a, b) if direction > 0 else (b, a)
-    y_in = _free(y0, t_in - t0, damping)
-    d_u = damping[0]
-
-    if joint:
-        d_xi = damping[1]
-        rhs = _joint_rhs(w, d_u, d_xi, math.exp)
-
-        def event(t, y):
-            return y[2]
-    else:
-        def rhs(t, y):
-            return (y[1], -d_u * y[1] - math.exp(2.0 * t) * float(w.dw_du(y[0], t)))
-
-        def event(t, y):
-            return abs(y[0]) - w.u_bound
-
-    strip, ts, y_out, hits = None, np.array([t_in]), y_in, ()
-    if t_in != t_out:
-        res = solve_ivp(rhs, (t_in, t_out), y_in, method="DOP853",
-                        dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                        max_step=min(cfg.max_step,
-                                     (w.t_upper - w.t_lower) / _STRIP_STEPS),
-                        events=event)
-        if not res.success:
-            last = PhaseState(u=float(res.y[0, -1]), p=float(res.y[1, -1]),
-                              t=float(res.t[-1]))
-            raise IntegrationFailureError("integration failed: %s" % res.message,
-                                          last_state=last)
-        strip, ts, y_out = res.sol, res.t, res.y[:, -1]
-        hits = zip(res.t_events[0], res.y_events[0])
-    sol = LegSolution(t0=t0, y0=y0, direction=direction, t_in=t_in, t_out=t_out,
-                      y_out=y_out, strip=strip, damping=tuple(damping), ts=ts)
-
-    if joint:
-        sol.zeros = _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi,
-                                 [float(t) for t, _ in hits], cfg.event_tol)
-    else:
-        events = [SupportEvent(t=float(t), kind="enter" if y[0] * y[1] < 0 else "exit")
-                  for t, y in hits]
-        for t_b, kind in ((w.t_lower, "enter"), (w.t_upper, "exit")):
-            if lo <= t_b <= hi and abs(float(sol(t_b)[0])) < w.u_bound:
-                events.append(SupportEvent(t=t_b, kind=kind))
-        sol.events = sorted(events, key=lambda ev: ev.t)
-    return sol
-
-
 @dataclass
 class LegBatch:
-    """Per cell of a batch run: the zeros (of xi as in `LegSolution.zeros`,
-    from `integrate_legs_batch`), the failure or None, and the work done."""
+    """Per cell of a batch run: the zeros of xi (or a flow's support events),
+    the failure or None and the work done; for a sampled run also the
+    LegSolution and the states at the sample times (None if it failed)."""
 
     zeros: list
     failures: list
     stages: np.ndarray      # right-hand-side evaluations
     accepted: np.ndarray    # steps (of the strip leg)
     rejected: np.ndarray
-    samples: list = field(default_factory=list)  # (4, k) states at the sample times
+    runs: list = field(default_factory=list)
+    samples: list = field(default_factory=list)  # (state, k) at the sample times
+
+    def raise_failure(self):
+        """Raise the first failed cell's error, if any cell failed."""
+        for exc in filter(None, self.failures):
+            raise exc
 
 
 def _stage_sum(coef, K, h):
@@ -277,35 +247,36 @@ def _horner(F, x):
     return v
 
 
-def _dense_zero(F, y_old, t_old, t_new):
-    """brentq at scipy's event tolerances on one row of a step's dense output."""
-    return brentq(lambda t: _horner(F, (t - t_old) / (t_new - t_old)) + y_old,
-                  t_old, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+def _dense_zero(watch, F, y_old, t_old, t_new):
+    """brentq at scipy's event tolerances on the watched value of one step's
+    dense output (rows F (7, state)), on floats: the root and the state there."""
+    rows, t_old, h = list(zip(F.T.tolist(), y_old.tolist())), float(t_old), float(t_new - t_old)
+
+    def state(t):
+        return [_horner(f, (t - t_old) / h) + y for f, y in rows]
+    root = brentq(lambda t: watch(state(t)), t_old, float(t_new), xtol=4 * _EPS, rtol=4 * _EPS)
+    return root, state(root)
 
 
 def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
-                  ts, owner, watch: Optional[int] = None):
-    """scipy's DOP853 run per cell of the (state, cell) array y, from t to
-    t_stop (one each per cell): its tables, error norm, controller, initial
-    step and step bound, with vectorized rhs(t, y) called once per stage on
-    the active cells. Only steps on which row `watch` changes sign (brentq
-    finds the zero) or that hold sample times ts (of cells owner) get the
-    dense-output stages; a sample is read from the step OdeSolution reads it
-    from. A step below scipy's minimum, or a non-finite error norm, fails
-    that cell alone. Returns a LegBatch (work, watched zeros, failure
-    messages), the final times and states, and the sampled states."""
+                  watch=None, dense: bool = False):
+    """scipy's DOP853 run per cell of the (state, cell) array y, forward from
+    t to t_stop (one each per cell): its tables, error norm, controller,
+    initial step and step bound, with vectorized rhs(t, y) called once per
+    stage on the active cells. A step on which watch(y) changes sign gets the
+    dense-output stages and brentq finds the zero; with dense, every accepted
+    step gets them and keeps its rows. A step below scipy's minimum, or a
+    non-finite error norm, fails that cell alone. Returns a LegBatch (work,
+    watched zeros and the states there, failure messages), the final times
+    and states, and each cell's StepRows (None unless dense)."""
     t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
     RK, atol, rms = DOP853, cfg.abs_tol, math.sqrt(len(y))
     rtol = max(cfg.rel_tol, 100 * _EPS)     # scipy's floor on rtol
     power = -1 / (RK.error_estimator_order + 1)
     res = LegBatch([[] for _ in range(m)], np.array([None] * m), *np.zeros((3, m), dtype=int))
     active, retry = t < t_stop, np.zeros(m, dtype=bool)
-    # samples by cell, then time, keyed exactly by (cell, rank of time); unread: nxt to stop
-    order, grid = np.lexsort((ts, owner)), np.sort(ts, kind="stable")
-    key = owner[order] * (grid.size + 1) + np.searchsorted(grid, ts[order])
-    edges = np.searchsorted(key, np.arange(m + 1) * (grid.size + 1))
-    nxt, stop = edges[:-1].copy(), edges[1:]
-    out = np.full((len(y), ts.size), np.nan)
+    kept = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((len(y), 0)),
+             np.zeros((3 + len(_D), len(y), 0)))]   # the dense rows of accepted steps
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i = np.flatnonzero(active)   # scipy's initial step, per cell
@@ -359,79 +330,94 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
             res.accepted[cells] += 1
             t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[_NS][:, k]
             active[cells] = t_new[k] < t_stop[cells]
-            g, g_new = ((yi[watch, k], y_new[watch, k]) if watch is not None
+            g, g_new = ((watch(yi[:, k]), watch(y_new[:, k])) if watch is not None
                         else [np.ones(k.size)] * 2)
             sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
-            # the samples due: up to t_new, and all that are left on a last step
-            upto = np.where(active[cells], np.searchsorted(key, cells * (grid.size + 1)
-                            + np.searchsorted(grid, t_new[k], "right")), stop[cells])
-            lo, nxt[cells] = nxt[cells], upto
-            sel = sign | (upto > lo)
-            s, sign, lo, count = k[sel], sign[sel], lo[sel], (upto - lo)[sel]
+            sel = sign | dense
+            s, sign = k[sel], sign[sel]
             if s.size:   # the three dense-output stages
                 K = K[:, :, s]
                 for st, (a, frac) in enumerate(zip(_A_EXTRA, RK.C_EXTRA), _NS + 1):
                     K[st] = rhs(ti[s] + frac * h[s], yi[:, s] + _stage_sum(a, K, h[s]))
                 res.stages[i[s]] += len(RK.C_EXTRA)
                 dy = y_new[:, s] - yi[:, s]
-                F = [dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[_NS] + K[0])]
-                F += [_stage_sum(d, K, h[s]) for d in _D]
+                F = np.array([dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[_NS] + K[0])]
+                             + [_stage_sum(d, K, h[s]) for d in _D])
                 for j, q in zip(np.flatnonzero(sign), s[sign]):
-                    res.zeros[i[q]].append(_dense_zero([float(x[watch, j]) for x in F],
-                                                       yi[watch, q], ti[q], t_new[q]))
-                # every (step, sample) pair gathered, in one Horner call
-                j = np.repeat(np.arange(s.size), count)
-                at = np.arange(j.size) + np.repeat(lo - np.cumsum(count) + count, count)
-                q, at = s[j], order[at]
-                out[:, at] = _horner([row[:, j] for row in F], (ts[at] - ti[q]) / h[q]) + yi[:, q]
-    return res, t, y, out
+                    res.zeros[i[q]] += [_dense_zero(watch, F[..., j], yi[:, q], ti[q], t_new[q])]
+                if dense:
+                    kept.append((i[s], ti[s], h[s], yi[:, s], F))
+    if not dense:
+        return res, t, y, None
+    cell, *cols = (np.concatenate(x, axis=-1) for x in zip(*kept))
+    order = np.argsort(cell, kind="stable")   # each cell's steps, in time order
+    ends = np.searchsorted(cell[order], np.arange(m + 1))
+    steps = (order[a:b] for a, b in zip(ends, ends[1:]))
+    return res, t, y, [StepRows(*(x[..., j] for x in cols)) for j in steps]
 
 
-def integrate_legs_batch(w: Potential, t0, y0, t_end, cfg: IntegratorConfig,
-                         damping, samples=None) -> LegBatch:
-    """Joint three-leg runs of many cells at once, forward from t0 to t_end
-    (each one time or one per cell) from the (u, p, xi, xi') columns of y0:
-    each cell's strip leg as `integrate_legs` runs it, stepped by
-    `_dop853_batch` watching xi. The samples (one array of times per cell)
-    are read on the legs and steps `LegSolution` reads them from."""
+def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
+                   samples=None) -> LegBatch:
+    """Three-leg runs from the columns of y0 at t0 to t_end (each one time or
+    one per cell), all in one direction: flow states (u, p) with damping (d,)
+    record where they enter and leave the support box, joint states
+    (u, p, xi, xi') with damping (d, d_xi) the zeros of xi. A backward batch
+    steps forward in s = -t on -f(-s, y), which negates every time and stage
+    exactly. With samples (times per cell), every step keeps its dense rows,
+    and each cell gets its LegSolution and its states at those times."""
     y0 = np.asarray(y0, dtype=float)
     m = y0.shape[1]
     t0, t_end = (np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in (t0, t_end))
-    if np.any(t0 > t_end):
-        raise InvalidParameterError("batched runs go forward: need t0 <= t_end")
-    t_in = np.minimum(np.maximum(w.t_lower, t0), t_end)
-    t_out = np.minimum(np.maximum(w.t_upper, t0), t_end)
-    d_xi = damping[1]
-    rhs = _joint_rhs(w, damping[0], d_xi, np.exp)
-    ts = [np.ravel(np.asarray(x, dtype=float)) for x in samples or [()] * m]
-    sizes = np.array([x.size for x in ts], dtype=int)
-    owner, ts = np.repeat(np.arange(m), sizes), np.concatenate(ts + [np.zeros(0)])
-    before, strip = ts <= t_in[owner], (ts > t_in[owner]) & (ts < t_out[owner])
-    res, t, y, out = _dop853_batch(rhs, t_in, t_out, _free(y0, t_in - t0, damping), cfg,
-                                   min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
-                                   ts[strip], owner[strip], watch=2)
+    if np.any(t_end > t0) and np.any(t_end < t0):
+        raise InvalidParameterError("the runs of one batch go in one direction")
+    d = -1.0 if np.any(t_end < t0) else 1.0
+    lo, hi = np.minimum(t0, t_end), np.maximum(t0, t_end)
+    a, b = (np.minimum(np.maximum(x, lo), hi) for x in (w.t_lower, w.t_upper))
+    t_in, t_out = (a, b) if d > 0 else (b, a)
+    y_in = _free(y0, t_in - t0, damping)
+    joint, rhs = len(damping) == 2, _flow_rhs(w, damping)
+    res, s, y, rows = _dop853_batch(
+        rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in, cfg,
+        min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
+        (lambda y: y[2]) if joint else (lambda y: abs(y[0]) - w.u_bound),
+        dense=samples is not None)
+    t = d * s
     res.failures = [msg and IntegrationFailureError(
         "integration failed: " + msg,
         last_state=PhaseState(u=float(y[0, c]), p=float(y[1, c]), t=float(t[c])))
         for c, msg in enumerate(res.failures)]
-    states = np.full((len(y), ts.size), np.nan)
-    states[:, strip] = out
-    after = ~before & (ts >= t_out[owner]) & (t[owner] == t_out[owner])  # not failed
-    for leg, y_a, t_a in ((before, y0, t0), (after, y, t_out)):
-        states[:, leg] = _free(y_a[:, owner[leg]], ts[leg] - t_a[owner[leg]], damping)
-    start = np.cumsum(sizes) - sizes
-    res.samples = [states[:, a:b] for a, b in zip(start, start + sizes)]
-    res.zeros = [[] if res.failures[c] else
-                 _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end[c],
-                              d_xi, res.zeros[c], cfg.event_tol) for c in range(m)]
+    for c in range(m):
+        hits = [(float(d * z), yz) for z, yz in res.zeros[c]]
+        if res.failures[c]:
+            res.zeros[c] = []
+        elif joint:
+            res.zeros[c] = _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end[c],
+                                        damping[1], [z for z, _ in hits], cfg.event_tol)
+        else:   # strip crossings of |u| = u_bound, and the strip's edges inside the box
+            events = [SupportEvent(t=z, kind="enter" if yz[0] * yz[1] < 0 else "exit")
+                      for z, yz in hits]
+            edge = {t_in[c]: y_in[:, c], t_out[c]: y[:, c]}
+            for t_b, kind in ((w.t_lower, "enter"), (w.t_upper, "exit")):
+                if lo[c] <= t_b <= hi[c] and abs(edge[t_b][0]) < w.u_bound:
+                    events.append(SupportEvent(t=t_b, kind=kind))
+            res.zeros[c] = sorted(events, key=lambda ev: ev.t)
+    if samples is not None:
+        res.runs = [None if res.failures[c] else LegSolution(
+            t0=t0[c], y0=y0[:, c], direction=d, t_in=t_in[c], t_out=t_out[c],
+            y_out=y[:, c], strip=rows[c], damping=tuple(damping),
+            ts=d * np.append(rows[c].s_old, s[c]), stages=int(res.stages[c]),
+            accepted=int(res.accepted[c]), rejected=int(res.rejected[c]),
+            zeros=res.zeros[c] if joint else [], events=[] if joint else res.zeros[c])
+            for c in range(m)]
+        res.samples = [run and run(np.ravel(x)) for run, x in zip(res.runs, samples)]
     return res
 
 
-def stepper_work(batches) -> dict:
-    """The stepper work of some LegBatch runs, summed."""
-    return {"stage_evaluations": int(sum(b.stages.sum() for b in batches)),
-            "accepted_steps": int(sum(b.accepted.sum() for b in batches)),
-            "rejected_steps": int(sum(b.rejected.sum() for b in batches))}
+def stepper_work(runs) -> dict:
+    """The stepper work of some LegBatch or LegSolution runs, summed."""
+    return {"stage_evaluations": int(sum(np.sum(r.stages) for r in runs)),
+            "accepted_steps": int(sum(np.sum(r.accepted) for r in runs)),
+            "rejected_steps": int(sum(np.sum(r.rejected) for r in runs))}
 
 
 def _sample_grid(t_lo, t_hi):
@@ -475,21 +461,31 @@ class Trajectory:
         return None
 
 
-def _trajectory(w: Potential, n: int, t0: float, u0: float, p0: float,
-                cfg: IntegratorConfig, t_end: float) -> Trajectory:
+def _trajectories(w: Potential, n: int, t0: float, y0, cfg: IntegratorConfig) -> list:
+    """The flows from the (u, p) columns of y0 at t0 to the end of cfg's
+    t_range (default: 20 past the strip), all in one batch and sampled on the
+    export grid: per column its Trajectory, or its IntegrationFailureError."""
+    t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
     damping = float(n - 2)
-    sol = integrate_legs(w, t0, (u0, p0), t_end, cfg, (damping,))
     ts = _sample_grid(min(t0, t_end), max(t0, t_end))
-    ys = sol(ts)
-    return Trajectory(n=n, w=w, damping=damping, sol=sol, t=ts,
-                      u=ys[0], p=ys[1], events=sol.events, cfg=cfg)
+    run = integrate_legs(w, t0, y0, t_end, cfg, (damping,), [ts] * np.shape(y0)[1])
+    return [exc or Trajectory(n=n, w=w, damping=damping, sol=sol, t=ts, u=ys[0], p=ys[1],
+                              events=sol.events, cfg=cfg)
+            for exc, sol, ys in zip(run.failures, run.runs, run.samples)]
+
+
+def _trajectory(w: Potential, n: int, t0: float, u0: float, p0: float,
+                cfg: IntegratorConfig) -> Trajectory:
+    traj, = _trajectories(w, n, t0, [[u0], [p0]], cfg)
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
 
 
 def integrate_hamiltonian(w: Potential, s0: PhaseState,
                           cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Flow of u' = p, p' = -e^{2t} W'_u from the given state (n = 2)."""
-    t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
-    return _trajectory(w, 2, s0.t, s0.u, s0.p, cfg, t_end)
+    return _trajectory(w, 2, s0.t, s0.u, s0.p, cfg)
 
 
 def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
@@ -504,11 +500,7 @@ def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
         raise InvalidParameterError("r0 must be positive")
     if n < 2:
         raise InvalidParameterError("dimension must be >= 2")
-    w = pot if w is None else w
-    t0 = math.log(r0)
-    p0 = r0 * du0
-    t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
-    return _trajectory(w, n, t0, u0, p0, cfg, t_end)
+    return _trajectory(pot if w is None else w, n, math.log(r0), u0, r0 * du0, cfg)
 
 
 def hamiltonian_value(w: Potential, s: PhaseState) -> float:
@@ -550,6 +542,8 @@ def flow_volume_check(w: Potential, s0: PhaseState,
     The flow preserves the Liouville measure dp du, so the exact value is 1.
     """
     t0, t_end = cfg.t_range if cfg.t_range else (s0.t, w.t_upper + 10.0)
-    a, b = (integrate_legs(w, t0, (s0.u, s0.p) + xi, t_end, cfg, (0.0, 0.0))(t_end)
-            for xi in ((1.0, 0.0), (0.0, 1.0)))
+    run = integrate_legs(w, t0, [[s0.u] * 2, [s0.p] * 2, [1.0, 0.0], [0.0, 1.0]], t_end,
+                         cfg, (0.0, 0.0), [[t_end]] * 2)
+    run.raise_failure()
+    a, b = (y[:, 0] for y in run.samples)
     return float(a[2] * b[3] - b[2] * a[3])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
 from .odeflow import (IntegratorConfig, LegBatch, PhaseState, _sample_grid,
-                      integrate_legs_batch, stepper_work)
+                      integrate_legs, stepper_work)
 from .potential import Potential
 from .quadrature import quad_2d
 
@@ -56,7 +56,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
     xi(t_start) = 0, xi'(t_start) = 1; record the first later vanishing.
     t_start additionally slides over a coarse grid of n_slide positions.
 
-    The cells of one t_start step together in `integrate_legs_batch`, and
+    The cells of one t_start step together in `integrate_legs`, and
     map_fn maps over the slides; a cell's result depends on neither."""
     u0_grid = [float(x) for x in u0_grid]
     p0_grid = [float(x) for x in p0_grid]
@@ -76,7 +76,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
 
     def run(ts):
         try:
-            return integrate_legs_batch(w, ts, y0, t_end, cfg, (0.0, 0.0))
+            return integrate_legs(w, ts, y0, t_end, cfg, (0.0, 0.0))
         except MinfolError as exc:  # the slide's cells fail, the scan continues
             n = len(cells)
             return LegBatch([[]] * n, [exc] * n, *np.zeros((3, n), dtype=int))
@@ -104,7 +104,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
 
 def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorConfig(),
                     t_end: Optional[float] = None) -> tuple[list[float], dict]:
-    """Re-verify every finding's Jacobi zero in one `integrate_legs_batch`
+    """Re-verify every finding's Jacobi zero in one `integrate_legs`
     run, on another step sequence than the scan's: from (u0, p0, 0, 1) at
     t1 = t_start to min(t2 + 0.5, t_end), at halved tolerances, the strip
     step bounded by a 64th of the strip width instead of an eighth. Returns
@@ -113,11 +113,10 @@ def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorCo
     t_hi = [min(f.t2 + 0.5, w.t_upper + 10.0 if t_end is None else t_end) for f in findings]
     run_cfg = replace(cfg.halved(), max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
     y0 = np.reshape([(f.u0, f.p0, 0.0, 1.0) for f in findings], (-1, 4)).T
-    run = integrate_legs_batch(w, [f.t1 for f in findings], y0, t_hi, run_cfg, (0.0, 0.0),
-                               [np.append(_sample_grid(f.t1, hi), f.t2)
-                                for f, hi in zip(findings, t_hi)])
-    for exc in filter(None, run.failures):
-        raise exc
+    run = integrate_legs(w, [f.t1 for f in findings], y0, t_hi, run_cfg, (0.0, 0.0),
+                         [np.append(_sample_grid(f.t1, hi), f.t2)
+                          for f, hi in zip(findings, t_hi)])
+    run.raise_failure()
     return [abs(float(y[2, -1])) / (float(np.max(np.abs(y[2, :-1]))) or 1.0)
             for y in run.samples], stepper_work([run])
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestConfig:
     def test_scan_requires_n2(self):
         with pytest.raises(ConfigError):
             validate_config({"command": "scan-conjugate", "n": 3})
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999", "-1e999",
+                                         "1" + "0" * 400],
+                             ids=["Infinity", "-Infinity", "NaN", "1e999", "-1e999", "1e400-int"])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        path = tmp_path / "bad.json"
+        path.write_text('{"command": "scan-conjugate", "n": 2, "scan": {"t_end": %s}}'
+                        % literal)
+        with pytest.raises(ConfigError, match=literal.lstrip("-")):
+            load_config(str(path))
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -246,6 +257,41 @@ class TestMainExitCodes:
         path = _write(tmp_path, {"command": "certify", "n": 2})
         assert main(["--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_infinite_t_end_is_2_without_artifacts(self, tmp_path, capsys):
+        # json.load reads Infinity; the scan would run and fail on writing
+        data = json.load(open(os.path.join(CONFIGS, "scan-conjugate.json")))
+        data["scan"]["t_end"] = math.inf
+        out = tmp_path / "out"
+        assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "report.json").exists()
+        assert not (out / "findings.csv").exists()
+
+
+def test_shipped_configs_make_no_solve_ivp_call(tmp_path, monkeypatch):
+    # every command steps on minfol's own batched DOP853
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr("scipy.integrate.solve_ivp", forbidden)
+    names = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
+    assert len(names) == 7
+    reports = {}
+    for name in names:
+        code, reports[name] = run_command(load_config(os.path.join(CONFIGS, name + ".json")),
+                                          str(tmp_path / name))
+        assert code == 0, name
+    scan = reports["scan-conjugate"]["results"]
+    assert scan["num_findings"] == 87
+    assert max(f["verification_residual"] for f in scan["findings"]) < 1e-6
+    example = reports["example446"]["results"]
+    assert example["variant"] == "chain-rule" and example["crossings"] == 0
+    for name in ("solve", "foliate"):
+        work = reports[name]["results"]["diagnostics"]
+        assert work["stage_evaluations"] > 12 * work["accepted_steps"] > 0
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "minfol"]
+    assert len(modules) > 10 and not any(hasattr(m, "solve_ivp") for m in modules)
+
 
 class TestExample446:
     @pytest.mark.parametrize("params", [{"u0_grid": []}, {"fd_step": 0},
@@ -257,17 +303,6 @@ class TestExample446:
         assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(out / "report.json")
-
-    def test_shipped_run_makes_no_solve_ivp_call(self, tmp_path, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
-
-        monkeypatch.setattr("minfol.odeflow.solve_ivp", forbidden)
-        out = str(tmp_path / "out")
-        assert main(["--config", EXAMPLE446, "--out", out]) == 0
-        results = _validate_report(out)["results"]
-        assert results["variant"] == "chain-rule" and results["crossings"] == 0
-
 
 def _nan_curvature(w, u_max=0.3):
     """w with W''_uu = NaN for u > u_max: a cell that gets there fails."""
@@ -295,7 +330,7 @@ class TestScanFailures:
         def fail(*args, **kwargs):
             raise IntegrationFailureError("injected")
 
-        monkeypatch.setattr("minfol.rigidity.integrate_legs_batch", fail)
+        monkeypatch.setattr("minfol.rigidity.integrate_legs", fail)
         out = tmp_path / "out"
         assert main(["--config", _write(tmp_path, self.CONFIG),
                      "--out", str(out)]) == 2
@@ -308,7 +343,7 @@ class TestScanFailures:
         def fail(*args, **kwargs):
             raise ZeroDivisionError("injected")
 
-        monkeypatch.setattr("minfol.rigidity.integrate_legs_batch", fail)
+        monkeypatch.setattr("minfol.rigidity.integrate_legs", fail)
         with pytest.raises(ZeroDivisionError):
             conjugate_point_scan(flat_log, [0.0, 0.1], [0.0], -1.0, 2.0)
 
@@ -340,15 +375,3 @@ class TestScanFailures:
         out = tmp_path / "out"
         assert main(["--config", self.SHIPPED, "--out", str(out)]) == 2
         assert os.listdir(out) == []
-
-    def test_shipped_scan_makes_no_solve_ivp_call(self, tmp_path, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
-
-        monkeypatch.setattr("minfol.odeflow.solve_ivp", forbidden)
-        out = str(tmp_path / "out")
-        assert main(["--config", self.SHIPPED, "--out", out]) == 0
-        report = _validate_report(out)
-        assert report["results"]["num_findings"] == 87
-        assert max(f["verification_residual"]
-                   for f in report["results"]["findings"]) < 1e-6

@@ -37,9 +37,21 @@ class TestOuterFamily:
     def test_grid_shape(self, family):
         assert family.u_matrix.shape == (len(family.r_grid), len(ALPHAS))
 
+    def test_backward_leaf_alone_equals_the_batch(self, certified_pot, family):
+        # the leaves step inward together; a leaf's bits do not depend on the others
+        for j in (0, 2, 4):
+            alone = build_NA_family(certified_pot, 3, 0.1, [ALPHAS[j]])
+            a, b = alone.trajectories[0], family.trajectories[j]
+            assert a.sol.direction == b.sol.direction == -1.0
+            assert np.array_equal(alone.u_matrix[:, 0], family.u_matrix[:, j])
+            assert np.array_equal(a.sol.ts, b.sol.ts)
+            assert np.array_equal(a.u, b.u) and np.array_equal(a.p, b.p)
+
     def test_rejects_unsorted_alphas(self, certified_pot):
         with pytest.raises(InvalidParameterError):
             build_NA_family(certified_pot, 3, 0.0, [0.2, 0.1])
+        with pytest.raises(InvalidParameterError):
+            build_NA_family(certified_pot, 3, 0.0, [])
 
     def test_rejects_n2(self, certified_pot):
         with pytest.raises(InvalidParameterError):

@@ -1,14 +1,18 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from minfol.errors import InvalidParameterError
+from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import (IntegratorConfig, PhaseState,
                             asymptotic_match_outer, flow_volume_check,
                             hamiltonian_value, integrate_hamiltonian,
-                            integrate_legs, integrate_legs_batch,
-                            integrate_radial_ivp)
+                            integrate_legs, integrate_radial_ivp)
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
@@ -192,49 +196,141 @@ def test_strip_leg_is_step_bounded_and_dense_on_arrays(strong_log):
 
 
 @pytest.mark.parametrize("damping", [(0.0, 0.0), (1.0, 1.0)])
-def test_batch_takes_scipys_steps(strong_log, damping):
+def test_batch_takes_scipys_steps(strong_log, damping, scipy_legs):
     # each cell: the same accepted strip steps and zeros as its own solve_ivp
     w = strong_log
     t0 = np.array([-2.0, -1.0, 0.5, 0.3, w.t_upper + 1.0])
     y0 = np.array([[0.25, -0.25, 0.4, 0.0, 0.1], [0.25, 0.5, -0.1, 0.0, 0.2],
                    [0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.5, 1.0, 1.0]])
     t_end = w.t_upper + 10.0
-    batch = integrate_legs_batch(w, t0, y0, t_end, IntegratorConfig(), damping)
+    batch = integrate_legs(w, t0, y0, t_end, IntegratorConfig(), damping)
     assert batch.failures == [None] * 5
     for c in range(5):
-        run = integrate_legs(w, t0[c], y0[:, c], t_end, IntegratorConfig(),
-                             damping)
-        strip = run.strip is not None
-        assert batch.accepted[c] == (len(run.ts) - 1 if strip else 0)
-        assert len(batch.zeros[c]) == len(run.zeros)
-        assert np.allclose(batch.zeros[c], run.zeros, rtol=0.0, atol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        integrate_legs_batch(w, t_end + 1.0, y0, t_end, IntegratorConfig(),
-                             damping)
+        ref = scipy_legs(w, t0[c], y0[:, c], t_end, IntegratorConfig(), damping)
+        assert batch.accepted[c] == len(ref.ts) - 1
+        assert len(batch.zeros[c]) == len(ref.zeros)
+        assert np.allclose(batch.zeros[c], ref.zeros, rtol=0.0, atol=1e-12)
+    with pytest.raises(InvalidParameterError, match="one direction"):
+        integrate_legs(w, [-2.0, t_end + 1.0], y0[:, :2], t_end, IntegratorConfig(),
+                       damping)
 
 
 @pytest.mark.parametrize("damping", [(0.0, 0.0), (1.0, 1.0)])
-def test_batch_samples_match_the_dense_runs(strong_log, damping):
+def test_batch_samples_match_the_dense_runs(strong_log, damping, scipy_legs):
     # per-cell end times, before, inside and after the strip, on step times,
-    # in any order: the states LegSolution gives at the same times
+    # in any order: the states scipy's dense output gives at the same times
     w = strong_log
     t0 = np.array([-2.0, -1.0, 0.5, w.t_upper + 1.0, -2.0])
     t_end = np.array([w.t_upper + 3.0, 0.7, w.t_upper + 0.5, w.t_upper + 4.0, -1.0])
     y0 = np.array([[0.25, -0.25, 0.4, 0.1, 0.3], [0.25, 0.5, -0.1, 0.2, 0.1],
                    [0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.5, 1.0, 1.0]])
     cfg = IntegratorConfig()
-    runs = [integrate_legs(w, t0[c], y0[:, c], t_end[c], cfg, damping)
-            for c in range(5)]
-    samples = [np.concatenate((np.linspace(t_end[c], t0[c], 37), run.ts[::3]))
-               for c, run in enumerate(runs)]
-    batch = integrate_legs_batch(w, t0, y0, t_end, cfg, damping, samples=samples)
-    for c, run in enumerate(runs):
+    refs = [scipy_legs(w, t0[c], y0[:, c], t_end[c], cfg, damping) for c in range(5)]
+    samples = [np.concatenate((np.linspace(t_end[c], t0[c], 37), ref.ts[::3]))
+               for c, ref in enumerate(refs)]
+    batch = integrate_legs(w, t0, y0, t_end, cfg, damping, samples=samples)
+    for c, ref in enumerate(refs):
         assert batch.samples[c].shape == (4, len(samples[c]))
-        assert np.allclose(batch.samples[c], run(samples[c]), rtol=1e-12, atol=1e-12)
-        assert len(batch.zeros[c]) == len(run.zeros)
-        alone = integrate_legs_batch(w, t0[c], y0[:, c:c + 1], t_end[c], cfg,
-                                     damping, samples=samples[c:c + 1])
+        assert np.allclose(batch.samples[c], ref(samples[c]), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(batch.runs[c](samples[c]), batch.samples[c])
+        assert len(batch.zeros[c]) == len(ref.zeros)
+        alone = integrate_legs(w, t0[c], y0[:, c:c + 1], t_end[c], cfg,
+                               damping, samples=samples[c:c + 1])
         assert np.array_equal(alone.samples[0], batch.samples[c])
+
+
+def _single_runs(w, n, t0, u0, p0, t_end):
+    """A flow run from (u0, p0) at t0 to t_end and the joint runs of its
+    Jacobi fields (0, 1) forward from t0 and (1, 0) backward from t_end:
+    each LegSolution with its start time, start state, end time and damping."""
+    cfg = IntegratorConfig(t_range=(t0, t_end))
+    traj = integrate_radial_ivp(w, n, math.exp(t0), u0, p0 / math.exp(t0), cfg)
+    runs = [(traj.sol, t0, (u0, p0), t_end, (n - 2.0,))]
+    for xi, a, b in (((0.0, 1.0), t0, t_end), ((1.0, 0.0), t_end, t0)):
+        fld = integrate_jacobi(traj, *xi, mode="radial-form", cfg=cfg, t_init=a, t_end=b)
+        u, p = traj.state(a)
+        runs.append((fld.sol, a, (float(u), float(p)) + xi, b, (n - 2.0, n - 2.0)))
+    return cfg, runs
+
+
+def _assert_run_is_the_oracles(w, sol, t0, y0, t_end, cfg, damping, ref_cls):
+    ref = ref_cls(w, t0, y0, t_end, cfg, damping)
+    assert sol.accepted == len(sol.ts) - 1 == len(ref.ts) - 1
+    # the same steps; the controller magnifies last-bit differences of the
+    # error estimate (stage sums in stage order against scipy's np.dot)
+    assert np.allclose(sol.ts, ref.ts, rtol=0.0, atol=1e-6)
+    assert len(sol.zeros) == len(ref.zeros)
+    assert np.allclose(sol.zeros, ref.zeros, rtol=0.0, atol=1e-12)
+    assert [ev.kind for ev in sol.events] == [ev.kind for ev in ref.events]
+    assert np.allclose([ev.t for ev in sol.events], [ev.t for ev in ref.events],
+                       rtol=0.0, atol=1e-12)
+    # reads exactly on either's step times, between them and off the strip
+    grid = np.concatenate((sol.ts, ref.ts, np.linspace(t0, t_end, 101)))
+    assert np.allclose(sol(grid), ref(grid), rtol=1e-12, atol=1e-12)
+    for t in np.concatenate((sol.ts[::4], ref.ts[::4])):
+        assert np.allclose(sol(float(t)), ref(float(t)), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, u0, p0, forward", [
+    (2, 0.25, 0.25, True), (2, -0.25, 0.5, False), (2, 3.0, -1.0, True),
+    (3, 0.2, -0.1, True), (3, 0.4, 0.3, False)])
+def test_single_runs_take_the_oracles_steps(strong_log, scipy_legs, n, u0, p0, forward):
+    # flow and joint runs, forward and backward, with and without damping
+    w = strong_log
+    t0, t_end = (-2.0, w.t_upper + 3.0)[::1 if forward else -1]
+    cfg, runs = _single_runs(w, n, t0, u0, p0, t_end)
+    assert runs[0][0].direction == (1.0 if forward else -1.0)
+    assert any(run[0].zeros for run in runs[1:]) or n == 3
+    for sol, a, y0, b, damping in runs:
+        _assert_run_is_the_oracles(w, sol, a, y0, b, cfg, damping, scipy_legs)
+
+
+def test_solve_config_takes_the_oracles_steps(scipy_legs):
+    from minfol.config import build_potential, load_config
+
+    cfg = load_config(os.path.join(CONFIGS, "solve.json"))
+    pot, p = build_potential(cfg), cfg.params
+    t0, t_end = math.log(p["r0"]), math.log(p["r_end"])
+    run_cfg = replace(cfg.integrator, t_range=(t0, t_end))
+    traj = integrate_radial_ivp(pot, cfg.n, p["r0"], p["u0"], p["du0"], run_cfg)
+    assert traj.events and traj.sol.direction == -1.0
+    _assert_run_is_the_oracles(pot, traj.sol, t0, (p["u0"], p["r0"] * p["du0"]), t_end,
+                               run_cfg, (cfg.n - 2.0,), scipy_legs)
+
+
+def test_foliate_family_takes_the_oracles_steps(scipy_legs):
+    from minfol.config import build_potential, load_config
+    from minfol.foliation import build_NA_family
+
+    cfg = load_config(os.path.join(CONFIGS, "foliate.json"))
+    pot = build_potential(cfg)
+    alphas = np.linspace(-0.5, 0.5, 9)
+    fam = build_NA_family(pot, cfg.n, 0.0, alphas, cfg=cfg.integrator,
+                          r_min=cfg.params["r_min"])
+    r0 = 2.0 * pot.r_outer
+    t0, t_end = math.log(r0), math.log(cfg.params["r_min"])
+    run_cfg = replace(cfg.integrator, t_range=(t0, t_end))
+    for alpha, traj in zip(alphas, fam.trajectories):
+        y0 = (alpha / r0, r0 * (-alpha / r0 ** 2))
+        _assert_run_is_the_oracles(pot, traj.sol, t0, y0, t_end, run_cfg, (1.0,), scipy_legs)
+
+
+@pytest.mark.parametrize("t_end", [1e12, math.inf])
+def test_infinite_span_keeps_the_zeros_after_the_strip(weak_log, t_end):
+    # the principal solution (1, 0) from entry states at t_lower: every zero
+    # of this grid lies after the strip, up to t ~ 1e10
+    w = weak_log
+    us, ps = np.meshgrid(np.linspace(-1.5, 1.5, 9) * w.u_bound, np.linspace(-1.0, 1.0, 9))
+    y0 = np.array([us.ravel(), ps.ravel(), np.ones(81), np.zeros(81)])
+    batch = integrate_legs(w, w.t_lower, y0, t_end, IntegratorConfig(), (0.0, 0.0))
+    finite = integrate_legs(w, w.t_lower, y0, 1e12, IntegratorConfig(), (0.0, 0.0))
+    assert batch.zeros == finite.zeros
+    assert sum(map(bool, batch.zeros)) == 26
+    assert all(w.t_upper < z < 1e12 for zeros in batch.zeros for z in zeros)
+    c = next(c for c, zeros in enumerate(batch.zeros) if zeros)
+    alone = integrate_legs(w, w.t_lower, y0[:, c:c + 1], t_end, IntegratorConfig(),
+                           (0.0, 0.0), samples=[[w.t_upper]])
+    assert alone.zeros[0] == alone.runs[0].zeros == batch.zeros[c]
 
 
 def _combine(K, coef, h):

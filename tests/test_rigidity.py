@@ -13,8 +13,7 @@ from minfol import catalog
 from minfol.errors import IntegrationFailureError, InvalidParameterError
 from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import (IntegratorConfig, PhaseState, _sample_grid,
-                            integrate_hamiltonian, integrate_legs,
-                            integrate_legs_batch)
+                            integrate_hamiltonian, integrate_legs)
 from minfol.potential import make_bump, product_potential, to_log_form
 from minfol.rigidity import (ConjugateFinding, conjugate_point_scan,
                              discriminant_inequality_check, gibbs_density,
@@ -72,15 +71,6 @@ class TestScan:
         for f in rep.findings:
             assert f.t1 < f.t2
             assert verify_finding(strong_log, f) < 1e-6
-
-    def test_scan_makes_no_solve_ivp_call(self, strong_log, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
-
-        monkeypatch.setattr("minfol.odeflow.solve_ivp", forbidden)
-        rep = conjugate_point_scan(strong_log, GRID, GRID, -2.0,
-                                   strong_log.t_upper + 10.0, n_slide=2)
-        assert rep.findings and not rep.failures
 
     def test_flat_has_none(self, flat_log):
         rep = conjugate_point_scan(flat_log, GRID, GRID, -1.0, 5.0)
@@ -168,7 +158,7 @@ class TestChunkIndependence:
         assert pooled.diagnostics == serial.diagnostics
         assert serial.diagnostics["accepted_steps"] > 0
 
-    def test_slides_match_joint_runs(self, strong_log):
+    def test_slides_match_joint_runs(self, strong_log, scipy_legs):
         # slides at -1, 0.1 and 1.2: before, inside and after the strip
         t_end = 3.4
         rep = conjugate_point_scan(strong_log, GRID, GRID, -1.0, t_end,
@@ -180,8 +170,8 @@ class TestChunkIndependence:
         for ts in rep.t_starts:
             for u0 in GRID:
                 for p0 in GRID:
-                    run = integrate_legs(strong_log, ts, (u0, p0, 0.0, 1.0),
-                                         t_end, IntegratorConfig(), (0.0, 0.0))
+                    run = scipy_legs(strong_log, ts, (u0, p0, 0.0, 1.0),
+                                     t_end, IntegratorConfig(), (0.0, 0.0))
                     zeros = [z for z in run.zeros if z > ts + 1e-9]
                     got = found.get((float(u0), float(p0), ts))
                     assert (got is None) == (not zeros)
@@ -191,13 +181,12 @@ class TestChunkIndependence:
 
 class TestVerification:
     @staticmethod
-    def _joint_run(w, f, cfg=IntegratorConfig()):
+    def _joint_run(w, f, scipy_legs, cfg=IntegratorConfig()):
         """The verification as one scipy joint run of the flow and the field."""
         t_hi = min(f.t2 + 0.5, w.t_upper + 10.0)
         run_cfg = replace(cfg.halved(),
                           max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
-        run = integrate_legs(w, f.t1, (f.u0, f.p0, 0.0, 1.0), t_hi, run_cfg,
-                             (0.0, 0.0))
+        run = scipy_legs(w, f.t1, (f.u0, f.p0, 0.0, 1.0), t_hi, run_cfg, (0.0, 0.0))
         scale = float(np.max(np.abs(run(_sample_grid(f.t1, t_hi))[2]))) or 1.0
         return abs(float(run(f.t2)[2])) / scale
 
@@ -225,13 +214,13 @@ class TestVerification:
             u0, p0 = CONFIG_GRID[i], CONFIG_GRID[j]
             f = ConjugateFinding(u0=u0, p0=p0, t_start=-2.0, t1=-2.0,
                                  t2=config_scan[(u0, p0)])
-            assert self._joint_run(strong_log, f) == self._two_solves(strong_log, f)
+            assert verify_finding(strong_log, f) == self._two_solves(strong_log, f)
 
-    def test_batch_matches_the_joint_runs(self, strong_log, config_scan):
+    def test_batch_matches_the_joint_runs(self, strong_log, config_scan, scipy_legs):
         findings = self._findings(config_scan)
         assert len(findings) == 87
         got, work = verify_findings(strong_log, findings)
-        expected = [self._joint_run(strong_log, f) for f in findings]
+        expected = [self._joint_run(strong_log, f, scipy_legs) for f in findings]
         assert np.allclose(got, expected, rtol=0.0, atol=1e-13)
         assert max(got) < 1e-6
         assert 0 < work["accepted_steps"] < work["stage_evaluations"]
@@ -245,12 +234,12 @@ class TestVerification:
     def test_first_failed_finding_is_raised(self, strong_log, config_scan,
                                             monkeypatch):
         def failing(*args, **kwargs):
-            res = integrate_legs_batch(*args, **kwargs)
+            res = integrate_legs(*args, **kwargs)
             res.failures[2] = IntegrationFailureError("third")
             res.failures[4] = IntegrationFailureError("fifth")
             return res
 
-        monkeypatch.setattr("minfol.rigidity.integrate_legs_batch", failing)
+        monkeypatch.setattr("minfol.rigidity.integrate_legs", failing)
         with pytest.raises(IntegrationFailureError, match="third"):
             verify_findings(strong_log, self._findings(config_scan)[:6])
 
