@@ -72,6 +72,15 @@ class TestScan:
             assert f.t1 < f.t2
             assert verify_finding(strong_log, f) < 1e-6
 
+    def test_scan_makes_no_solve_ivp_call(self, strong_log, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr("scipy.integrate.solve_ivp", forbidden)
+        rep = conjugate_point_scan(strong_log, GRID, GRID, -2.0,
+                                   strong_log.t_upper + 10.0, n_slide=2)
+        assert rep.findings and not rep.failures
+
     def test_flat_has_none(self, flat_log):
         rep = conjugate_point_scan(flat_log, GRID, GRID, -1.0, 5.0)
         assert rep.findings == []
