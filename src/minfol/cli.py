@@ -25,9 +25,7 @@ from .odeflow import asymptotic_match_outer, integrate_radial_ivp, stepper_work
 from .potential import make_bump
 from .reporting import (write_family_csv, write_csv, write_findings_csv,
                         write_report, write_trajectory_csv)
-from .rigidity import (conjugate_point_scan, discriminant_inequality_check,
-                       rescaled_inequality_sides, scaling_exponent_fit,
-                       verify_findings)
+from .rigidity import conjugate_point_scan, scaling_exponent_fit, verify_findings
 
 SLOPE_TOL = 0.15
 RESIDUAL_TOL = 1e-7
@@ -144,9 +142,10 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
         raise ConfigError("rigidity-scaling requires a radial potential "
                           "(kind zero or product)")
     p = cfg.params
-    quad_tol = float(p["quad_tol"])
-    fit = scaling_exponent_fit(w, [int(N) for N in p["N_list"]],
-                               quad_tol=quad_tol)
+    t0 = time.perf_counter()
+    fit = scaling_exponent_fit(w, p["N_list"], quad_tol=float(p["quad_tol"]))
+    t1 = time.perf_counter()
+    timing["fit_seconds"] = t1 - t0
     rows = list(zip(fit.N_list, fit.lhs, fit.rhs))
     results = {"N_list": fit.N_list, "lhs": fit.lhs, "rhs": fit.rhs,
                "slope_lhs": fit.slope_lhs, "slope_rhs": fit.slope_rhs,
@@ -155,19 +154,23 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
     if fit.identically_zero:
         write_csv(os.path.join(out_dir, "scaling.csv"),
                   ("N", "lhs", "rhs"), rows)
+        results["diagnostics"] = fit.sides.diagnostics
         return 1, results, "identically-zero"
-    n_lo, n_hi = (int(x) for x in p["convergence_pair"])
-    lo = rescaled_inequality_sides(w, n_lo, quad_tol)
-    hi = rescaled_inequality_sides(w, n_hi, quad_tol)
+    n_lo, n_hi = p["convergence_pair"]
+    lo, hi = fit.sides(n_lo), fit.sides(n_hi)
+    t2 = time.perf_counter()
+    disc = fit.sides.discriminant()
+    timing.update(convergence_seconds=t2 - t1,
+                  discriminant_seconds=time.perf_counter() - t2)
     rows += [(n_lo, lo[0], lo[1]), (n_hi, hi[0], hi[1])]
     write_csv(os.path.join(out_dir, "scaling.csv"), ("N", "lhs", "rhs"), rows)
     conv_lhs = abs(n_hi**3 * hi[0] - n_lo**3 * lo[0]) / abs(n_hi**3 * hi[0])
     conv_rhs = abs(n_hi**5 * hi[1] - n_lo**5 * lo[1]) / abs(n_hi**5 * hi[1])
-    disc = discriminant_inequality_check(w, quad_tol)
     results.update({
         "compensated_convergence": {"lhs_rel_change": conv_lhs,
                                     "rhs_rel_change": conv_rhs},
         "discriminant_N1": {"lhs": disc[0], "rhs": disc[1], "holds": disc[2]},
+        "diagnostics": fit.sides.diagnostics,
     })
     ok = (fit.slope_lhs is not None
           and abs(fit.slope_lhs + 3.0) <= SLOPE_TOL

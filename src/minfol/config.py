@@ -83,6 +83,27 @@ def _bump_spec(section: str, name: str, given: Any) -> dict:
     return {k: float(given[k]) for k in _BUMP_KEYS}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_scaling(params: dict) -> None:
+    N_list, pair, tol = (params[k] for k in ("N_list", "convergence_pair", "quad_tol"))
+    if not (isinstance(N_list, list) and len(N_list) >= 3
+            and all(_is_int(N) and N >= 1 for N in N_list)
+            and all(b > a for a, b in zip(N_list, N_list[1:]))):
+        raise ConfigError("scaling.N_list must hold >= 3 strictly increasing "
+                          "integers >= 1, got %r" % (N_list,))
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+            and 1 <= pair[0] < pair[1]):
+        raise ConfigError("scaling.convergence_pair must be two integers "
+                          "1 <= a < b, got %r" % (pair,))
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            and math.isfinite(tol) and tol > 0):
+        raise ConfigError("scaling.quad_tol must be a finite number > 0, got %r"
+                          % (tol,))
+
+
 def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -143,6 +164,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     if section == "foliate" and params["family"] not in ("N_A", "M_A"):
         raise ConfigError("foliate.family must be N_A or M_A, got %r"
                           % params["family"])
+    if section == "scaling":
+        _check_scaling(params)
 
     echo = {"command": command, "n": n, "seed": seed,
             "potential": pot_spec,

@@ -248,14 +248,14 @@ def _horner(F, x):
 
 
 def _dense_zero(watch, F, y_old, t_old, t_new):
-    """brentq at scipy's event tolerances on the watched value of one step's
-    dense output (rows F (7, state)), on floats: the root and the state there."""
+    """brentq at scipy's event tolerances on the watched row of one step's
+    dense output (rows F (7, state)), on floats, summing only that row: the
+    root and the state there."""
     rows, t_old, h = list(zip(F.T.tolist(), y_old.tolist())), float(t_old), float(t_new - t_old)
-
-    def state(t):
-        return [_horner(f, (t - t_old) / h) + y for f, y in rows]
-    root = brentq(lambda t: watch(state(t)), t_old, float(t_new), xtol=4 * _EPS, rtol=4 * _EPS)
-    return root, state(root)
+    (f, y), g = rows[watch[0]], watch[1]
+    root = brentq(lambda t: g(_horner(f, (t - t_old) / h) + y), t_old, float(t_new),
+                  xtol=4 * _EPS, rtol=4 * _EPS)
+    return root, [_horner(f, (root - t_old) / h) + y for f, y in rows]
 
 
 def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
@@ -263,12 +263,13 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
     """scipy's DOP853 run per cell of the (state, cell) array y, forward from
     t to t_stop (one each per cell): its tables, error norm, controller,
     initial step and step bound, with vectorized rhs(t, y) called once per
-    stage on the active cells. A step on which watch(y) changes sign gets the
-    dense-output stages and brentq finds the zero; with dense, every accepted
-    step gets them and keeps its rows. A step below scipy's minimum, or a
-    non-finite error norm, fails that cell alone. Returns a LegBatch (work,
-    watched zeros and the states there, failure messages), the final times
-    and states, and each cell's StepRows (None unless dense)."""
+    stage on the active cells. With watch = (row, g), a step on which
+    g(y[row]) changes sign gets the dense-output stages and brentq finds the
+    zero; with dense, every accepted step gets them and keeps its rows. A
+    step below scipy's minimum, or a non-finite error norm, fails that cell
+    alone. Returns a LegBatch (work, watched zeros and the states there,
+    failure messages), the final times and states, and each cell's StepRows
+    (None unless dense)."""
     t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
     RK, atol, rms = DOP853, cfg.abs_tol, math.sqrt(len(y))
     rtol = max(cfg.rel_tol, 100 * _EPS)     # scipy's floor on rtol
@@ -330,7 +331,7 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
             res.accepted[cells] += 1
             t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[_NS][:, k]
             active[cells] = t_new[k] < t_stop[cells]
-            g, g_new = ((watch(yi[:, k]), watch(y_new[:, k])) if watch is not None
+            g, g_new = ([watch[1](x[watch[0], k]) for x in (yi, y_new)] if watch is not None
                         else [np.ones(k.size)] * 2)
             sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
             sel = sign | dense
@@ -379,7 +380,7 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
     res, s, y, rows = _dop853_batch(
         rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in, cfg,
         min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
-        (lambda y: y[2]) if joint else (lambda y: abs(y[0]) - w.u_bound),
+        (2, lambda xi: xi) if joint else (0, lambda u: abs(u) - w.u_bound),
         dense=samples is not None)
     t = d * s
     res.failures = [msg and IntegrationFailureError(

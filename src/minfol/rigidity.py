@@ -45,6 +45,7 @@ class ScalingFit:
     slope_lhs: Optional[float]
     slope_rhs: Optional[float]
     crossover_N: Optional[int]
+    sides: RescaledSides = field(repr=False, compare=False)  # every N the fit integrated
     identically_zero: bool = False
 
 
@@ -134,39 +135,72 @@ def gibbs_density(w: Potential, s: PhaseState) -> float:
     return math.exp(-h)
 
 
-def rescaled_inequality_sides(w: Potential, N: int,
-                              quad_tol: float = 1e-12) -> tuple[float, float]:
-    """The two sides of the discriminant inequality for the rescaled family:
+class RescaledSides:
+    """The two sides of the discriminant inequality for the rescaled family
+    W_N(u, t) = W(Nu, t)/N^2 of one potential, for any N >= 1:
 
     LHS_N = 4/N^3 int e^{-W e^{2t}/N^2} (e^{2t} W'_u)^2 dv dt,
     RHS_N = 1/N^5 int e^{-W e^{2t}/N^2} [(e^{2t} W)_t]^2 dv dt,
 
-    both over the support strip (the common sqrt(2 pi) p-factor is omitted)."""
-    if N < 1:
-        raise InvalidParameterError("N must be >= 1")
-    n2 = float(N) ** 2
-    U, t_lo, t_hi = w.u_bound, w.t_lower, w.t_upper
+    both over the support strip (the common sqrt(2 pi) p-factor is omitted).
+    On the tensor rule N enters only through the Gibbs factor, so the N-free
+    arrays -W e^{2t}, e^{2t} W_u and e^{2t} (2W + W_t) are computed once per
+    quadrature order reached and kept while the evaluator lives; each N's
+    sides are integrated once."""
 
-    def sides_f(v, t):
-        e2 = np.exp(2.0 * t)
-        W, W_u, W_t = w.jet(v, t, (0, 1, 3))
-        gibbs = np.exp(-W * e2 / n2)
-        g = e2 * W_u
-        h = e2 * (2.0 * W + W_t)
-        return gibbs * g * g, gibbs * h * h
+    def __init__(self, w: Potential, quad_tol: float = 1e-12):
+        self.w, self.quad_tol = w, quad_tol
+        self._fields = {}   # quadrature order -> (a, g, h)
+        self._sides = {}    # N -> (LHS_N, RHS_N)
 
-    lhs, rhs = quad_2d(sides_f, -U, U, t_lo, t_hi, quad_tol)
-    return max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0)
+    def __call__(self, N: int) -> tuple[float, float]:
+        if N < 1:
+            raise InvalidParameterError("N must be >= 1")
+        if N not in self._sides:
+            n2 = float(N) ** 2
+
+            def sides_f(v, t):   # one order's nodes, as a column v and a row t
+                if len(v) not in self._fields:
+                    e2 = np.exp(2.0 * t)
+                    W, W_u, W_t = self.w.jet(v, t, (0, 1, 3))
+                    self._fields[len(v)] = (-W * e2, e2 * W_u, e2 * (2.0 * W + W_t))
+                a, g, h = self._fields[len(v)]
+                gibbs = np.exp(a / n2)
+                return gibbs * g * g, gibbs * h * h
+
+            w = self.w
+            lhs, rhs = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper,
+                               self.quad_tol)
+            self._sides[N] = (max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0))
+        return self._sides[N]
+
+    def discriminant(self) -> tuple[float, float, bool]:
+        """The N = 1 inequality with the Gaussian p-integral sqrt(2 pi)
+        retained on both sides; holds = True is necessary for all solutions
+        to be conjugate-point free."""
+        lhs1, rhs1 = self(1)
+        s = math.sqrt(2.0 * math.pi)
+        return s * lhs1, s * rhs1, bool(s * lhs1 <= s * rhs1)
+
+    @property
+    def diagnostics(self) -> dict:
+        """Distinct N integrated, integrand passes (one per order reached)
+        and the highest order reached."""
+        return {"quadratures": len(self._sides),
+                "integrand_evaluations": len(self._fields),
+                "highest_order": max(self._fields, default=0)}
+
+
+def rescaled_inequality_sides(w: Potential, N: int,
+                              quad_tol: float = 1e-12) -> tuple[float, float]:
+    """`RescaledSides` of w at one N."""
+    return RescaledSides(w, quad_tol)(N)
 
 
 def discriminant_inequality_check(w: Potential, quad_tol: float = 1e-12
                                   ) -> tuple[float, float, bool]:
-    """The N = 1 inequality with the Gaussian p-integral sqrt(2 pi) retained
-    on both sides; holds = True is necessary for all solutions to be
-    conjugate-point free."""
-    lhs1, rhs1 = rescaled_inequality_sides(w, 1, quad_tol)
-    s = math.sqrt(2.0 * math.pi)
-    return s * lhs1, s * rhs1, bool(s * lhs1 <= s * rhs1)
+    """`RescaledSides.discriminant` of w."""
+    return RescaledSides(w, quad_tol).discriminant()
 
 
 def scaling_exponent_fit(w: Potential, N_list,
@@ -181,12 +215,13 @@ def scaling_exponent_fit(w: Potential, N_list,
     N_list = [int(N) for N in N_list]
     if len(N_list) < 3 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing N values")
-    sides = {N: rescaled_inequality_sides(w, N, quad_tol) for N in N_list}
-    lhs = [sides[N][0] for N in N_list]
-    rhs = [sides[N][1] for N in N_list]
+    sides = RescaledSides(w, quad_tol)
+    lhs = [sides(N)[0] for N in N_list]
+    rhs = [sides(N)[1] for N in N_list]
     if all(l == 0 and r == 0 for l, r in zip(lhs, rhs)):
         return ScalingFit(N_list=N_list, lhs=lhs, rhs=rhs, slope_lhs=None,
-                          slope_rhs=None, crossover_N=None, identically_zero=True)
+                          slope_rhs=None, crossover_N=None, identically_zero=True,
+                          sides=sides)
     if any(l == 0 or r == 0 for l, r in zip(lhs, rhs)):
         raise DegenerateFitError("a side vanished for a nonzero potential")
     logN = np.log(np.asarray(N_list, float))
@@ -194,9 +229,8 @@ def scaling_exponent_fit(w: Potential, N_list,
     slope_rhs = float(np.polyfit(logN, np.log(rhs), 1)[0])
 
     def fails(N):
-        if N not in sides:
-            sides[N] = rescaled_inequality_sides(w, N, quad_tol)
-        return sides[N][0] > sides[N][1]
+        lhs_N, rhs_N = sides(N)
+        return lhs_N > rhs_N
 
     crossover = next((N for N in N_list if fails(N)), None)
     if crossover is not None:
@@ -212,4 +246,4 @@ def scaling_exponent_fit(w: Potential, N_list,
                 holds, N = (holds, mid) if fails(mid) else (mid, N)
             crossover = N
     return ScalingFit(N_list=N_list, lhs=lhs, rhs=rhs, slope_lhs=slope_lhs,
-                      slope_rhs=slope_rhs, crossover_N=crossover)
+                      slope_rhs=slope_rhs, crossover_N=crossover, sides=sides)

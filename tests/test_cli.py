@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -393,3 +394,75 @@ class TestScanFailures:
         assert report["results"]["num_findings"] == 87
         assert max(f["verification_residual"]
                    for f in report["results"]["findings"]) < 1e-6
+
+
+class TestScaling:
+    SHIPPED = os.path.join(CONFIGS, "rigidity-scaling.json")
+
+    @pytest.mark.parametrize("params", [
+        {"convergence_pair": [64]}, {"convergence_pair": [128, 64]},
+        {"convergence_pair": [64, 64]}, {"convergence_pair": [0, 64]},
+        {"convergence_pair": [64, 128.5]}, {"N_list": [4, 8, 16.5]},
+        {"N_list": [4, 8]}, {"N_list": [8, 4, 16]}, {"N_list": [0, 4, 8]},
+        {"N_list": [4, 8, True]}, {"quad_tol": -1}, {"quad_tol": 0},
+        {"quad_tol": "1e-12"}])
+    def test_bad_section_is_2_without_artifacts(self, tmp_path, capsys, params):
+        data = json.load(open(self.SHIPPED))
+        data["scaling"].update(params)
+        out = tmp_path / "out"
+        assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scaling." in err
+        assert not (out / "report.json").exists()
+        assert not (out / "scaling.csv").exists()
+
+    def _count_passes(self, monkeypatch):
+        """Counts of Potential.jet calls by (order, derivatives) and of
+        tensor quadratures."""
+        from minfol import rigidity
+        from minfol.potential import Potential
+
+        jets, quads = collections.Counter(), []
+        jet, quad_2d = Potential.jet, rigidity.quad_2d
+
+        def counted_jet(self, u, t, orders):
+            jets[u.shape[0], orders] += 1
+            return jet(self, u, t, orders)
+
+        def counted_quad(*args):
+            quads.append(args[1:])
+            return quad_2d(*args)
+
+        monkeypatch.setattr(Potential, "jet", counted_jet)
+        monkeypatch.setattr(rigidity, "quad_2d", counted_quad)
+        return jets, quads
+
+    def test_shipped_run_passes_once_per_order(self, tmp_path, monkeypatch):
+        jets, quads = self._count_passes(monkeypatch)
+        out = str(tmp_path / "out")
+        assert main(["--config", self.SHIPPED, "--out", out]) == 0
+        results = _validate_report(out)["results"]
+        # one jet of W, W_u, W_t per order on the ladder up to the highest
+        diag = results["diagnostics"]
+        assert diag == {"quadratures": 8, "integrand_evaluations": 4,
+                        "highest_order": 192}
+        assert jets == {(order, (0, 1, 3)): 1 for order in (24, 48, 96, 192)}
+        # N = 1, 2 (the crossover), the list and the pair: N = 1 once, though
+        # both the crossover search and the discriminant read it
+        assert results["crossover_N"] == 2
+        assert len(quads) == diag["quadratures"] == len({1, 2, 4, 8, 16, 32, 64, 128})
+        timing = open(os.path.join(out, "timing.txt")).read()
+        assert [line.split("=")[0] for line in timing.splitlines()] == [
+            "wall_clock_seconds", "fit_seconds", "convergence_seconds",
+            "discriminant_seconds"]
+
+    def test_runs_share_no_passes(self, tmp_path, monkeypatch):
+        jets, quads = self._count_passes(monkeypatch)
+        cfg = load_config(self.SHIPPED)
+        run_command(cfg, str(tmp_path / "a"))
+        first = dict(jets)
+        run_command(cfg, str(tmp_path / "b"))
+        assert jets == {key: 2 * n for key, n in first.items()}
+        assert len(quads) == 16
+        for f in ("report.json", "scaling.csv"):
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()

@@ -14,8 +14,9 @@ from minfol.errors import IntegrationFailureError, InvalidParameterError
 from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import (IntegratorConfig, PhaseState, _sample_grid,
                             integrate_hamiltonian, integrate_legs)
-from minfol.potential import make_bump, product_potential, to_log_form
-from minfol.rigidity import (ConjugateFinding, conjugate_point_scan,
+from minfol.potential import Potential, make_bump, product_potential, to_log_form
+from minfol.quadrature import quad_2d
+from minfol.rigidity import (ConjugateFinding, RescaledSides, conjugate_point_scan,
                              discriminant_inequality_check, gibbs_density,
                              rescaled_inequality_sides, scaling_exponent_fit,
                              verify_finding, verify_findings)
@@ -60,6 +61,29 @@ def _simpson_sides(w, N, num=801):
     lhs = simpson(simpson(lhs_vals, x=tt, axis=1), x=vv)
     rhs = simpson(simpson(rhs_vals, x=tt, axis=1), x=vv)
     return 4.0 / N ** 3 * lhs, 1.0 / N ** 5 * rhs
+
+
+def _one_shot_sides(w, N, quad_tol=1e-12):
+    """The two rescaled sides from one quadrature of their own, every array
+    evaluated afresh at each order."""
+    n2 = float(N) ** 2
+
+    def sides_f(v, t):
+        e2 = np.exp(2.0 * t)
+        W, W_u, W_t = w.jet(v, t, (0, 1, 3))
+        gibbs = np.exp(-W * e2 / n2)
+        g = e2 * W_u
+        h = e2 * (2.0 * W + W_t)
+        return gibbs * g * g, gibbs * h * h
+
+    lhs, rhs = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper, quad_tol)
+    return max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0)
+
+
+def _wide_shell():
+    """A wide u-profile on a narrow radial shell: holds up to N = 20."""
+    return to_log_form(product_potential(make_bump(0.0, 2.0, 0.2),
+                                         make_bump(2.0, 0.1, 0.1)))
 
 
 class TestScan:
@@ -316,9 +340,7 @@ class TestScaling:
         assert l1 <= r1
 
     def test_crossover_bisected_past_the_list(self):
-        # a wide u-profile on a narrow radial shell holds up to N = 20
-        w = to_log_form(product_potential(make_bump(0.0, 2.0, 0.2),
-                                          make_bump(2.0, 0.1, 0.1)))
+        w = _wide_shell()
         fit = scaling_exponent_fit(w, [2, 4, 8])
         N = fit.crossover_N
         assert N is not None and N > 16 and N != 32
@@ -346,6 +368,39 @@ class TestScaling:
             rescaled_inequality_sides(w, 8)
         # one jet of W, W_u and W_t per quadrature order
         assert calls == {("jet", (0, 1, 3)): 4}
+
+    @pytest.mark.parametrize("name", ["scaling_log", "wide_shell"])
+    def test_evaluator_equals_one_shot_quadratures(self, scaling_log, name):
+        w = scaling_log if name == "scaling_log" else _wide_shell()
+        Ns = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128]
+        shared, backwards = RescaledSides(w), RescaledSides(w)
+        for N in reversed(Ns):
+            backwards(N)
+        for N in Ns:
+            one_shot = _one_shot_sides(w, N)
+            assert shared(N) == one_shot
+            assert backwards(N) == one_shot
+            assert rescaled_inequality_sides(w, N) == one_shot
+        assert shared.diagnostics == backwards.diagnostics
+        assert shared.diagnostics["quadratures"] == len(Ns)
+        assert shared.discriminant() == discriminant_inequality_check(w)
+
+    def test_evaluator_passes_once_per_order(self, scaling_log, monkeypatch):
+        orders = collections.Counter()
+        jet = Potential.jet
+
+        def counted(self, u, t, which):
+            orders[u.shape[0], which] += 1
+            return jet(self, u, t, which)
+
+        monkeypatch.setattr(Potential, "jet", counted)
+        sides = RescaledSides(scaling_log)
+        for N in (1, 8, 1, 64, 8):
+            sides(N)
+        assert set(orders.values()) == {1}
+        assert sides.diagnostics == {
+            "quadratures": 3, "integrand_evaluations": len(orders),
+            "highest_order": max(order for order, _ in orders)}
 
     def test_zero_potential_is_identically_zero(self, flat_log):
         fit = scaling_exponent_fit(flat_log, [4, 8, 16])
