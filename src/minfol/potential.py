@@ -15,11 +15,14 @@ Both carry the support box (`u_bound`, `r_inner`, `r_outer`, `t_lower`,
 `t_upper`), the curvature constant K = sqrt(sup W''_uu) that controls the
 Riccati estimates (`k_curvature`, set by `to_log_form`; only the Riccati
 checks read it), and the rescaling factor N of W_N(u, t) = W(N u, t) / N^2
-(`n_scale`). Each family has one evaluator, which returns every derivative
-asked for from one pass of each bump (`_profile` shares its powers of
-1/(1-s^2)). `Potential.jet(u, t, orders)` serves the flow and the quadrature;
-the views `w`, `dw_du`, `d2w_duu`, `dw_dt` and `v`, `dv_du`, `d2v_duu`,
-`dv_dr` are its one-order calls, with the same bits.
+(`n_scale`). K and the curvature envelope U(r) of the n >= 3 certificates
+come in closed form, with no search, from the extremes of the bump profile's
+g''; an example-4.4.6 potential has neither. Each family has one evaluator,
+which returns every derivative asked for from one pass of each bump
+(`_profile` shares its powers of 1/(1-s^2)). `Potential.jet(u, t, orders)`
+serves the flow and the quadrature; the views `w`, `dw_du`, `d2w_duu`,
+`dw_dt` and `v`, `dv_du`, `d2v_duu`, `dv_dr` are its one-order calls, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InvalidParameterError, InvalidSupportError
 
@@ -108,10 +110,6 @@ class BumpFunction:
         for k, n in enumerate(orders):   # x / 1.0 is exact: skipped
             out[k] = a * out[k] if w**n == 1.0 else a * out[k] / w**n
         return out
-
-    def nth_derivative(self, x, n: int):
-        """The n-th derivative (0 <= n <= 3) at x, vectorized."""
-        return self.jet(x, (n,))[0]
 
     value, derivative, second_derivative, third_derivative = map(_bump_view, range(4))
     __call__ = value
@@ -265,51 +263,39 @@ def scale_potential(pot: ProductPotential, lam: float) -> ProductPotential:
     return replace(pot, lam=lam * pot.lam)
 
 
-def _neg_curvature(x, d2, point, axis):
-    """-d2(u, y) at `point` = (u, y) with coordinate `axis` set to x."""
-    u, y = (x, point[1]) if axis == 0 else (point[0], x)
-    return -float(d2(u, y))
+# The sup and inf over s of g''(s), g the bump profile. g''' = -4 s g (6s^6 +
+# 3s^4 - 10s^2 + 3) / (1-s^2)^6, so both sit at s = 0 or where s^2 is a root
+# of 6x^3 + 3x^2 - 10x + 3. Each is the double next to the true value, rounded
+# outward. _ROUND_UP covers the four roundings of c * (a / w**2) * g'' (each at
+# most eps/2) and its own.
+_G2_SUP = 21.065882118926464
+_G2_INF = -4.158915409969399
+_ROUND_UP = 1.0 + 4 * np.finfo(float).eps
 
 
-def _refine_max_1d(d2, point, axis, lo, hi):
-    """Local bounded refinement, along `axis`, of a grid argmax of d2."""
-    x0 = point[axis]
-    best0 = -_neg_curvature(x0, d2, point, axis)
-    span = (hi - lo) * 1e-2
-    a, b = max(lo, x0 - span), min(hi, x0 + span)
-    if b > a:
-        res = optimize.minimize_scalar(_neg_curvature, bounds=(a, b),
-                                       args=(d2, point, axis), method="bounded",
-                                       options={"xatol": 1e-12})
-        if -res.fun > best0:
-            return float(res.x), float(-res.fun)
-    return x0, best0
+def _curvature_bound(f: BumpFunction, c):
+    """An upper bound of max(0, sup_u c f''(u)), vectorized in c:
+    f'' = (amplitude/width^2) g''."""
+    k = f.amplitude / f.width ** 2
+    return np.maximum(0.0, np.maximum(c * k * _G2_SUP, c * k * _G2_INF)) * _ROUND_UP
 
 
-def k_constant(w: Potential, grid_density: int = 512) -> float:
-    """K = sqrt(sup over the strip of max(W''_uu, 0)): grid scan plus local
-    refinement."""
-    if grid_density < 2:
-        raise InvalidParameterError("grid_density must be >= 2")
-    uu = np.linspace(-w.u_bound, w.u_bound, grid_density)
-    tt = np.linspace(w.t_lower, w.t_upper, grid_density)
-    vals = w.d2w_duu(uu[:, None], tt[None, :])
-    best = float(np.max(vals))
-    if best <= 0:
+def k_constant(w: Potential) -> float:
+    """K = sqrt(sup over the strip of max(W''_uu, 0)), in closed form.
+
+    W''_uu(u, t) = lam f''(N u) g(e^t), and g runs over [0, A_g] on the
+    strip, so K^2 is the curvature bound at c = lam A_g whatever N is."""
+    if not isinstance(w, ProductPotential):
+        raise InvalidParameterError("the curvature constant needs a product potential")
+    if w.f is None:
         return 0.0
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    u0, t0 = uu[i], tt[j]
-    # two coordinate-wise refinement sweeps
-    for _ in range(2):
-        u0, best = _refine_max_1d(w.d2w_duu, (u0, t0), 0, -w.u_bound, w.u_bound)
-        t0, best = _refine_max_1d(w.d2w_duu, (u0, t0), 1, w.t_lower, w.t_upper)
-    return math.sqrt(max(best, 0.0))
+    return math.sqrt(_curvature_bound(w.f, w.lam * w.g.amplitude))
 
 
-def to_log_form(pot: Potential, grid_density: int = 512) -> Potential:
+def to_log_form(pot: Potential) -> Potential:
     """The same potential with its curvature constant K filled in, ready for
     the log-time flow W(u, t) = V(u, e^t)."""
-    return replace(pot, k_curvature=k_constant(pot, grid_density))
+    return replace(pot, k_curvature=k_constant(pot))
 
 
 def example_446_potential(phi: BumpFunction, psi: BumpFunction,
@@ -319,7 +305,6 @@ def example_446_potential(phi: BumpFunction, psi: BumpFunction,
 
     variant "as-printed" carries psi in the quadratic term; "chain-rule"
     carries psi^2 (the version consistent with direct differentiation).
-    K is left unset; `to_log_form` fills it in.
     """
     if variant not in _VARIANT_POWER:
         raise InvalidParameterError("unknown variant %r" % (variant,))
@@ -344,38 +329,23 @@ class RadialCurvatureEnvelope:
     minimality certificates, compactly supported in r.
 
     For V = lam f(u) g(r) it factors exactly: with c = lam g(r),
-    U(r) = max(0, c sup f'', c inf f''), the extremes of f'' taken over the
-    u-range once (grid scan plus local refinement)."""
+    U(r) = max(0, c sup f'', c inf f''), the extremes of f'' in closed form."""
 
-    def __init__(self, pot: Potential, grid_density: int = 512):
+    def __init__(self, pot: Potential):
         if not isinstance(pot, ProductPotential):
             raise InvalidParameterError(
                 "the curvature envelope needs a product potential")
         self.pot = pot
-        self._f2_extremes = (0.0, 0.0) if pot.f is None else (
-            _f2_max(pot, grid_density, 1.0), -_f2_max(pot, grid_density, -1.0))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        c = self.pot.lam * self.pot.g.value(r) if self.pot.g else 0.0 * r
-        hi, lo = self._f2_extremes
-        env = np.maximum(0.0, np.maximum(c * hi, c * lo))
+        pot = self.pot
+        env = 0.0 * r if pot.f is None else _curvature_bound(pot.f, pot.lam * pot.g.value(r))
         return float(env) if r.ndim == 0 else env
 
 
-def _f2_max(pot: ProductPotential, grid_density: int, sign: float) -> float:
-    """sup over |u| <= u_bound of sign * f''(N u), N = n_scale."""
-    def d2(u, _):
-        return sign * pot.f.nth_derivative(pot.n_scale * np.asarray(u, float), 2)
-
-    uu = np.linspace(-pot.u_bound, pot.u_bound, grid_density)
-    u0 = float(uu[int(np.argmax(d2(uu, None)))])
-    return _refine_max_1d(d2, (u0, None), 0, -pot.u_bound, pot.u_bound)[1]
-
-
-def u_bound_function(pot: Potential, n: int,
-                     grid_density: int = 512) -> RadialCurvatureEnvelope:
+def u_bound_function(pot: Potential, n: int) -> RadialCurvatureEnvelope:
     """Curvature envelope U(r) for the dimension-n certificates (n >= 3)."""
     if n < 3:
         raise InvalidParameterError("certificates require n >= 3")
-    return RadialCurvatureEnvelope(pot, grid_density=grid_density)
+    return RadialCurvatureEnvelope(pot)

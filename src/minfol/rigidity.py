@@ -212,6 +212,8 @@ def scaling_exponent_fit(w: Potential, N_list,
     Every integer below the first failing listed N is tried. When no listed
     N fails, N doubles past the list until the inequality fails, and the
     crossover is bisected between the last holding and the first failing N."""
+    if not all(float(N).is_integer() for N in N_list):
+        raise InvalidParameterError("N values must be integers, got %r" % (list(N_list),))
     N_list = [int(N) for N in N_list]
     if len(N_list) < 3 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing N values")

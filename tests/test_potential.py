@@ -144,7 +144,42 @@ class TestLogForm:
     def test_k_constant_rescaling_invariance(self, weak_log, N):
         # W_N(u, t) = W(Nu, t)/N^2 has the same sup of the second u-derivative
         wn = rescale_log_potential(weak_log, N)
-        assert k_constant(wn) == pytest.approx(k_constant(weak_log), rel=1e-3)
+        assert k_constant(wn) == k_constant(weak_log)
+
+    # K of the 512 x 512 grid search plus refinement that the closed form
+    # replaced, on the same potentials
+    SEARCHED_K = {
+        ("weak_bump", 1.0): 0.10263011770169227,
+        ("weak_bump", -1.0): 0.04560107131400205,
+        ("strong_bump", 1.0): 4.995347081016132,
+        ("strong_bump", -1.0): 11.242566108925422,
+        ("narrow_bump", 1.0): 6.244183851270164,
+        ("narrow_bump", -1.0): 14.053207636156772,
+        ("scaling_bump", 1.0): 0.6490898569370253,
+        ("scaling_bump", -1.0): 0.2884064981920275,
+        ("certified_bump", 1.0): 0.21639810345290467,
+        ("certified_bump", -1.0): 0.09615096980063177,
+        ("flat", 1.0): 0.0,
+        ("flat", -1.0): 0.0,
+    }
+
+    @pytest.mark.parametrize("name, lam", list(SEARCHED_K))
+    def test_closed_form_k_bounds_the_curvature(self, name, lam):
+        from minfol import catalog
+
+        w = to_log_form(scale_potential(getattr(catalog, name)(), lam))
+        K, searched = w.k_curvature, self.SEARCHED_K[name, lam]
+        uu = np.linspace(-w.u_bound, w.u_bound, 801)
+        tt = np.linspace(w.t_lower, w.t_upper, 801)
+        assert K * K >= np.max(w.d2w_duu(uu[:, None], tt[None, :]))
+        assert K >= searched
+        assert K - searched <= 5e-15 * searched
+
+    def test_k_constant_rejects_example446(self):
+        with pytest.raises(InvalidParameterError):
+            k_constant(_example446("chain-rule"))
+        with pytest.raises(InvalidParameterError):
+            to_log_form(_example446("as-printed"))
 
     def test_rescale_shrinks_u_bound(self, weak_log):
         wn = rescale_log_potential(weak_log, 4)
@@ -201,6 +236,33 @@ class TestEnvelope:
     def test_envelope_rejects_example446(self):
         with pytest.raises(InvalidParameterError):
             u_bound_function(_example446("chain-rule"), 3)
+
+
+def test_profile_curvature_extremes_are_enclosed():
+    # g''' = -4 s g (6s^6 + 3s^4 - 10s^2 + 3) / (1-s^2)^6, so the extremes of
+    # g'' sit at s = 0 or at s = sqrt(x), x a root of 6x^3 + 3x^2 - 10x + 3 in
+    # (0, 1); sympy isolates the roots exactly, mpmath evaluates g'' there
+    import mpmath
+    import sympy
+
+    from minfol.potential import _G2_INF, _G2_SUP
+
+    x = sympy.Symbol("x")
+    roots = [r for r in sympy.real_roots(6 * x**3 + 3 * x**2 - 10 * x + 3) if 0 < r < 1]
+    assert len(roots) == 2
+    with mpmath.workdps(50):
+        def g2(s):
+            q = 1 - s * s
+            return mpmath.exp(1 - 1 / q) * (4 * s * s / q**4 - 2 * (1 + 3 * s * s) / q**3)
+
+        vals = [g2(mpmath.mpf(0))] + [g2(mpmath.sqrt(mpmath.mpf(r.evalf(60)))) for r in roots]
+        sup, inf = max(vals), min(vals)
+        assert mpmath.mpf(_G2_SUP) >= sup and mpmath.mpf(_G2_INF) <= inf
+        # one ulp outward, no more
+        assert mpmath.mpf(np.nextafter(_G2_SUP, 0.0)) < sup
+        assert mpmath.mpf(np.nextafter(_G2_INF, 0.0)) > inf
+    g2s = make_bump(0.0, 1.0, 1.0).second_derivative(np.linspace(-0.999, 0.999, 20001))
+    assert _G2_INF <= np.min(g2s) and np.max(g2s) <= _G2_SUP
 
 
 def _product():
@@ -328,9 +390,9 @@ def test_profile_orders_equal_single_orders(s):
     from minfol.potential import _profile
 
     bump = make_bump(0.2, 0.7, -1.3)
+    views = (bump.value, bump.derivative, bump.second_derivative, bump.third_derivative)
     for orders in [(0, 1, 2, 3), (1, 2), (0, 3), (2,), (3,)]:
         got, jet = _profile(s, orders), bump.jet(s, orders)
         for k, n in enumerate(orders):
             assert np.asarray(got[k]).tobytes() == np.asarray(_profile(s, (n,))[0]).tobytes()
-            assert np.asarray(jet[k]).tobytes() == \
-                np.asarray(bump.nth_derivative(s, n)).tobytes()
+            assert np.asarray(jet[k]).tobytes() == np.asarray(views[n](s)).tobytes()

@@ -422,6 +422,18 @@ class TestScaling:
         with pytest.raises(InvalidParameterError):
             scaling_exponent_fit(scaling_log, [4, 8, 8])
 
+    @pytest.mark.parametrize("N_list", [[4, 8, 16.5], [1.5, 1.9, 8]])
+    def test_fractional_N_is_rejected(self, scaling_log, N_list):
+        # truncating with int(N) would fit [4, 8, 16] and reject [1, 1, 8]
+        with pytest.raises(InvalidParameterError, match="integers"):
+            scaling_exponent_fit(scaling_log, N_list)
+
+    def test_numpy_integer_N_fit_as_ints(self, scaling_log):
+        fit = scaling_exponent_fit(scaling_log, np.array([4, 8, 16]))
+        assert fit.N_list == [4, 8, 16]
+        assert all(type(N) is int for N in fit.N_list)
+        assert fit == scaling_exponent_fit(scaling_log, [4, 8, 16])
+
 
 class TestRigidityConsistency:
     def test_conjugate_points_imply_broken_discriminant(self):
