@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .certify import check_condition_A, check_condition_B, hardy_identity_check
 from .config import ExperimentConfig, build_bumps, build_potential, load_config
-from .errors import ConfigError, MinfolError
+from .errors import MinfolError
 from .foliation import (build_MA_family, build_NA_family, example_446_check,
                         select_example_446_variant)
 from .odeflow import asymptotic_match_outer, integrate_radial_ivp, stepper_work
@@ -41,11 +41,8 @@ def _grid(spec) -> np.ndarray:
 
 def _run_certify(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
-    if pot is None:
-        raise ConfigError("certify requires a radial potential "
-                          "(kind zero or product)")
     cert_a = check_condition_A(pot, cfg.n, x0_offset=cfg.params["x0_offset"],
-                               grid_points=int(cfg.params["grid_points"]))
+                               grid_points=cfg.params["grid_points"])
     cert_b = check_condition_B(pot, cfg.n)
     certified = "certified" in (cert_a.verdict, cert_b.verdict)
     results = {"condition_A": cert_a.to_dict(), "condition_B": cert_b.to_dict()}
@@ -55,8 +52,6 @@ def _run_certify(cfg: ExperimentConfig, out_dir: str, timing: dict):
 
 def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
-    if pot is None:
-        raise ConfigError("solve requires a radial potential")
     p = cfg.params
     r0 = float(p["r0"]) if p["r0"] else 2.0 * pot.r_outer
     r_end = float(p["r_end"]) if p["r_end"] else 1e-2
@@ -64,7 +59,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     traj = integrate_radial_ivp(pot, cfg.n, r0, float(p["u0"]), float(p["du0"]),
                                 run_cfg)
     write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"),
-                         samples=int(p["samples"]))
+                         samples=p["samples"])
     u_end, p_end = traj.state(traj.t_min if r_end < r0 else traj.t_max)
     results = {"r0": r0, "r_end": r_end,
                "final_state": {"u": u_end, "p": p_end},
@@ -79,15 +74,12 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
 
 def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
     w = build_potential(cfg)
-    if w is None:
-        raise ConfigError("scan-conjugate requires a radial potential "
-                          "(kind zero or product)")
     p = cfg.params
     t_end = float(p["t_end"]) if p["t_end"] is not None else w.t_upper + 10.0
     t0 = time.perf_counter()
     report = conjugate_point_scan(w, _grid(p["u0"]), _grid(p["p0"]),
                                   float(p["t_start"]), t_end,
-                                  cfg=cfg.integrator, n_slide=int(p["n_slide"]))
+                                  cfg=cfg.integrator, n_slide=p["n_slide"])
     t1 = time.perf_counter()
     num_cells = len(report.u0_grid) * len(report.p0_grid) * len(report.t_starts)
     if report.failures and not report.findings:
@@ -138,9 +130,6 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
 
 def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
     w = build_potential(cfg)
-    if w is None:
-        raise ConfigError("rigidity-scaling requires a radial potential "
-                          "(kind zero or product)")
     p = cfg.params
     t0 = time.perf_counter()
     fit = scaling_exponent_fit(w, p["N_list"], quad_tol=float(p["quad_tol"]))
@@ -183,7 +172,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
 def _run_example446(cfg: ExperimentConfig, out_dir: str, timing: dict):
     phi, psi = build_bumps(cfg)
     p = cfg.params
-    variant = cfg.potential.get("variant", "auto")
+    variant = cfg.potential["variant"]
     diagnostics, t0 = {}, time.perf_counter()
     if variant == "auto":
         variant = select_example_446_variant(
@@ -229,7 +218,6 @@ def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
     rows, checks = [], []
     closed_forms = {3: 0.25, 4: 1.0 / 6.0}
     for n in p["n_list"]:
-        n = int(n)
         if n in closed_forms:
             lhs, rhs = hardy_identity_check(lambda r: 1.0 - r, n, 0.0, 1.0,
                                             dxi=lambda r: -1.0)
@@ -237,7 +225,7 @@ def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
             rows.append((n, "closed-form", lhs, rhs, rel))
             checks.append(rel <= rel_tol and abs(rhs - closed_forms[n])
                           <= rel_tol * closed_forms[n])
-        for k in range(int(p["num_random"])):
+        for k in range(p["num_random"]):
             xi = _random_test_function(rng, float(p["r1"]), float(p["r2"]))
             lhs, rhs = hardy_identity_check(xi, n, float(p["r1"]),
                                             float(p["r2"]))

@@ -1,57 +1,64 @@
-"""JSON experiment configuration: parsing, validation, defaults."""
+"""JSON experiment configuration: parsing, validation, defaults.
+
+`_COMMANDS` says, for each command, every config key it reads. A config
+that sets any other key is an error, so a run never drops a setting."""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple
 
 from .errors import ConfigError
 from .odeflow import IntegratorConfig
 from .potential import (ProductPotential, make_bump, product_potential,
                         scale_potential, zero_potential)
 
-COMMANDS = ("certify", "solve", "scan-conjugate", "foliate",
-            "rigidity-scaling", "example446", "hardy-check")
 
-_TOP_KEYS = {"command", "n", "seed", "potential", "integrator",
-             "certify", "solve", "scan", "foliate", "scaling", "example446",
-             "hardy"}
+class _Command(NamedTuple):
+    section: str
+    defaults: dict       # the section's keys and their defaults
+    min_n: int
+    planar: bool
+    kinds: tuple         # the potential kinds it builds
+    integrator: bool     # whether it reads the integrator section
 
-_SECTION_KEYS = {
-    "potential": {"kind", "f", "g", "phi", "psi", "variant", "u_bound",
-                  "r_inner", "r_outer", "scale"},
-    "integrator": {"rel_tol", "abs_tol", "max_step", "event_tol"},
-    "certify": {"x0_offset", "grid_points"},
-    "solve": {"r0", "u0", "du0", "r_end", "samples"},
-    "scan": {"u0", "p0", "t_start", "t_end", "n_slide"},
-    "foliate": {"family", "A", "alphas", "r_min", "r_start", "r_end"},
-    "scaling": {"N_list", "quad_tol", "convergence_pair"},
-    "example446": {"u0_grid", "fd_step"},
-    "hardy": {"n_list", "num_random", "r1", "r2", "rel_tol"},
+
+_RADIAL = ("zero", "product")
+
+_COMMANDS = {
+    "certify": _Command("certify", {"x0_offset": 0.0, "grid_points": 2048},
+                        3, False, _RADIAL, False),
+    "solve": _Command("solve", {"r0": None, "u0": 0.0, "du0": 0.0, "r_end": None,
+                                "samples": 512}, 2, False, _RADIAL, True),
+    "scan-conjugate": _Command("scan", {"u0": [-0.5, 0.5, 11], "p0": [-0.5, 0.5, 11],
+                                        "t_start": -2.0, "t_end": None, "n_slide": 1},
+                               2, True, _RADIAL, True),
+    "foliate": _Command("foliate", {"family": "N_A", "A": 0.0, "alphas": [-0.5, 0.5, 9],
+                                    "r_min": 1e-4, "r_start": None, "r_end": None},
+                        3, False, _RADIAL, True),
+    "rigidity-scaling": _Command("scaling", {"N_list": [4, 8, 16, 32], "quad_tol": 1e-12,
+                                             "convergence_pair": [64, 128]},
+                                 2, True, _RADIAL, False),
+    "example446": _Command("example446", {"u0_grid": None, "fd_step": 2e-4},
+                           2, True, ("example446",), False),
+    "hardy-check": _Command("hardy", {"n_list": [3, 4, 5], "num_random": 20, "r1": 0.1,
+                                      "r2": 4.0, "rel_tol": 1e-8}, 2, False, (), False),
 }
 
-_BUMP_KEYS = {"center", "width", "amplitude"}
+COMMANDS = tuple(_COMMANDS)
 
-_DEFAULTS = {
-    "certify": {"x0_offset": 0.0, "grid_points": 2048},
-    "solve": {"r0": None, "u0": 0.0, "du0": 0.0, "r_end": None, "samples": 512},
-    "scan": {"u0": [-0.5, 0.5, 11], "p0": [-0.5, 0.5, 11],
-             "t_start": -2.0, "t_end": None, "n_slide": 1},
-    "foliate": {"family": "N_A", "A": 0.0, "alphas": [-0.5, 0.5, 9],
-                "r_min": 1e-4, "r_start": None, "r_end": None},
-    "scaling": {"N_list": [4, 8, 16, 32], "quad_tol": 1e-12,
-                "convergence_pair": [64, 128]},
-    "example446": {"u0_grid": None, "fd_step": 2e-4},
-    "hardy": {"n_list": [3, 4, 5], "num_random": 20, "r1": 0.1, "r2": 4.0,
-              "rel_tol": 1e-8},
-}
+# kind -> the keys of a potential of that kind and their defaults; None marks
+# a bump, which has no default
+_POTENTIAL_KEYS = {"zero": {"u_bound": 1.0, "r_inner": 1.0, "r_outer": 3.0},
+                   "product": {"f": None, "g": None, "scale": 1.0},
+                   "example446": {"phi": None, "psi": None, "variant": "auto"}}
 
-_COMMAND_SECTION = {"certify": "certify", "solve": "solve",
-                    "scan-conjugate": "scan", "foliate": "foliate",
-                    "rigidity-scaling": "scaling", "example446": "example446",
-                    "hardy-check": "hardy"}
+_INTEGRATOR = {"rel_tol": 1e-10, "abs_tol": 1e-10, "max_step": math.inf,
+               "event_tol": 1e-12}
+
+_BUMP = dict.fromkeys(("center", "width", "amplitude"), 0.0)
 
 
 @dataclass
@@ -65,29 +72,67 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)      # validated config echo
 
 
-def _reject_unknown(section: str, given: dict, allowed: set) -> None:
-    for key in given:
-        if key not in allowed:
-            raise ConfigError("unknown key %r in section %r" % (key, section))
-
-
-def _bump_spec(section: str, name: str, given: Any) -> dict:
-    if not isinstance(given, dict):
-        raise ConfigError("%s.%s must be an object with center/width/amplitude"
-                          % (section, name))
-    _reject_unknown("%s.%s" % (section, name), given, _BUMP_KEYS)
-    missing = _BUMP_KEYS - set(given)
-    if missing:
-        raise ConfigError("%s.%s missing keys %s"
-                          % (section, name, sorted(missing)))
-    return {k: float(given[k]) for k in _BUMP_KEYS}
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_scaling(params: dict) -> None:
+def _object(section: str, given: Any) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError("section %r must be an object" % section)
+    return given
+
+
+def _checked(section: str, given: Any, defaults: dict) -> dict:
+    """A copy of given, whose keys must be keys of defaults: where the
+    default is an int the value must be an integer, where a float a number."""
+    for key, value in _object(section, given).items():
+        if key not in defaults:
+            raise ConfigError("unknown key %r in section %r, which reads only %s"
+                              % (key, section, ", ".join(sorted(defaults))))
+        default = defaults[key]
+        if _is_int(default) and not _is_int(value):
+            raise ConfigError("%s.%s must be an integer, got %r" % (section, key, value))
+        if isinstance(default, float) and not (_is_int(value) or isinstance(value, float)):
+            raise ConfigError("%s.%s must be a number, got %r" % (section, key, value))
+    return dict(given)
+
+
+def _bump_spec(section: str, given: Any) -> dict:
+    missing = set(_BUMP) - set(_checked(section, given, _BUMP))
+    if missing:
+        raise ConfigError("%s missing keys %s" % (section, sorted(missing)))
+    return {k: float(given[k]) for k in _BUMP}
+
+
+def _potential(command: str, kinds: tuple, given: Any) -> dict:
+    kind = _object("potential", given).get("kind", "zero")
+    if kinds and kind not in kinds:
+        raise ConfigError("command %r requires %s, got potential.kind %r"
+                          % (command, "a radial potential (kind zero or product)"
+                             if kinds == _RADIAL else "potential.kind = 'example446'",
+                             kind))
+    spec = _checked("potential", given, {"kind": kind, **_POTENTIAL_KEYS[kind]})
+    for key, default in _POTENTIAL_KEYS[kind].items():
+        if default is None:
+            spec[key] = _bump_spec("potential." + key, spec.get(key))
+        elif key != "scale":    # a product echoes its scale only when given
+            spec.setdefault(key, default)
+    if kind == "example446" and spec["variant"] not in ("auto", "as-printed",
+                                                        "chain-rule"):
+        raise ConfigError("potential.variant must be "
+                          "auto|as-printed|chain-rule, got %r" % spec["variant"])
+    return spec
+
+
+def _check_section(section: str, params: dict) -> None:
+    if section == "foliate" and params["family"] not in ("N_A", "M_A"):
+        raise ConfigError("foliate.family must be N_A or M_A, got %r"
+                          % params["family"])
+    n_list = params.get("n_list", [3])
+    if not (isinstance(n_list, list) and n_list and all(_is_int(n) and n >= 3 for n in n_list)):
+        raise ConfigError("hardy.n_list must hold integers >= 3, got %r" % (n_list,))
+    if section != "scaling":
+        return
     N_list, pair, tol = (params[k] for k in ("N_list", "convergence_pair", "quad_tol"))
     if not (isinstance(N_list, list) and len(N_list) >= 3
             and all(_is_int(N) and N >= 1 for N in N_list)
@@ -98,81 +143,43 @@ def _check_scaling(params: dict) -> None:
             and 1 <= pair[0] < pair[1]):
         raise ConfigError("scaling.convergence_pair must be two integers "
                           "1 <= a < b, got %r" % (pair,))
-    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)
-            and math.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("scaling.quad_tol must be a finite number > 0, got %r"
                           % (tol,))
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown("<root>", data, _TOP_KEYS)
-    command = data.get("command")
+    command = _object("<root>", data).get("command")
     if command not in COMMANDS:
         raise ConfigError("field 'command' must be one of %s, got %r"
                           % (list(COMMANDS), command))
-    n = int(data.get("n", 3))
-    if n < 2:
-        raise ConfigError("field 'n' must be an integer >= 2")
-    if command in ("certify", "foliate") and n < 3:
-        raise ConfigError("command %r requires n >= 3 "
+    row = _COMMANDS[command]
+    reads = {"potential": row.kinds, "integrator": row.integrator}
+    _checked("<root>", data, dict.fromkeys(["command", "n", "seed", row.section]
+                                            + [key for key in reads if reads[key]]))
+    n, seed = data.get("n", 3), data.get("seed", 0)
+    if not (_is_int(n) and n >= 2):
+        raise ConfigError("field 'n' must be an integer >= 2, got %r" % (n,))
+    if not _is_int(seed):
+        raise ConfigError("field 'seed' must be an integer, got %r" % (seed,))
+    if n < row.min_n:
+        raise ConfigError("command %r requires n >= %d "
                           "(pointwise/norm conditions are void at n = 2)"
-                          % command)
-    if command in ("scan-conjugate", "rigidity-scaling", "example446") and n != 2:
+                          % (command, row.min_n))
+    if row.planar and n != 2:
         raise ConfigError("command %r is a planar (n = 2) experiment" % command)
 
-    seed = int(data.get("seed", 0))
+    pot_spec = _potential(command, row.kinds, data.get("potential", {"kind": "zero"}))
+    integ = _checked("integrator", data.get("integrator", {}), _INTEGRATOR)
+    integrator = IntegratorConfig(**{k: float(v) for k, v in {**_INTEGRATOR, **integ}.items()})
+    params = {**row.defaults, **_checked(row.section, data.get(row.section, {}),
+                                         row.defaults)}
+    _check_section(row.section, params)
 
-    pot_spec = dict(data.get("potential", {"kind": "zero"}))
-    _reject_unknown("potential", pot_spec, _SECTION_KEYS["potential"])
-    kind = pot_spec.get("kind", "zero")
-    if kind not in ("zero", "product", "example446"):
-        raise ConfigError("potential.kind must be zero|product|example446, "
-                          "got %r" % kind)
-    if kind == "product":
-        pot_spec["f"] = _bump_spec("potential", "f", pot_spec.get("f"))
-        pot_spec["g"] = _bump_spec("potential", "g", pot_spec.get("g"))
-    elif kind == "example446":
-        pot_spec["phi"] = _bump_spec("potential", "phi", pot_spec.get("phi"))
-        pot_spec["psi"] = _bump_spec("potential", "psi", pot_spec.get("psi"))
-        variant = pot_spec.setdefault("variant", "auto")
-        if variant not in ("auto", "as-printed", "chain-rule"):
-            raise ConfigError("potential.variant must be "
-                              "auto|as-printed|chain-rule, got %r" % variant)
-    else:
-        pot_spec.setdefault("u_bound", 1.0)
-        pot_spec.setdefault("r_inner", 1.0)
-        pot_spec.setdefault("r_outer", 3.0)
-    if command == "example446" and kind != "example446":
-        raise ConfigError("command 'example446' requires "
-                          "potential.kind = 'example446'")
-
-    integ = dict(data.get("integrator", {}))
-    _reject_unknown("integrator", integ, _SECTION_KEYS["integrator"])
-    integrator = IntegratorConfig(
-        rel_tol=float(integ.get("rel_tol", 1e-10)),
-        abs_tol=float(integ.get("abs_tol", 1e-10)),
-        max_step=float(integ["max_step"]) if integ.get("max_step") else float("inf"),
-        event_tol=float(integ.get("event_tol", 1e-12)))
-
-    section = _COMMAND_SECTION[command]
-    given = dict(data.get(section, {}))
-    _reject_unknown(section, given, _SECTION_KEYS[section])
-    params = dict(_DEFAULTS[section])
-    params.update(given)
-    if section == "foliate" and params["family"] not in ("N_A", "M_A"):
-        raise ConfigError("foliate.family must be N_A or M_A, got %r"
-                          % params["family"])
-    if section == "scaling":
-        _check_scaling(params)
-
-    echo = {"command": command, "n": n, "seed": seed,
-            "potential": pot_spec,
-            "integrator": {"rel_tol": integrator.rel_tol,
-                           "abs_tol": integrator.abs_tol,
-                           "event_tol": integrator.event_tol},
-            section: params}
+    echo = {"command": command, "n": n, "seed": seed, "potential": pot_spec,
+            "integrator": {k: getattr(integrator, k) for k in _INTEGRATOR
+                           if k != "max_step" or k in integ},
+            row.section: params}
     return ExperimentConfig(command=command, n=n, seed=seed,
                             potential=pot_spec, integrator=integrator,
                             params=params, raw=echo)
@@ -198,22 +205,15 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(data)
 
 
-def build_potential(cfg: ExperimentConfig) -> Optional[ProductPotential]:
+def build_potential(cfg: ExperimentConfig) -> ProductPotential:
+    """The potential of a command that builds kind zero or product."""
     spec = cfg.potential
-    kind = spec["kind"] if "kind" in spec else "zero"
-    if kind == "zero":
-        return zero_potential(u_bound=float(spec.get("u_bound", 1.0)),
-                              r_inner=float(spec.get("r_inner", 1.0)),
-                              r_outer=float(spec.get("r_outer", 3.0)))
-    if kind == "product":
-        f = make_bump(**spec["f"])
-        g = make_bump(**spec["g"])
-        pot = product_potential(f, g)
-        scale = float(spec.get("scale", 1.0))
-        if scale != 1.0:
-            pot = scale_potential(pot, scale)
-        return pot
-    return None  # example446 potentials are built from phi/psi in the runner
+    if spec.get("kind", "zero") == "zero":
+        return zero_potential(**{k: float(spec.get(k, default))
+                                 for k, default in _POTENTIAL_KEYS["zero"].items()})
+    pot = product_potential(make_bump(**spec["f"]), make_bump(**spec["g"]))
+    scale = float(spec.get("scale", 1.0))
+    return scale_potential(pot, scale) if scale != 1.0 else pot
 
 
 def build_bumps(cfg: ExperimentConfig):

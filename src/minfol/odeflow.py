@@ -55,6 +55,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.event_tol <= 0:
             raise InvalidParameterError("integrator tolerances must be positive")
+        if not self.max_step > 0:
+            raise InvalidParameterError("integrator max_step must be > 0, got %r"
+                                        % (self.max_step,))
         if self.t_range is not None and self.t_range[0] == self.t_range[1]:
             raise InvalidParameterError("degenerate t_range")
 

@@ -237,16 +237,89 @@ def test_no_command_runs_the_curvature_search(tmp_path, monkeypatch, name):
     assert code == 0, report["verdict"]
 
 
-@pytest.mark.parametrize("command", ["scan-conjugate", "rigidity-scaling"])
+@pytest.mark.parametrize("command", ["scan-conjugate", "rigidity-scaling", "certify",
+                                     "solve", "foliate"])
 def test_n2_commands_need_a_radial_potential(tmp_path, capsys, command):
     data = json.load(open(EXAMPLE446))
     data["command"] = command
+    data["n"] = 3 if command in ("certify", "foliate") else 2
     data.pop("example446")
     out = tmp_path / "out"
     assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "radial potential" in err
     assert not os.path.exists(out / "report.json")
+
+
+def _shipped(name, **changes):
+    """configs/<name>.json with changes; a dict value updates a section."""
+    data = json.load(open(os.path.join(CONFIGS, name + ".json")))
+    for key, value in changes.items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            data[key].update(value)
+        else:
+            data[key] = value
+    return data
+
+
+_PRODUCT = json.load(open(os.path.join(CONFIGS, "certify.json")))["potential"]
+_KINDLESS = {k: v for k, v in _PRODUCT.items() if k != "kind"}
+
+
+@pytest.mark.parametrize("data", [
+    # f, g and scale of a potential without a kind, which is zero
+    {"command": "certify", "n": 3, "potential": dict(_KINDLESS, scale=10.0)},
+    _shipped("certify", scan={"t_start": -1.0}),
+    _shipped("certify", integrator={"rel_tol": 1e-12}),
+    _shipped("rigidity-scaling", integrator={"rel_tol": 1e-12}),
+    _shipped("example446", integrator={"rel_tol": 1e-12}),
+    _shipped("hardy-check", integrator={"rel_tol": 1e-12}),
+    _shipped("hardy-check", potential={"kind": "zero"}),
+    _shipped("foliate", potential=json.load(open(EXAMPLE446))["potential"]),
+    _shipped("certify", potential={"kind": "zero", "scale": 2.0}),
+    _shipped("certify", potential=dict(_PRODUCT, variant="auto")),
+    _shipped("certify", n=3.9),
+    _shipped("certify", n=True),
+    _shipped("hardy-check", seed=2.7),
+    _shipped("certify", certify={"grid_points": 64.9}),
+    _shipped("hardy-check", hardy={"n_list": [3.5, 4]}),
+    _shipped("hardy-check", hardy={"num_random": 2.5}),
+    _shipped("scan-conjugate", scan={"n_slide": 1.7}),
+    _shipped("scan-conjugate", scan={"t_start": "abc"}),
+    _shipped("solve", solve={"u0": True}),
+    _shipped("certify", potential=dict(_PRODUCT, f={"center": "0", "width": 1.0,
+                                                    "amplitude": 1.0})),
+    _shipped("solve", integrator={"max_step": 0}),
+    _shipped("solve", integrator={"max_step": -1}),
+], ids=["kindless-product", "foreign-section", "integrator-certify",
+        "integrator-scaling", "integrator-example446", "integrator-hardy",
+        "potential-hardy", "foliate-example446", "scale-on-zero",
+        "variant-on-product", "n-float", "n-bool", "seed-float",
+        "grid_points-float", "n_list-float", "num_random-float",
+        "n_slide-float", "t_start-string", "u0-bool", "bump-string",
+        "max_step-0", "max_step-negative"])
+def test_key_the_command_does_not_read_is_2_without_report(tmp_path, capsys, data):
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.json").exists()
+
+
+def test_integer_is_a_number_and_max_step_is_echoed(tmp_path):
+    data = _shipped("solve", solve={"u0": 0, "du0": 0}, integrator={"max_step": 1})
+    cfg = validate_config(data)
+    assert cfg.params["u0"] == 0 and cfg.integrator.max_step == 1.0
+    assert cfg.raw["integrator"]["max_step"] == 1.0
+    assert "max_step" not in validate_config(_shipped("solve")).raw["integrator"]
+
+
+def test_commands_runners_and_schema_agree():
+    from minfol import cli, config
+
+    with open(SCHEMA_PATH) as fh:
+        schema = json.load(fh)
+    assert set(cli._RUNNERS) == set(config.COMMANDS) \
+        == set(schema["properties"]["command"]["enum"])
 
 
 class TestMainExitCodes:
