@@ -17,10 +17,9 @@ import numpy as np
 
 from . import __version__
 from .certify import check_condition_A, check_condition_B, hardy_identity_check
-from .config import ExperimentConfig, build_bumps, build_potential, load_config
+from .config import ExperimentConfig, build_bumps, build_potential, grid, load_config
 from .errors import MinfolError
-from .foliation import (build_MA_family, build_NA_family, example_446_check,
-                        select_example_446_variant)
+from .foliation import build_MA_family, build_NA_family, example_446_check
 from .odeflow import asymptotic_match_outer, integrate_radial_ivp, stepper_work
 from .potential import make_bump
 from .reporting import (write_family_csv, write_csv, write_findings_csv,
@@ -29,14 +28,6 @@ from .rigidity import conjugate_point_scan, scaling_exponent_fit, verify_finding
 
 SLOPE_TOL = 0.15
 RESIDUAL_TOL = 1e-7
-
-
-def _grid(spec) -> np.ndarray:
-    """[lo, hi, count] -> linspace; an explicit list is used as-is."""
-    spec = list(spec)
-    if len(spec) == 3 and isinstance(spec[2], int) and spec[2] > 1:
-        return np.linspace(float(spec[0]), float(spec[1]), spec[2])
-    return np.asarray([float(x) for x in spec])
 
 
 def _run_certify(cfg: ExperimentConfig, out_dir: str, timing: dict):
@@ -53,8 +44,8 @@ def _run_certify(cfg: ExperimentConfig, out_dir: str, timing: dict):
 def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     p = cfg.params
-    r0 = float(p["r0"]) if p["r0"] else 2.0 * pot.r_outer
-    r_end = float(p["r_end"]) if p["r_end"] else 1e-2
+    r0 = float(p["r0"]) if p["r0"] is not None else 2.0 * pot.r_outer
+    r_end = float(p["r_end"]) if p["r_end"] is not None else 1e-2
     run_cfg = replace(cfg.integrator, t_range=(math.log(r0), math.log(r_end)))
     traj = integrate_radial_ivp(pot, cfg.n, r0, float(p["u0"]), float(p["du0"]),
                                 run_cfg)
@@ -77,7 +68,7 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
     p = cfg.params
     t_end = float(p["t_end"]) if p["t_end"] is not None else w.t_upper + 10.0
     t0 = time.perf_counter()
-    report = conjugate_point_scan(w, _grid(p["u0"]), _grid(p["p0"]),
+    report = conjugate_point_scan(w, grid(p["u0"]), grid(p["p0"]),
                                   float(p["t_start"]), t_end,
                                   cfg=cfg.integrator, n_slide=p["n_slide"])
     t1 = time.perf_counter()
@@ -108,15 +99,15 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
 def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     p = cfg.params
-    alphas = [float(a) for a in _grid(p["alphas"])]
+    alphas = [float(a) for a in grid(p["alphas"])]
     if p["family"] == "N_A":
         fam = build_NA_family(pot, cfg.n, float(p["A"]), alphas,
                               cfg=cfg.integrator, r_min=float(p["r_min"]),
-                              r_start=float(p["r_start"]) if p["r_start"] else None)
+                              r_start=None if p["r_start"] is None else float(p["r_start"]))
     else:
         fam = build_MA_family(pot, cfg.n, float(p["A"]), alphas,
                               cfg=cfg.integrator,
-                              r_end=float(p["r_end"]) if p["r_end"] else None)
+                              r_end=None if p["r_end"] is None else float(p["r_end"]))
     write_family_csv(fam, os.path.join(out_dir, "family.csv"))
     ordering = fam.ordering
     results = {"family": p["family"], "A": float(p["A"]), "alphas": alphas,
@@ -172,32 +163,19 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
 def _run_example446(cfg: ExperimentConfig, out_dir: str, timing: dict):
     phi, psi = build_bumps(cfg)
     p = cfg.params
-    variant = cfg.potential["variant"]
-    diagnostics, t0 = {}, time.perf_counter()
-    if variant == "auto":
-        variant = select_example_446_variant(
-            phi, psi, diagnostics=diagnostics.setdefault("variant_selection", {}))
-    t1 = time.perf_counter()
-    if p["u0_grid"] is not None:
-        u0_grid = [float(x) for x in _grid(p["u0_grid"])]
-    else:
-        lo, hi = phi.support
-        inset = 0.1 * (hi - lo)
-        u0_grid = list(np.linspace(lo + inset, hi - inset, 11))
-    rep = example_446_check(phi, psi, u0_grid, variant=variant,
+    u0_grid = None if p["u0_grid"] is None else grid(p["u0_grid"])
+    rep = example_446_check(phi, psi, u0_grid, variant=cfg.potential["variant"],
                             fd_step=float(p["fd_step"]))
-    timing.update(select_seconds=t1 - t0, leaves_seconds=time.perf_counter() - t1)
+    timing.update(rep.timing)
     header = ["t"] + ["u_leaf_%d" % j for j in range(len(rep.leaves))]
-    ts = rep.leaves[0].t
-    rows = [[float(t)] + [float(leaf.u[i]) for leaf in rep.leaves]
-            for i, t in enumerate(ts)]
+    rows = np.column_stack([rep.leaves[0].t] + [leaf.u for leaf in rep.leaves]).tolist()
     write_csv(os.path.join(out_dir, "leaves.csv"), header, rows)
-    results = {"variant": variant,
+    results = {"variant": rep.variant,
                "max_residual": rep.max_residual,
                "min_pairwise_gap": rep.min_pairwise_gap,
                "crossings": rep.crossings,
                "residuals": [leaf.max_residual for leaf in rep.leaves],
-               "diagnostics": {"leaves": rep.diagnostics, **diagnostics}}
+               "diagnostics": rep.diagnostics}
     ok = rep.max_residual <= RESIDUAL_TOL and rep.crossings == 0
     return (0 if ok else 1), results, \
         ("leaves-verified" if ok else "leaves-not-verified")

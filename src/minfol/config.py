@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError
 from .odeflow import IntegratorConfig
 from .potential import (ProductPotential, make_bump, product_potential,
@@ -60,6 +62,10 @@ _INTEGRATOR = {"rel_tol": 1e-10, "abs_tol": 1e-10, "max_step": math.inf,
 
 _BUMP = dict.fromkeys(("center", "width", "amplitude"), 0.0)
 
+# keys whose null default the command works out: radii (> 0) and the scan's end
+_NULLABLE = {"solve": ("r0", "r_end"), "scan": ("t_end",), "foliate": ("r_start", "r_end")}
+_GRIDS = {"scan": ("u0", "p0"), "foliate": ("alphas",), "example446": ("u0_grid",)}
+
 
 @dataclass
 class ExperimentConfig:
@@ -74,6 +80,22 @@ class ExperimentConfig:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def grid(spec, name: str = "grid") -> np.ndarray:
+    """The values of a grid key: [lo, hi, count] with an integer count >= 2
+    is a linspace, any other nonempty list of numbers is its values."""
+    if not (isinstance(spec, list) and spec and all(map(_is_number, spec))
+            and not (len(spec) == 3 and _is_int(spec[2]) and spec[2] < 2)):
+        raise ConfigError("%s must be [lo, hi, count] with an integer count >= 2 or a "
+                          "nonempty list of numbers (write 1 as 1.0), got %r" % (name, spec))
+    if len(spec) == 3 and _is_int(spec[2]):
+        return np.linspace(float(spec[0]), float(spec[1]), spec[2])
+    return np.asarray([float(x) for x in spec])
 
 
 def _object(section: str, given: Any) -> dict:
@@ -92,7 +114,7 @@ def _checked(section: str, given: Any, defaults: dict) -> dict:
         default = defaults[key]
         if _is_int(default) and not _is_int(value):
             raise ConfigError("%s.%s must be an integer, got %r" % (section, key, value))
-        if isinstance(default, float) and not (_is_int(value) or isinstance(value, float)):
+        if isinstance(default, float) and not _is_number(value):
             raise ConfigError("%s.%s must be a number, got %r" % (section, key, value))
     return dict(given)
 
@@ -125,6 +147,14 @@ def _potential(command: str, kinds: tuple, given: Any) -> dict:
 
 
 def _check_section(section: str, params: dict) -> None:
+    for key in _NULLABLE.get(section, ()):
+        x, least = params[key], -math.inf if key == "t_end" else 0.0
+        if x is not None and not (_is_number(x) and least < x < math.inf):
+            raise ConfigError("%s.%s must be a finite number%s or null, got %r"
+                              % (section, key, " > 0" if least == 0 else "", x))
+    for key in _GRIDS.get(section, ()):
+        if params[key] is not None:
+            grid(params[key], "%s.%s" % (section, key))
     if section == "foliate" and params["family"] not in ("N_A", "M_A"):
         raise ConfigError("foliate.family must be N_A or M_A, got %r"
                           % params["family"])

@@ -261,21 +261,21 @@ def _dense_zero(watch, F, y_old, t_old, t_new):
     return root, [_horner(f, (root - t_old) / h) + y for f, y in rows]
 
 
-def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
-                  watch=None, dense: bool = False):
+def _dop853_batch(rhs, t, t_stop, y, tol, max_step: float, watch=None,
+                  dense: bool = False):
     """scipy's DOP853 run per cell of the (state, cell) array y, forward from
-    t to t_stop (one each per cell): its tables, error norm, controller,
-    initial step and step bound, with vectorized rhs(t, y) called once per
-    stage on the active cells. With watch = (row, g), a step on which
-    g(y[row]) changes sign gets the dense-output stages and brentq finds the
-    zero; with dense, every accepted step gets them and keeps its rows. A
-    step below scipy's minimum, or a non-finite error norm, fails that cell
-    alone. Returns a LegBatch (work, watched zeros and the states there,
-    failure messages), the final times and states, and each cell's StepRows
-    (None unless dense)."""
+    t to t_stop at tol = (rel_tol, abs_tol) (each one value, or one per cell):
+    its tables, error norm, controller, initial step and step bound, with
+    vectorized rhs(t, y) called once per stage on the active cells. With
+    watch = (row, g), a step on which g(y[row]) changes sign gets the
+    dense-output stages and brentq finds the zero; with dense, every accepted
+    step gets them and keeps its rows. A step below scipy's minimum, or a
+    non-finite error norm, fails that cell alone. Returns a LegBatch (work,
+    watched zeros and the states there, failure messages), the final times
+    and states, and each cell's StepRows (None unless dense)."""
     t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
-    RK, atol, rms = DOP853, cfg.abs_tol, math.sqrt(len(y))
-    rtol = max(cfg.rel_tol, 100 * _EPS)     # scipy's floor on rtol
+    RK, rms = DOP853, math.sqrt(len(y))    # one rtol and atol per cell, rtol at scipy's floor
+    rtol, atol = (np.broadcast_to(x, (m,)) for x in (np.maximum(tol[0], 100 * _EPS), tol[1]))
     power = -1 / (RK.error_estimator_order + 1)
     res = LegBatch([[] for _ in range(m)], np.array([None] * m), *np.zeros((3, m), dtype=int))
     active, retry = t < t_stop, np.zeros(m, dtype=bool)
@@ -286,7 +286,7 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
         i = np.flatnonzero(active)   # scipy's initial step, per cell
         ti, yi, span, f = t[i], y[:, i], t_stop[i] - t[i], np.zeros_like(y)
         f[:, i] = fi = rhs(ti, yi)
-        scale = atol + np.abs(yi) * rtol
+        scale = atol[i] + np.abs(yi) * rtol[i]
         d0, d1 = _norm(yi / scale) / rms, _norm(fi / scale) / rms
         h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
         d2 = _norm((rhs(ti + h0, yi + h0 * fi) - fi) / scale) / rms / h0
@@ -311,12 +311,12 @@ def _dop853_batch(rhs, t, t_stop, y, cfg: IntegratorConfig, max_step: float,
             yi = y[:, i]
             K = np.empty((_NS + 1 + len(_A_EXTRA),) + yi.shape)   # the step's stages
             K[0] = f[:, i]
-            for st, (a, frac) in enumerate(zip(_A, RK.C[1:]), 1):
-                K[st] = rhs(ti + frac * h, yi + _stage_sum(a, K, h))
+            for st, (a, t_st) in enumerate(zip(_A, ti + RK.C[1:, None] * h), 1):
+                K[st] = rhs(t_st, yi + _stage_sum(a, K, h))
             y_new = yi + _stage_sum(_B, K, h)
             K[_NS] = rhs(t_new, y_new)
             res.stages[i] += _NS
-            scale = atol + np.maximum(np.abs(yi), np.abs(y_new)) * rtol
+            scale = atol[i] + np.maximum(np.abs(yi), np.abs(y_new)) * rtol[i]
             n5 = _norm(_stage_sum(_E5, K, 1.0) / scale) ** 2
             n3 = _norm(_stage_sum(_E3, K, 1.0) / scale) ** 2
             err = np.where((n5 == 0) & (n3 == 0), 0.0,
@@ -381,8 +381,8 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
     y_in = _free(y0, t_in - t0, damping)
     joint, rhs = len(damping) == 2, _flow_rhs(w, damping)
     res, s, y, rows = _dop853_batch(
-        rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in, cfg,
-        min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
+        rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in,
+        (cfg.rel_tol, cfg.abs_tol), min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
         (2, lambda xi: xi) if joint else (0, lambda u: abs(u) - w.u_bound),
         dense=samples is not None)
     t = d * s

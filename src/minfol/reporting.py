@@ -14,20 +14,13 @@ from .odeflow import PhaseState, Trajectory, hamiltonian_value
 TRAJECTORY_SAMPLES = 512
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float (deterministic)."""
-    if isinstance(x, float):
-        return repr(float(x))  # numpy floats would print as np.float64(...)
-    return str(x)
-
-
 def write_csv(path: str, header, rows) -> None:
-    """RFC-4180 CSV (CRLF line endings, UTF-8)."""
+    """RFC-4180 CSV (CRLF line endings, UTF-8). csv writes every field with
+    str(), which gives a float or an np.float64 its shortest round-trip form."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(rows)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str,
@@ -48,10 +41,7 @@ def write_findings_csv(findings, path: str) -> None:
 
 def write_family_csv(fam, path: str) -> None:
     header = ["r"] + ["u_alpha_%d" % j for j in range(len(fam.alpha_grid))]
-    rows = []
-    for i, r in enumerate(map(float, fam.r_grid)):
-        rows.append([r] + [float(x) for x in fam.u_matrix[i, :]])
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack([fam.r_grid, fam.u_matrix]).tolist())
 
 
 def write_report(report: dict, out_dir: str, wall_clock: float, **phases) -> str:

@@ -199,7 +199,7 @@ class TestRunCommand:
             assert work["stage_evaluations"] > 12 * work["accepted_steps"] > 0
         timing = open(os.path.join(str(tmp_path / "a"), "timing.txt")).read()
         assert [line.split("=")[0] for line in timing.splitlines()] == [
-            "wall_clock_seconds", "select_seconds", "leaves_seconds"]
+            "wall_clock_seconds", "flow_seconds", "residual_seconds"]
 
     def test_seed_changes_random_draws(self, tmp_path):
         data = {"command": "hardy-check", "n": 3,
@@ -303,6 +303,68 @@ def test_key_the_command_does_not_read_is_2_without_report(tmp_path, capsys, dat
     assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("data", [
+    _shipped("scan-conjugate", scan={"t_end": "abc"}),
+    _shipped("solve", solve={"r0": 0}),
+    _shipped("solve", solve={"r_end": -1.0}),
+    _shipped("solve", solve={"r0": "6"}),
+    _shipped("foliate", foliate={"r_start": 0.0}),
+    _shipped("foliate", foliate={"r_end": True}),
+    _shipped("scan-conjugate", scan={"u0": [-0.5, 0.5, 1]}),
+    _shipped("scan-conjugate", scan={"p0": [-0.5, 0.5, 0]}),
+    _shipped("foliate", foliate={"alphas": []}),
+    _shipped("foliate", foliate={"alphas": [0.1, "0.2"]}),
+    _shipped("example446", example446={"u0_grid": [-0.5, 0.5, -3]}),
+    _shipped("example446", example446={"u0_grid": 0.5}),
+], ids=["t_end-string", "r0-0", "r_end-negative", "r0-string", "r_start-0",
+        "r_end-bool", "u0-count-1", "p0-count-0", "alphas-empty", "alphas-string",
+        "u0_grid-count-negative", "u0_grid-number"])
+def test_bad_radius_end_time_or_grid_is_2_without_report(tmp_path, capsys, data):
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.json").exists()
+
+
+def test_three_values_ending_in_a_float_are_values_and_a_radius_is_kept(tmp_path):
+    from minfol.config import grid
+
+    params = validate_config(_shipped("scan-conjugate", scan={
+        "u0": [-0.5, 0.5, 1.0], "p0": [0.0, 0.5, 2]})).params
+    assert grid(params["u0"]).tolist() == [-0.5, 0.5, 1.0]
+    assert grid(params["p0"]).tolist() == [0.0, 0.5]
+    code, report = run_command(validate_config(_shipped("solve", solve={"r0": 4.5})),
+                               str(tmp_path / "out"))
+    assert code == 0 and report["results"]["r0"] == report["config"]["solve"]["r0"] == 4.5
+
+
+def _fmt(x) -> str:
+    """The CSV field form the writers must keep: a float's (or np.float64's)
+    shortest round-trip repr, str of anything else."""
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def test_write_csv_matches_the_repr_oracle(tmp_path):
+    import io
+
+    from minfol.reporting import write_csv
+
+    rng = np.random.default_rng(5)
+    floats = rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.uniform(-30.0, 30.0, 4000)
+    special = [0.0, -0.0, 1e16, 1e-5, math.nan, math.inf, -math.inf, 0.1, 1 / 3, 5e-324]
+    rows = [[3, "random-0", np.int64(7), True] + special + list(map(np.float64, special)),
+            floats.tolist(), list(floats), np.column_stack([floats[:3], floats[3:6]]).tolist()]
+    header = ("n", "case", "x")
+    oracle = io.StringIO(newline="")
+    writer = csv.writer(oracle)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
+    path = str(tmp_path / "rows.csv")
+    write_csv(path, header, rows)
+    assert open(path, "rb").read() == oracle.getvalue().encode("utf-8")
 
 
 def test_integer_is_a_number_and_max_step_is_echoed(tmp_path):

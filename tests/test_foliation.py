@@ -11,7 +11,7 @@ from minfol.foliation import (LeafFamily, build_MA_family, build_NA_family,
                               check_ordering, example_446_check,
                               select_example_446_variant)
 from minfol.odeflow import IntegratorConfig, asymptotic_match_outer
-from minfol.potential import zero_potential
+from minfol.potential import make_bump, zero_potential
 
 ALPHAS = np.linspace(-0.4, 0.4, 5)
 
@@ -102,6 +102,27 @@ class TestExplicitFamily:
         assert select_example_446_variant(phi, psi) == "chain-rule"
         assert [args[3].shape[1] for args, _ in runs] == [5]
 
+    def test_auto_steps_the_probes_with_the_leaves(self, monkeypatch):
+        # one batch of 5 probes + the leaves gives the bits of the oracle's
+        # own run followed by the check at the variant it picked
+        phi, psi = example_pair()
+        u0s = list(np.linspace(-0.8, 0.8, 11))
+        probe_work = {}
+        variant = select_example_446_variant(phi, psi, diagnostics=probe_work)
+        ref = example_446_check(phi, psi, u0s, variant=variant)
+        runs = _captured_runs(monkeypatch)
+        rep = example_446_check(phi, psi, u0s, variant="auto")
+        assert [args[3].shape[1] for args, _ in runs] == [5 + len(u0s)]
+        assert rep.variant == variant == "chain-rule"
+        assert rep.diagnostics == {"leaves": ref.diagnostics["leaves"],
+                                   "variant_selection": probe_work}
+        assert sorted(rep.timing) == ["flow_seconds", "residual_seconds"]
+        for got, want in zip(rep.leaves, ref.leaves):
+            assert got.u0 == want.u0 and got.max_residual == want.max_residual
+            assert got.t.tobytes() == want.t.tobytes() and got.u.tobytes() == want.u.tobytes()
+        assert (rep.max_residual, rep.min_pairwise_gap, rep.initial_gap, rep.crossings) == \
+            (ref.max_residual, ref.min_pairwise_gap, ref.initial_gap, ref.crossings)
+
     def test_selected_variant_solves_newton_equation(self):
         phi, psi = example_pair()
         u0s = np.linspace(-0.8, 0.8, 11)
@@ -163,7 +184,7 @@ class TestBatchedLeaves:
     def test_each_leaf_takes_scipys_steps(self, monkeypatch, cfg, u0s):
         phi, psi = example_pair()
         runs = _captured_runs(monkeypatch)
-        ts, flows, work = foliation._example_leaves(phi, psi, u0s, cfg, 2e-4)
+        (ts, flows, work), = foliation._example_leaves(phi, psi, [(u0s, cfg, 2e-4)])
         ts_ref, oracle = _scipy_leaves(phi, psi, u0s, cfg, 2e-4)
         assert np.array_equal(ts, ts_ref) and len(runs) == 1
         accepted = runs[0][1][0].accepted
@@ -177,9 +198,9 @@ class TestBatchedLeaves:
     def test_leaf_alone_equals_the_batch(self):
         phi, psi = example_pair()
         u0s = list(np.linspace(-0.8, 0.8, 11))
-        _, batch, _ = foliation._example_leaves(phi, psi, u0s, CHECK_CFG, 2e-4)
+        (_, batch, _), = foliation._example_leaves(phi, psi, [(u0s, CHECK_CFG, 2e-4)])
         for j in (0, 3, 5, 10):
-            _, alone, _ = foliation._example_leaves(phi, psi, [u0s[j]], CHECK_CFG, 2e-4)
+            (_, alone, _), = foliation._example_leaves(phi, psi, [([u0s[j]], CHECK_CFG, 2e-4)])
             assert np.array_equal(alone[0][0], batch[j][0])
             assert np.array_equal(alone[0][1], batch[j][1])
 
@@ -230,3 +251,25 @@ class TestFocalPoints:
             fld = integrate_jacobi(traj, 1.0, 0.0, mode="radial-form",
                                    cfg=cfg, t_init=traj.t_min)
             assert find_vanishing(fld, "focal", traj.t_min) == []
+
+
+@pytest.mark.parametrize("phi, psi", [
+    (make_bump(0.0, 1.0, 1.0), make_bump(0.5, 0.5, 1.0)),
+    (make_bump(0.3, 0.7, -1.7), make_bump(-0.2, 1.3, 0.6))], ids=["config", "scaled"])
+@pytest.mark.parametrize("where", ["inside", "mixed", "outside"])
+def test_first_order_rhs_equals_the_two_bump_calls(phi, psi, where):
+    # one stacked profile pass gives the bits of phi'(u) psi(t), signed zeros too
+    rng = np.random.default_rng(3)
+    (u_lo, u_hi), (t_lo, t_hi) = phi.support, psi.support
+    u_in, t_in = rng.uniform(u_lo, u_hi, 64), rng.uniform(t_lo, t_hi, 64)
+    u_out = np.concatenate((rng.uniform(u_hi, u_hi + 2.0, 30), [u_lo, u_hi, -5.0, 9.0]))
+    t_out = np.concatenate((rng.uniform(t_lo - 2.0, t_lo, 30), [t_lo, t_hi, -5.0, 9.0]))
+    u, t = {"inside": (u_in, t_in),
+            "mixed": (np.concatenate((u_in[:32], u_in[32:48], u_out[:16])),
+                      np.concatenate((t_in[:32], t_out[:16], t_in[32:48]))),
+            "outside": (u_out, t_out)}[where]
+    got = foliation._first_order_rhs(phi, psi)(t, u[None])
+    want = (phi.derivative(u) * psi.value(t))[None]
+    assert got.shape == (1, len(u)) and got.tobytes() == want.tobytes()
+    if where == "outside" and phi.amplitude < 0:
+        assert np.all(got == 0.0) and np.all(np.signbit(got))

@@ -385,3 +385,32 @@ def test_stage_coefficients_are_views_of_scipys_tables():
                         (RK.D, odeflow._D), (RK.B, [odeflow._B]),
                         (RK.E5, [odeflow._E5]), (RK.E3, [odeflow._E3])):
         assert all(np.shares_memory(row, table) for row in rows)
+
+
+def test_mixed_tolerance_cell_equals_its_uniform_batch(strong_log):
+    # a cell reads only its own tolerances: its states, dense rows, zeros and
+    # work are the bits of a batch run wholly at them
+    from minfol.odeflow import _dop853_batch, _flow_rhs
+
+    w = strong_log
+    tols = [(1e-10, 1e-10), (1e-12, 1e-13), (1e-6, 1e-9), (1e-17, 1e-14)]  # last: rtol floored
+    y0 = np.array([[0.25, -0.25, 0.4, 0.1], [0.25, 0.5, -0.1, 0.2],
+                   [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.5, 1.0]])
+    m = y0.shape[1]
+
+    def run(tol):
+        return _dop853_batch(_flow_rhs(w, (0.0, 0.0)), np.full(m, w.t_lower),
+                             np.full(m, w.t_upper), y0, tol, (w.t_upper - w.t_lower) / 8,
+                             (2, lambda xi: xi), dense=True)
+
+    res, t, y, rows = run([np.array(x) for x in zip(*tols)])
+    assert list(res.failures) == [None] * m
+    for c, tol in enumerate(tols):
+        res_u, t_u, y_u, rows_u = run(tol)
+        assert t[c] == t_u[c] and y[:, c].tobytes() == y_u[:, c].tobytes()
+        for name in ("s_old", "h", "y_old", "F"):
+            assert getattr(rows[c], name).tobytes() == getattr(rows_u[c], name).tobytes()
+        assert res.zeros[c] == res_u.zeros[c]
+        assert [res.stages[c], res.accepted[c], res.rejected[c]] == \
+            [res_u.stages[c], res_u.accepted[c], res_u.rejected[c]]
+    assert len(set(res.accepted)) == m
