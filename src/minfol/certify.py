@@ -114,13 +114,12 @@ class Certificate:
 
 
 def check_condition_A(pot: Potential, n: int, x0_offset: float = 0.0,
-                      grid_points: int = 2048,
-                      envelope=None) -> Certificate:
+                      grid_points: int = 2048) -> Certificate:
     """Pointwise condition: U(r) <= ((n-2)/2)^2 / dist^2 over the support,
     worst-casing the distance to x0 on each sphere as r + |offset|."""
     if n < 3:
         raise InvalidParameterError("condition A requires n >= 3")
-    env = envelope if envelope is not None else u_bound_function(pot, n)
+    env = u_bound_function(pot, n)
     r_lo = pot.r_inner if pot.r_inner else pot.r_outer * 1e-6
     rr = np.linspace(r_lo, pot.r_outer, grid_points)
     c = ((n - 2) / 2.0) ** 2
@@ -132,12 +131,11 @@ def check_condition_A(pot: Potential, n: int, x0_offset: float = 0.0,
                        x0_offset=x0_offset, grid_points=grid_points)
 
 
-def check_condition_B(pot: Potential, n: int,
-                      envelope=None) -> Certificate:
+def check_condition_B(pot: Potential, n: int) -> Certificate:
     """Integral condition: ||U||_{n/2} <= S_n = n(n-2)/4 |S^n|."""
     if n < 3:
         raise InvalidParameterError("condition B requires n >= 3")
-    env = envelope if envelope is not None else u_bound_function(pot, n)
+    env = u_bound_function(pot, n)
     r_lo = pot.r_inner if pot.r_inner else 0.0
 
     (integral,) = quad_1d(lambda r: (env(r) ** (n / 2.0) * r ** (n - 1),),

@@ -158,6 +158,8 @@ def _check_section(section: str, params: dict) -> None:
     if section == "foliate" and params["family"] not in ("N_A", "M_A"):
         raise ConfigError("foliate.family must be N_A or M_A, got %r"
                           % params["family"])
+    if section == "foliate" and not params["r_min"] > 0:
+        raise ConfigError("foliate.r_min must be a number > 0, got %r" % (params["r_min"],))
     n_list = params.get("n_list", [3])
     if not (isinstance(n_list, list) and n_list and all(_is_int(n) and n >= 3 for n in n_list)):
         raise ConfigError("hardy.n_list must hold integers >= 3, got %r" % (n_list,))

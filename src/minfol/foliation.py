@@ -71,7 +71,7 @@ def build_NA_family(pot: Potential, n: int, A: float, alphas,
     """Leaves with outer form u = alpha / r^{n-2} + A, integrated inward."""
     if n < 3:
         raise InvalidParameterError("outer-pinned family requires n >= 3")
-    r_start = r_start if r_start else 2.0 * pot.r_outer
+    r_start = 2.0 * pot.r_outer if r_start is None else r_start
 
     def start(alpha):
         return alpha / r_start ** (n - 2) + A, -(n - 2) * alpha / r_start ** (n - 1)
@@ -89,7 +89,7 @@ def build_MA_family(pot: Potential, n: int, A: float, alphas,
     if not pot.r_inner or pot.r_inner <= 0:
         raise InapplicableError("potential has no inner support gap r_inner > 0")
     r0 = pot.r_inner
-    r_end = r_end if r_end else 2.0 * pot.r_outer
+    r_end = 2.0 * pot.r_outer if r_end is None else r_end
 
     def start(alpha):
         return A / r0 ** (n - 2) + alpha, -(n - 2) * A / r0 ** (n - 1)
@@ -101,6 +101,8 @@ def _pinned_family(kind, pot, n, A, alphas, r0, r_far, cfg, start) -> LeafFamily
     """The leaves run from (u, u') = start(alpha) at r0 to r_far, all in one
     batch, read on the geometric r-grid from the inner to the outer radius
     (N_A inward)."""
+    if not (r0 > 0 and r_far > 0):
+        raise InvalidParameterError("start and end radii must be > 0, got %r and %r" % (r0, r_far))
     alphas = list(alphas)
     if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha grid must be nonempty and strictly increasing")

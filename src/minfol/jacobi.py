@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ContractViolationError, InapplicableError, InvalidParameterError
 from .odeflow import IntegratorConfig, LegSolution, Trajectory, _sample_grid, integrate_legs
@@ -130,46 +129,57 @@ def riccati_blowup_window(omega0: float, B: float,
 
 def omega_region_bound(s, K: float, T: float, U: float) -> tuple[float, float]:
     """Case-matched bounds on omega at a PhaseState (see _region_bound)."""
-    return _region_bound(s.u, s.p, s.t, K, T, U)
+    lo, hi = _region_bound(s.u, s.p, s.t, K, T, U)
+    return float(lo), float(hi)
 
 
-def _region_bound(u: float, p: float, t: float, K: float, T: float,
-                  U: float) -> tuple[float, float]:
-    """Case-matched (lower, upper) bounds on omega for states outside the strip.
+def _region_bound(u, p, t, K: float, T: float, U: float):
+    """Case-matched (lower, upper) bounds on omega for states outside the
+    strip, elementwise over arrays u, p, t.
 
     Cases where the backward free line never touches the support give (0, 0)
     exactly; lines entering the strip at time t~ give [0, K e^{t~}).  States
     matching no case fall back to the global bounds |omega| <= K e^T and,
-    for t > T, 0 <= omega < 1/(t - T).
+    for t > T, 0 <= omega < 1/(t - T).  The first matching case wins.
     """
-    cap = K * math.exp(T)
-    if t <= T:
-        if p <= 0 and u > U - p * (T - t):
-            return (0.0, 0.0)
-        if p >= 0 and u < -U - p * (T - t):
-            return (0.0, 0.0)
-        if u > U and p > 0:
-            return (0.0, K * math.exp(t - (u - U) / p))
-        if u < -U and p < 0:
-            return (0.0, K * math.exp(t + (-U - u) / p))
-        return (-cap, cap)
-    # t > T
-    if (u < -U and p >= 0) or (u > U and p <= 0):
-        return (0.0, 0.0)
-    if p > 0 and u > U + p * (t - T):
-        return (0.0, min(K * math.exp(t - (u - U) / p), 1.0 / (t - T)))
-    if p < 0 and u < -U + p * (t - T):
-        return (0.0, min(K * math.exp(t + (-U - u) / p), 1.0 / (t - T)))
-    return (0.0, min(cap, 1.0 / (t - T)))
+    u, p, t = (np.asarray(x, float) for x in (u, p, t))
+    cap, early = K * math.exp(T), t <= T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        free = np.where(early, ((p <= 0) & (u > U - p * (T - t)))
+                        | ((p >= 0) & (u < -U - p * (T - t))),
+                        ((u < -U) & (p >= 0)) | ((u > U) & (p <= 0)))
+        above = (p > 0) & np.where(early, u > U, u > U + p * (t - T))
+        below = (p < 0) & np.where(early, u < -U, u < -U + p * (t - T))
+        hi = np.select([free, above, below],
+                       [0.0, K * np.exp(t - (u - U) / p), K * np.exp(t + (-U - u) / p)], cap)
+        hi = np.where(early, hi, np.minimum(hi, 1.0 / (t - T)))
+    lo = np.where(early & ~(free | above | below), -cap, 0.0)
+    return lo, hi
 
 
-def _envelope_term(K: float, tau1: float, d: float) -> float:
-    """B coth(B d) with B = K e^{tau1}; continuous limit 1/d as B -> 0."""
-    B = K * math.exp(tau1)
-    x = B * d
-    if x < 1e-8:
-        return 1.0 / d if d > 0 else math.inf
-    return B / math.tanh(x)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _lower_envelopes(K: float, tau0, n_grid: int = 200) -> np.ndarray:
+    """certified_lower_envelope at each tau0 < 0 of a 1-D array: the grid
+    minimum of each row, its bracket refined by golden section, and the
+    smaller of the two, each B coth(B d) at a tau1 in (tau0, 0)."""
+    tau0 = np.asarray(tau0, float)
+
+    def term(tau1):  # B coth(B d), d = tau1 - tau0, with its limit 1/d as B d -> 0
+        B, d = K * np.exp(tau1), tau1 - tau0[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(B * d < 1e-8, 1.0 / d, B / np.tanh(B * d))
+
+    taus = np.linspace(tau0 + 1e-6 * np.abs(tau0), -1e-12, n_grid, axis=1)
+    vals = term(taus)
+    i = np.argmin(vals, axis=1)[:, None]
+    a = np.take_along_axis(taus, np.maximum(i - 1, 0), 1)
+    b = np.take_along_axis(taus, np.minimum(i + 1, n_grid - 1), 1)
+    for _ in range(48):  # each step shrinks the brackets by _GOLDEN, all 48 by ~1e-10
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        a, b = np.where(term(c) < term(d), (a, d), (c, b))
+    return -np.minimum(np.take_along_axis(vals, i, 1), term(0.5 * (a + b)))[:, 0]
 
 
 def certified_lower_envelope(K: float, tau0: float, n_grid: int = 200) -> float:
@@ -178,14 +188,7 @@ def certified_lower_envelope(K: float, tau0: float, n_grid: int = 200) -> float:
     B coth(B (tau1 - tau0)), B = K e^{tau1}."""
     if tau0 >= 0:
         raise InvalidParameterError("envelope applies to tau0 < 0")
-    taus = np.linspace(tau0 + 1e-6 * abs(tau0), -1e-12, n_grid)
-    vals = [_envelope_term(K, float(x), float(x) - tau0) for x in taus]
-    i = int(np.argmin(vals))
-    lo = taus[max(i - 1, 0)]
-    hi = taus[min(i + 1, n_grid - 1)]
-    res = optimize.minimize_scalar(lambda x: _envelope_term(K, x, x - tau0),
-                                   bounds=(float(lo), float(hi)), method="bounded")
-    return -min(float(res.fun), float(vals[i]))
+    return float(_lower_envelopes(K, [tau0], n_grid)[0])
 
 
 @dataclass
@@ -225,20 +228,13 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
 
     env = np.full_like(om, -cap)
     neg = t < -1e-9
-    for i in np.flatnonzero(neg):
-        env[i] = max(certified_lower_envelope(K, float(t[i])), -cap)
+    env[neg] = np.maximum(_lower_envelopes(K, t[neg]), -cap)
     envelope_margin = om - env
 
-    region_ok = True
-    for uu, pp, tt, o in zip(*trace.fld.traj.state(t), t, om):
-        lo, hi = _region_bound(float(uu), float(pp), float(tt), K, T, w.u_bound)
-        if not (lo - tol <= o <= hi + tol):
-            region_ok = False
-            break
+    lo, hi = _region_bound(*trace.fld.traj.state(t), t, K, T, w.u_bound)
+    region_ok = bool(np.all((lo - tol <= om) & (om <= hi + tol)))
 
-    rate = 0.0
-    for i in np.flatnonzero(neg):
-        rate = max(rate, -env[i] * math.exp(-t[i] / 4.0))
+    rate = float(np.max(-env[neg] * np.exp(-t[neg] / 4.0), initial=0.0))
 
     all_ok = bool(np.all(uniform_margin >= -tol) and tail_ok
                   and np.all(envelope_margin >= -tol) and region_ok)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
 from .odeflow import (IntegratorConfig, LegBatch, PhaseState, _sample_grid,
-                      integrate_legs, stepper_work)
+                      hamiltonian_value, integrate_legs, stepper_work)
 from .potential import Potential
 from .quadrature import quad_2d
 
@@ -131,8 +131,7 @@ def verify_finding(w: Potential, finding: ConjugateFinding,
 
 def gibbs_density(w: Potential, s: PhaseState) -> float:
     """alpha = e^{-H} = exp(-p^2/2 - e^{2t} W(u, t))."""
-    h = 0.5 * s.p * s.p + math.exp(2.0 * s.t) * float(w.w(s.u, s.t))
-    return math.exp(-h)
+    return math.exp(-hamiltonian_value(w, s))
 
 
 class RescaledSides:

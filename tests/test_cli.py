@@ -312,6 +312,8 @@ def test_key_the_command_does_not_read_is_2_without_report(tmp_path, capsys, dat
     _shipped("solve", solve={"r0": "6"}),
     _shipped("foliate", foliate={"r_start": 0.0}),
     _shipped("foliate", foliate={"r_end": True}),
+    _shipped("foliate", foliate={"r_min": 0.0}),
+    _shipped("foliate", foliate={"r_min": -1.0}),
     _shipped("scan-conjugate", scan={"u0": [-0.5, 0.5, 1]}),
     _shipped("scan-conjugate", scan={"p0": [-0.5, 0.5, 0]}),
     _shipped("foliate", foliate={"alphas": []}),
@@ -319,8 +321,8 @@ def test_key_the_command_does_not_read_is_2_without_report(tmp_path, capsys, dat
     _shipped("example446", example446={"u0_grid": [-0.5, 0.5, -3]}),
     _shipped("example446", example446={"u0_grid": 0.5}),
 ], ids=["t_end-string", "r0-0", "r_end-negative", "r0-string", "r_start-0",
-        "r_end-bool", "u0-count-1", "p0-count-0", "alphas-empty", "alphas-string",
-        "u0_grid-count-negative", "u0_grid-number"])
+        "r_end-bool", "r_min-0", "r_min-negative", "u0-count-1", "p0-count-0",
+        "alphas-empty", "alphas-string", "u0_grid-count-negative", "u0_grid-number"])
 def test_bad_radius_end_time_or_grid_is_2_without_report(tmp_path, capsys, data):
     out = tmp_path / "out"
     assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2

@@ -57,12 +57,25 @@ class TestOuterFamily:
         with pytest.raises(InvalidParameterError):
             build_NA_family(certified_pot, 2, 0.0, ALPHAS)
 
+    @pytest.mark.parametrize("radii", [{"r_start": 0.0}, {"r_start": -6.0},
+                                       {"r_min": 0.0}, {"r_min": -1.0}])
+    def test_rejects_nonpositive_radii(self, certified_pot, radii):
+        # r_start = 0.0 used to fall back to the default 2 r_outer
+        with pytest.raises(InvalidParameterError, match="radii must be > 0"):
+            build_NA_family(certified_pot, 3, 0.0, ALPHAS, **radii)
+
 
 class TestInnerFamily:
     def test_is_ordered(self, certified_pot):
         fam = build_MA_family(certified_pot, 3, 0.05, ALPHAS)
         assert fam.ordering.verdict == "ordered"
         assert fam.ordering.min_gap > 0
+
+    @pytest.mark.parametrize("r_end", [0.0, -1.0])
+    def test_rejects_nonpositive_end_radius(self, certified_pot, r_end):
+        # r_end = 0.0 used to fall back to the default 2 r_outer = 6
+        with pytest.raises(InvalidParameterError, match="radii must be > 0"):
+            build_MA_family(certified_pot, 3, 0.0, [-0.1, 0.1], r_end=r_end)
 
     def test_requires_inner_gap(self):
         pot = zero_potential(u_bound=1.0, r_inner=0.0, r_outer=3.0)

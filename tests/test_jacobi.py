@@ -1,14 +1,19 @@
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.integrate import solve_ivp
 
 from minfol.errors import ContractViolationError, InvalidParameterError
-from minfol.jacobi import (certified_lower_envelope, find_vanishing,
+from minfol import jacobi
+from minfol.jacobi import (_lower_envelopes, _region_bound,
+                           certified_lower_envelope, find_vanishing,
                            integrate_jacobi, is_disconjugate,
                            nonvanishing_field, omega_region_bound,
                            riccati_blowup_window, riccati_bounds_check,
@@ -165,6 +170,42 @@ class TestRiccati:
             all(abs(v) < 1.0 for v in vals)
 
 
+def _coth_term(K, tau1, tau0):
+    """B coth(B (tau1 - tau0)), B = K e^{tau1}, with its limit 1/d as B d -> 0."""
+    B, d = K * np.exp(tau1), tau1 - tau0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(B * d < 1e-8, 1.0 / d, B / np.tanh(B * d))
+
+
+@pytest.mark.parametrize("name", ["flat_log", "weak_log", "strong_log", "scaling_log"])
+def test_envelope_is_the_attained_comparison_minimum(request, name):
+    K = request.getfixturevalue(name).k_curvature
+    taus = -np.geomspace(1e-4, 60.0, 300)
+    env = _lower_envelopes(K, taus)
+    for j, tau0 in enumerate(taus):
+        tau1 = np.linspace(tau0 + 1e-6 * abs(tau0), -1e-12, 200_000)
+        f = _coth_term(K, tau1, tau0)
+        i = int(np.argmin(f))
+        assert -env[j] == pytest.approx(f[i], rel=1e-9)
+        # f -> inf as tau1 -> tau0 and f is continuous, so -env is a value of f
+        # on (tau0, 0) unless it lies below f's minimum there
+        ref = optimize.minimize_scalar(lambda x: float(_coth_term(K, x, tau0)),
+                                       bounds=(tau1[max(i - 1, 0)], tau1[min(i + 1, 199_999)]),
+                                       method="bounded", options={"xatol": 1e-13})
+        assert -env[j] >= min(f[i], ref.fun) * (1.0 - 4e-16)
+        if j % 30 == 0:
+            assert certified_lower_envelope(K, float(tau0)) == env[j]
+
+
+def test_jacobi_imports_no_scipy():
+    tree = ast.parse(Path(jacobi.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in names if n.split(".")[0] == "scipy"]
+
+
 class TestDisconjugacy:
     def test_flat_is_disconjugate(self, flat_log):
         traj = _trajectory(flat_log, t0=-3.0, t1=6.0, u0=0.2, p0=0.05)
@@ -239,7 +280,50 @@ class TestRiccatiResidual:
             assert abs(dom + omega(t) ** 2 + coeff) < 1e-6
 
 
+def _region_reference(u, p, t, K, T, U):
+    """The case-by-case bounds on scalars: (case, lower, upper)."""
+    cap = K * math.exp(T)
+    if t <= T:
+        if p <= 0 and u > U - p * (T - t):
+            return "free-above", 0.0, 0.0
+        if p >= 0 and u < -U - p * (T - t):
+            return "free-below", 0.0, 0.0
+        if u > U and p > 0:
+            return "enters-above", 0.0, K * math.exp(t - (u - U) / p)
+        if u < -U and p < 0:
+            return "enters-below", 0.0, K * math.exp(t + (-U - u) / p)
+        return "fallback", -cap, cap
+    if (u < -U and p >= 0) or (u > U and p <= 0):
+        return "late-free", 0.0, 0.0
+    if p > 0 and u > U + p * (t - T):
+        return "late-above", 0.0, min(K * math.exp(t - (u - U) / p), 1.0 / (t - T))
+    if p < 0 and u < -U + p * (t - T):
+        return "late-below", 0.0, min(K * math.exp(t + (-U - u) / p), 1.0 / (t - T))
+    return "late-fallback", 0.0, min(cap, 1.0 / (t - T))
+
+
 class TestRegionCases:
+    @pytest.mark.parametrize("name", ["weak_log", "strong_log", "scaling_log"])
+    def test_array_bounds_equal_the_case_chain(self, request, name):
+        w = request.getfixturevalue(name)
+        K, T, U = w.k_curvature, w.t_upper, w.u_bound
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-3.0 * U, 3.0 * U, 3000)
+        p = rng.uniform(-2.0, 2.0, 3000)
+        t = rng.uniform(T - 4.0, T + 3.0, 3000)
+        p[::7], t[::11], u[::13] = 0.0, T, U
+        lo, hi = _region_bound(u, p, t, K, T, U)
+        cases = set()
+        for j in range(len(u)):
+            case, ref_lo, ref_hi = _region_reference(u[j], p[j], t[j], K, T, U)
+            cases.add(case)
+            assert lo[j] == ref_lo
+            assert hi[j] == pytest.approx(ref_hi, rel=1e-15, abs=0.0)
+            s = PhaseState(u=float(u[j]), p=float(p[j]), t=float(t[j]))
+            assert omega_region_bound(s, K, T, U) == (lo[j], hi[j])
+        assert len(cases) == 9
+
+
     def test_above_strip_at_rest_is_free(self, weak_log):
         K, T, U = weak_log.k_curvature, weak_log.t_upper, weak_log.u_bound
         lo, hi = omega_region_bound(
