@@ -24,7 +24,7 @@ from .odeflow import asymptotic_match_outer, integrate_radial_ivp, stepper_work
 from .potential import make_bump
 from .reporting import (write_family_csv, write_csv, write_findings_csv,
                         write_report, write_trajectory_csv)
-from .rigidity import conjugate_point_scan, scaling_exponent_fit, verify_findings
+from .rigidity import conjugate_point_scan, scaling_exponent_fit, strip_step_over_zero_spacing
 
 SLOPE_TOL = 0.15
 RESIDUAL_TOL = 1e-7
@@ -71,16 +71,16 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
     report = conjugate_point_scan(w, grid(p["u0"]), grid(p["p0"]),
                                   float(p["t_start"]), t_end,
                                   cfg=cfg.integrator, n_slide=p["n_slide"])
-    t1 = time.perf_counter()
+    timing["scan_seconds"] = time.perf_counter() - t0
     num_cells = len(report.u0_grid) * len(report.p0_grid) * len(report.t_starts)
     if report.failures and not report.findings:
         u0, p0, ts, message = report.failures[0]
         raise MinfolError("scan found no conjugate points and %d of %d cells "
                           "failed; first at (u0=%g, p0=%g, t_start=%g): %s"
                           % (len(report.failures), num_cells, u0, p0, ts, message))
-    findings = sorted(report.findings, key=lambda f: (f.t_start, f.u0, f.p0))
-    verifications, work = verify_findings(w, findings, cfg.integrator, t_end=t_end)
-    timing.update(scan_seconds=t1 - t0, verify_seconds=time.perf_counter() - t1)
+    ranked = sorted(zip(report.findings, report.residuals),
+                    key=lambda fv: (fv[0].t_start, fv[0].u0, fv[0].p0))
+    findings = [f for f, _ in ranked]
     write_findings_csv(findings, os.path.join(out_dir, "findings.csv"))
     results = {
         "num_cells": num_cells,
@@ -88,8 +88,9 @@ def _run_scan(cfg: ExperimentConfig, out_dir: str, timing: dict):
         "num_failures": len(report.failures),
         "findings": [{"u0": f.u0, "p0": f.p0, "t1": f.t1, "t2": f.t2,
                       "verification_residual": v}
-                     for f, v in zip(findings, verifications)],
-        "diagnostics": {**report.diagnostics, "verification": work},
+                     for f, v in ranked],
+        "diagnostics": {**report.diagnostics, "strip_step_over_zero_spacing":
+                        strip_step_over_zero_spacing(w, cfg.integrator)},
     }
     found = len(findings) > 0
     return (0 if found else 1), results, \

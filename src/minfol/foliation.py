@@ -188,9 +188,7 @@ def _example_leaves(phi, psi, groups):
         u = np.array([leaf(stencil)[0] for leaf in rows[a:b]]).reshape(b - a, 5, len(ts))
         udot = phi.derivative(u) * psi.value(stencil.reshape(5, len(ts)))
         uddot = (-udot[:, 0] + 8 * udot[:, 1] - 8 * udot[:, 2] + udot[:, 3]) / (12.0 * h)
-        work = stepper_work([replace(run, stages=run.stages[a:b], accepted=run.accepted[a:b],
-                                     rejected=run.rejected[a:b])])
-        out.append((ts, list(zip(u[:, 4], uddot)), work))
+        out.append((ts, list(zip(u[:, 4], uddot)), stepper_work([run[a:b]])))
     return out
 
 

@@ -84,9 +84,11 @@ class SupportEvent:
 
 # dense sample spacing of the exported sample grids
 _SCAN_DX = 1e-2
-# strip-leg step bound: this fraction of the strip width. An error-controlled
-# step cannot span half an oscillation of xi, and for every catalog potential
-# width/8 < pi / (K e^{t_upper}), so by Sturm comparison no step holds two zeros.
+# strip-leg step bound: this fraction of the strip width. By Sturm comparison
+# zeros of xi lie at least pi / (K e^{t_upper}) apart, so a step below that
+# spacing holds at most one zero. The bound is not assumed to be below it: a
+# scan reports their ratio (rigidity.strip_step_over_zero_spacing), and past 1
+# only the error control keeps a step from spanning two zeros.
 _STRIP_STEPS = 8
 _EPS = np.finfo(float).eps
 # DOP853's coefficients as (stage, 1, 1) columns against a (stage, state, cell)
@@ -222,6 +224,12 @@ class LegBatch:
     runs: list = field(default_factory=list)
     samples: list = field(default_factory=list)  # (state, k) at the sample times
 
+    def __getitem__(self, cells: slice) -> "LegBatch":
+        """The record of a slice of the batch's cells."""
+        return LegBatch(*(x[cells] for x in (self.zeros, self.failures, self.stages,
+                                             self.accepted, self.rejected, self.runs,
+                                             self.samples)))
+
     def raise_failure(self):
         """Raise the first failed cell's error, if any cell failed."""
         for exc in filter(None, self.failures):
@@ -261,21 +269,23 @@ def _dense_zero(watch, F, y_old, t_old, t_new):
     return root, [_horner(f, (root - t_old) / h) + y for f, y in rows]
 
 
-def _dop853_batch(rhs, t, t_stop, y, tol, max_step: float, watch=None,
-                  dense: bool = False):
+def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
     """scipy's DOP853 run per cell of the (state, cell) array y, forward from
-    t to t_stop at tol = (rel_tol, abs_tol) (each one value, or one per cell):
-    its tables, error norm, controller, initial step and step bound, with
-    vectorized rhs(t, y) called once per stage on the active cells. With
-    watch = (row, g), a step on which g(y[row]) changes sign gets the
-    dense-output stages and brentq finds the zero; with dense, every accepted
-    step gets them and keeps its rows. A step below scipy's minimum, or a
+    t to t_stop at tol = (rel_tol, abs_tol) with step bound max_step (each
+    one value, or one per cell): its tables, error norm, controller, initial
+    step and step bound, with vectorized rhs(t, y) called once per stage on
+    the active cells. With watch = (row, g), a step on which g(y[row])
+    changes sign gets the dense-output stages and brentq finds the zero; a
+    dense cell (dense is one flag, or one per cell) gets them on every
+    accepted step and keeps its rows. A step below scipy's minimum, or a
     non-finite error norm, fails that cell alone. Returns a LegBatch (work,
     watched zeros and the states there, failure messages), the final times
-    and states, and each cell's StepRows (None unless dense)."""
+    and states, and per cell its StepRows (None unless dense)."""
     t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
-    RK, rms = DOP853, math.sqrt(len(y))    # one rtol and atol per cell, rtol at scipy's floor
-    rtol, atol = (np.broadcast_to(x, (m,)) for x in (np.maximum(tol[0], 100 * _EPS), tol[1]))
+    RK, rms = DOP853, math.sqrt(len(y))    # per cell: rtol at scipy's floor, atol, step bound
+    rtol, atol, max_step = (np.broadcast_to(x, (m,)) for x in (
+        np.maximum(tol[0], 100 * _EPS), tol[1], max_step))
+    dense = np.broadcast_to(dense, (m,))
     power = -1 / (RK.error_estimator_order + 1)
     res = LegBatch([[] for _ in range(m)], np.array([None] * m), *np.zeros((3, m), dtype=int))
     active, retry = t < t_stop, np.zeros(m, dtype=bool)
@@ -293,14 +303,14 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step: float, watch=None,
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** -power)
         h_abs = np.zeros(m)
-        h_abs[i] = np.minimum(np.minimum(100 * h0, h1), np.minimum(span, max_step))
+        h_abs[i] = np.minimum(np.minimum(100 * h0, h1), np.minimum(span, max_step[i]))
         res.stages[i] += 2
         while np.any(active):
             i = np.flatnonzero(active)
             ti, h = t[i], h_abs[i]
             min_step = 10 * np.abs(np.nextafter(ti, np.inf) - ti)
             new = ~retry[i]      # a new step starts clipped to [min_step, max_step]
-            h = np.where(new & (h > max_step), max_step,
+            h = np.where(new & (h > max_step[i]), max_step[i],
                          np.where(new & (h < min_step), min_step, h))
             small = h < min_step     # False for a NaN step, whose error norm fails
             res.failures[i[small]], active[i[small]] = (
@@ -337,7 +347,7 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step: float, watch=None,
             g, g_new = ([watch[1](x[watch[0], k]) for x in (yi, y_new)] if watch is not None
                         else [np.ones(k.size)] * 2)
             sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
-            sel = sign | dense
+            sel = sign | dense[cells]
             s, sign = k[sel], sign[sel]
             if s.size:   # the three dense-output stages
                 K = K[:, :, s]
@@ -349,28 +359,41 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step: float, watch=None,
                              + [_stage_sum(d, K, h[s]) for d in _D])
                 for j, q in zip(np.flatnonzero(sign), s[sign]):
                     res.zeros[i[q]] += [_dense_zero(watch, F[..., j], yi[:, q], ti[q], t_new[q])]
-                if dense:
-                    kept.append((i[s], ti[s], h[s], yi[:, s], F))
-    if not dense:
-        return res, t, y, None
+                keep = dense[i[s]]
+                if np.any(keep):
+                    kept.append((i[s[keep]], ti[s[keep]], h[s[keep]], yi[:, s[keep]],
+                                 F[..., keep]))
+    if not np.any(dense):
+        return res, t, y, [None] * m
     cell, *cols = (np.concatenate(x, axis=-1) for x in zip(*kept))
     order = np.argsort(cell, kind="stable")   # each cell's steps, in time order
     ends = np.searchsorted(cell[order], np.arange(m + 1))
     steps = (order[a:b] for a, b in zip(ends, ends[1:]))
-    return res, t, y, [StepRows(*(x[..., j] for x in cols)) for j in steps]
+    return res, t, y, [StepRows(*(x[..., j] for x in cols)) if keep else None
+                       for j, keep in zip(steps, dense)]
 
 
-def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
-                   samples=None) -> LegBatch:
+def strip_step(w: Potential, cfg: IntegratorConfig) -> float:
+    """The strip leg's step bound: cfg's, at most the width over _STRIP_STEPS."""
+    return min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS)
+
+
+def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, samples=None) -> LegBatch:
     """Three-leg runs from the columns of y0 at t0 to t_end (each one time or
     one per cell), all in one direction: flow states (u, p) with damping (d,)
     record where they enter and leave the support box, joint states
-    (u, p, xi, xi') with damping (d, d_xi) the zeros of xi. A backward batch
-    steps forward in s = -t on -f(-s, y), which negates every time and stage
-    exactly. With samples (times per cell), every step keeps its dense rows,
-    and each cell gets its LegSolution and its states at those times."""
+    (u, p, xi, xi') with damping (d, d_xi) the zeros of xi. cfg is one
+    IntegratorConfig or one per cell: its tolerances, strip step bound and
+    event tolerance. A backward batch steps forward in s = -t on -f(-s, y),
+    which negates every time and stage exactly. With samples (per cell its
+    times, or None), every step of a cell with times keeps its dense rows,
+    and the cell gets its LegSolution and its states at those times."""
     y0 = np.asarray(y0, dtype=float)
     m = y0.shape[1]
+    cfgs = [cfg] * m if isinstance(cfg, IntegratorConfig) else list(cfg)
+    if len(cfgs) != m:
+        raise InvalidParameterError("need one integrator config per cell, got %d for %d"
+                                    % (len(cfgs), m))
     t0, t_end = (np.broadcast_to(np.asarray(a, dtype=float), (m,)) for a in (t0, t_end))
     if np.any(t_end > t0) and np.any(t_end < t0):
         raise InvalidParameterError("the runs of one batch go in one direction")
@@ -380,11 +403,12 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
     t_in, t_out = (a, b) if d > 0 else (b, a)
     y_in = _free(y0, t_in - t0, damping)
     joint, rhs = len(damping) == 2, _flow_rhs(w, damping)
+    dense = False if samples is None else [x is not None for x in samples]
     res, s, y, rows = _dop853_batch(
         rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in,
-        (cfg.rel_tol, cfg.abs_tol), min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS),
-        (2, lambda xi: xi) if joint else (0, lambda u: abs(u) - w.u_bound),
-        dense=samples is not None)
+        [np.array([c.rel_tol for c in cfgs]), np.array([c.abs_tol for c in cfgs])],
+        np.array([strip_step(w, c) for c in cfgs]),
+        (2, lambda xi: xi) if joint else (0, lambda u: abs(u) - w.u_bound), dense=dense)
     t = d * s
     res.failures = [msg and IntegrationFailureError(
         "integration failed: " + msg,
@@ -396,7 +420,7 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
             res.zeros[c] = []
         elif joint:
             res.zeros[c] = _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end[c],
-                                        damping[1], [z for z, _ in hits], cfg.event_tol)
+                                        damping[1], [z for z, _ in hits], cfgs[c].event_tol)
         else:   # strip crossings of |u| = u_bound, and the strip's edges inside the box
             events = [SupportEvent(t=z, kind="enter" if yz[0] * yz[1] < 0 else "exit")
                       for z, yz in hits]
@@ -406,7 +430,7 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg: IntegratorConfig, damping,
                     events.append(SupportEvent(t=t_b, kind=kind))
             res.zeros[c] = sorted(events, key=lambda ev: ev.t)
     if samples is not None:
-        res.runs = [None if res.failures[c] else LegSolution(
+        res.runs = [None if res.failures[c] or rows[c] is None else LegSolution(
             t0=t0[c], y0=y0[:, c], direction=d, t_in=t_in[c], t_out=t_out[c],
             y_out=y[:, c], strip=rows[c], damping=tuple(damping),
             ts=d * np.append(rows[c].s_old, s[c]), stages=int(res.stages[c]),

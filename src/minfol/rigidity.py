@@ -11,9 +11,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
-from .odeflow import (IntegratorConfig, LegBatch, PhaseState, _sample_grid,
-                      hamiltonian_value, integrate_legs, stepper_work)
-from .potential import Potential
+from .odeflow import (IntegratorConfig, LegBatch, LegSolution, PhaseState, _sample_grid,
+                      hamiltonian_value, integrate_legs, stepper_work, strip_step)
+from .potential import Potential, k_constant
 from .quadrature import quad_2d
 
 
@@ -34,6 +34,7 @@ class ScanReport:
     t_end: float
     findings: list[ConjugateFinding] = field(default_factory=list)
     failures: list[tuple[float, float, float, str]] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)  # per finding, from its copy
     diagnostics: dict = field(default_factory=dict)  # stepper work, failures by type
 
 
@@ -49,6 +50,25 @@ class ScalingFit:
     identically_zero: bool = False
 
 
+# the verification's strip step bound, as a fraction of the strip width: an
+# eighth of the scan's, so that a finding is re-stepped on another sequence
+_VERIFY_STRIP_STEPS = 64
+
+
+def _verify_cfg(w: Potential, cfg: IntegratorConfig) -> IntegratorConfig:
+    """A verification run's settings: cfg's tolerances halved, the strip step
+    bounded by a _VERIFY_STRIP_STEPS-th of the strip width."""
+    return replace(cfg.halved(),
+                   max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / _VERIFY_STRIP_STEPS))
+
+
+def _residual(run: LegSolution, f: ConjugateFinding, t_end: float) -> float:
+    """|xi(t2)| over the sup of |xi| on the sample grid of [t1, min(t2 + 0.5,
+    t_end)], read from a verification run of the finding's cell."""
+    y = run(np.append(_sample_grid(f.t1, min(f.t2 + 0.5, t_end)), f.t2))
+    return abs(float(y[2, -1])) / (float(np.max(np.abs(y[2, :-1]))) or 1.0)
+
+
 def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
                          t_end: float,
                          cfg: IntegratorConfig = IntegratorConfig(),
@@ -57,11 +77,17 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
     xi(t_start) = 0, xi'(t_start) = 1; record the first later vanishing.
     t_start additionally slides over a coarse grid of n_slide positions.
 
-    The cells of one t_start step together in `integrate_legs`, and
-    map_fn maps over the slides; a cell's result depends on neither."""
+    The cells of one t_start step together in one `integrate_legs` batch,
+    each beside its verification copy: the same launch run to t_end at
+    `verify_findings`'s settings, from which a finding's residual is read
+    (the bits `verify_findings` gives). A failed copy of a finding raises its
+    error; the copy of a cell without one only adds its work. map_fn maps
+    over the slides; a cell's result depends on neither."""
     u0_grid = [float(x) for x in u0_grid]
     p0_grid = [float(x) for x in p0_grid]
-    if t_start >= t_end:
+    if not math.isfinite(t_start):
+        raise InvalidParameterError("t_start must be finite, got %r" % (t_start,))
+    if not t_start < t_end:
         raise InvalidParameterError("need t_start < t_end")
     if not u0_grid or not p0_grid:
         raise InvalidParameterError("scan grids must be nonempty")
@@ -69,36 +95,48 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
         raise InvalidParameterError("n_slide must be >= 1")
     if n_slide == 1:
         t_starts = [t_start]
+    elif not math.isfinite(t_end):
+        raise InvalidParameterError("sliding t_start needs a finite t_end, got %r" % (t_end,))
     else:
         t_starts = list(np.linspace(t_start, 0.5 * (t_start + t_end), n_slide))
 
     cells = [(u0, p0) for u0 in u0_grid for p0 in p0_grid]
-    y0 = np.reshape([(u0, p0, 0.0, 1.0) for u0, p0 in cells], (-1, 4)).T
+    n = len(cells)
+    y0 = np.reshape([(u0, p0, 0.0, 1.0) for u0, p0 in cells] * 2, (-1, 4)).T
+    cfgs = [cfg] * n + [_verify_cfg(w, cfg)] * n
 
     def run(ts):
         try:
-            return integrate_legs(w, ts, y0, t_end, cfg, (0.0, 0.0))
+            return integrate_legs(w, ts, y0, t_end, cfgs, (0.0, 0.0), [None] * n + [()] * n)
         except MinfolError as exc:  # the slide's cells fail, the scan continues
-            n = len(cells)
-            return LegBatch([[]] * n, [exc] * n, *np.zeros((3, n), dtype=int))
+            return LegBatch([[]] * 2 * n, [exc] * 2 * n, *np.zeros((3, 2 * n), dtype=int),
+                            [None] * 2 * n)
 
     report = ScanReport(u0_grid=u0_grid, p0_grid=p0_grid, t_starts=t_starts,
                         t_end=t_end)
     batches = list(map_fn(run, t_starts))
-    for ts, batch in zip(t_starts, batches):
-        for (u0, p0), zeros, exc in zip(cells, batch.zeros, batch.failures):
+    scans, copies = [b[:n] for b in batches], [b[n:] for b in batches]
+    checks = []   # per finding, its copy's run and failure
+    for ts, scan, copy in zip(t_starts, scans, copies):
+        for c, ((u0, p0), zeros, exc) in enumerate(zip(cells, scan.zeros, scan.failures)):
             later = [float(z) for z in zeros if z > ts + 1e-9]
             if exc is not None:
                 report.failures.append((u0, p0, ts, str(exc)))
             elif later:
                 report.findings.append(ConjugateFinding(u0=u0, p0=p0, t_start=ts,
                                                         t1=ts, t2=later[0]))
+                checks.append((copy.runs[c], copy.failures[c]))
+    for _, exc in checks:
+        if exc is not None:
+            raise exc
+    report.residuals = [_residual(sol, f, t_end) for f, (sol, _) in zip(report.findings, checks)]
     report.diagnostics = {
-        **stepper_work(batches),
-        "max_accepted_steps_per_cell": int(max(b.accepted.max() for b in batches)),
+        **stepper_work(scans),
+        "max_accepted_steps_per_cell": int(max(b.accepted.max() for b in scans)),
         "failures_by_type": dict(sorted(collections.Counter(
-            type(exc).__name__ for b in batches for exc in b.failures
+            type(exc).__name__ for b in scans for exc in b.failures
             if exc is not None).items())),
+        "verification": stepper_work(copies),
     }
     return report
 
@@ -107,19 +145,21 @@ def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorCo
                     t_end: Optional[float] = None) -> tuple[list[float], dict]:
     """Re-verify every finding's Jacobi zero in one `integrate_legs`
     run, on another step sequence than the scan's: from (u0, p0, 0, 1) at
-    t1 = t_start to min(t2 + 0.5, t_end), at halved tolerances, the strip
-    step bounded by a 64th of the strip width instead of an eighth. Returns
-    |xi(t2)| over the field's sup on the sample grid, one per finding, and
-    the run's stepper work; raises the first failed finding's error."""
-    t_hi = [min(f.t2 + 0.5, w.t_upper + 10.0 if t_end is None else t_end) for f in findings]
-    run_cfg = replace(cfg.halved(), max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / 64))
+    t1 = t_start across the strip to t_end (default 10 past it), at halved
+    tolerances, the strip step bounded by a 64th of the strip width instead
+    of an eighth. Returns `_residual` per finding and the run's stepper work;
+    raises the first failed finding's error. A scan's residuals are these
+    bits, read from its verification copies."""
+    t_end = w.t_upper + 10.0 if t_end is None else t_end
+    for f in findings:
+        if not f.t1 < f.t2 <= t_end:
+            raise InvalidParameterError("a finding's t2 must lie in (t1, t_end] = (%r, %r], "
+                                        "got %r" % (f.t1, t_end, f.t2))
     y0 = np.reshape([(f.u0, f.p0, 0.0, 1.0) for f in findings], (-1, 4)).T
-    run = integrate_legs(w, [f.t1 for f in findings], y0, t_hi, run_cfg, (0.0, 0.0),
-                         [np.append(_sample_grid(f.t1, hi), f.t2)
-                          for f, hi in zip(findings, t_hi)])
+    run = integrate_legs(w, [f.t1 for f in findings], y0, t_end, _verify_cfg(w, cfg),
+                         (0.0, 0.0), [()] * len(findings))
     run.raise_failure()
-    return [abs(float(y[2, -1])) / (float(np.max(np.abs(y[2, :-1]))) or 1.0)
-            for y in run.samples], stepper_work([run])
+    return [_residual(sol, f, t_end) for sol, f in zip(run.runs, findings)], stepper_work([run])
 
 
 def verify_finding(w: Potential, finding: ConjugateFinding,
@@ -127,6 +167,14 @@ def verify_finding(w: Potential, finding: ConjugateFinding,
                    t_end: Optional[float] = None) -> float:
     """`verify_findings` of one finding."""
     return verify_findings(w, [finding], cfg, t_end)[0][0]
+
+
+def strip_step_over_zero_spacing(w: Potential, cfg: IntegratorConfig) -> float:
+    """The scan's strip step bound over pi / (K e^{t_upper}), the least
+    spacing of two zeros of xi by Sturm comparison (K by `k_constant`); 0
+    when K = 0. Below 1 no strip step can hold two zeros."""
+    K = k_constant(w)
+    return strip_step(w, cfg) * K * math.exp(w.t_upper) / math.pi if K else 0.0
 
 
 def gibbs_density(w: Potential, s: PhaseState) -> float:

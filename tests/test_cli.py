@@ -180,8 +180,9 @@ class TestRunCommand:
         assert check["accepted_steps"] > diag["accepted_steps"]
         assert check["stage_evaluations"] > 12 * check["accepted_steps"]
         timing = open(os.path.join(str(tmp_path / "a"), "timing.txt")).read()
+        # the verification steps in the scan's batches, so scan_seconds holds it
         assert [line.split("=")[0] for line in timing.splitlines()] == [
-            "wall_clock_seconds", "scan_seconds", "verify_seconds"]
+            "wall_clock_seconds", "scan_seconds"]
 
     def test_example446_rerun_is_byte_identical(self, tmp_path):
         raw = []
@@ -227,14 +228,22 @@ class TestRunCommand:
 @pytest.mark.parametrize("name", ["scan-conjugate", "rigidity-scaling", "foliate",
                                   "example446"])
 def test_no_command_runs_the_curvature_search(tmp_path, monkeypatch, name):
-    # only the Riccati checks read K; no shipped command computes it
-    def forbidden(*args, **kwargs):
-        raise AssertionError("k_constant called")
+    # only the Riccati checks and the scan's Sturm step check read K, the
+    # scan once per run
+    from minfol.potential import k_constant
 
-    monkeypatch.setattr("minfol.potential.k_constant", forbidden)
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return k_constant(w)
+
+    monkeypatch.setattr("minfol.potential.k_constant", counted)
+    monkeypatch.setattr("minfol.rigidity.k_constant", counted)
     cfg = load_config(os.path.join(CONFIGS, name + ".json"))
     code, report = run_command(cfg, str(tmp_path / "out"))
     assert code == 0, report["verdict"]
+    assert len(calls) == (name == "scan-conjugate")
 
 
 @pytest.mark.parametrize("command", ["scan-conjugate", "rigidity-scaling", "certify",
@@ -513,12 +522,18 @@ class TestScanFailures:
 
     def test_failed_verification_is_2_without_artifacts(self, tmp_path,
                                                        monkeypatch):
-        from minfol.rigidity import verify_findings
+        from minfol.errors import IntegrationFailureError
+        from minfol.odeflow import IntegratorConfig
+        from minfol.rigidity import integrate_legs
 
-        def verify_on_nan_curvature(w, *args, **kwargs):
-            return verify_findings(_nan_curvature(w), *args, **kwargs)
+        def fail_the_copies(w, t0, y0, t_end, cfgs, *args):
+            # every cell at other settings than the scan's is a verification copy
+            res = integrate_legs(w, t0, y0, t_end, cfgs, *args)
+            res.failures = [IntegrationFailureError("injected") if c != IntegratorConfig()
+                            else exc for c, exc in zip(cfgs, res.failures)]
+            return res
 
-        monkeypatch.setattr("minfol.cli.verify_findings", verify_on_nan_curvature)
+        monkeypatch.setattr("minfol.rigidity.integrate_legs", fail_the_copies)
         out = tmp_path / "out"
         assert main(["--config", self.SHIPPED, "--out", str(out)]) == 2
         assert os.listdir(out) == []
@@ -531,6 +546,26 @@ class TestScanFailures:
         assert report["results"]["num_findings"] == 87
         assert max(f["verification_residual"]
                    for f in report["results"]["findings"]) < 1e-6
+
+    @pytest.mark.parametrize("n_slide", [1, 2])
+    def test_scan_steps_one_batch_per_slide(self, tmp_path, monkeypatch, n_slide):
+        # the verification copies step beside the scan's cells
+        from minfol import odeflow
+
+        widths, core = [], odeflow._dop853_batch
+
+        def counted(*args, **kwargs):
+            widths.append(args[3].shape[1])
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(odeflow, "_dop853_batch", counted)
+        data = json.load(open(self.SHIPPED))
+        data["scan"]["n_slide"] = n_slide
+        out = str(tmp_path / "out")
+        assert main(["--config", _write(tmp_path, data), "--out", out]) == 0
+        assert widths == [2 * 121] * n_slide
+        diag = _validate_report(out)["results"]["diagnostics"]
+        assert diag["strip_step_over_zero_spacing"] == pytest.approx(0.655, abs=5e-4)
 
 
 class TestScaling:

@@ -388,29 +388,65 @@ def test_stage_coefficients_are_views_of_scipys_tables():
 
 
 def test_mixed_tolerance_cell_equals_its_uniform_batch(strong_log):
-    # a cell reads only its own tolerances: its states, dense rows, zeros and
-    # work are the bits of a batch run wholly at them
+    # a cell reads only its own tolerances, step bound and dense flag: its
+    # states, dense rows, zeros and work are the bits of a batch run wholly at
+    # them, and of the cell run alone
     from minfol.odeflow import _dop853_batch, _flow_rhs
 
     w = strong_log
-    tols = [(1e-10, 1e-10), (1e-12, 1e-13), (1e-6, 1e-9), (1e-17, 1e-14)]  # last: rtol floored
+    width = w.t_upper - w.t_lower
+    # per cell: (rel_tol, abs_tol), step bound, dense; the last rtol is floored
+    cells = [((1e-10, 1e-10), width / 8, True), ((1e-12, 1e-13), width / 64, False),
+             ((1e-6, 1e-9), width / 8, False), ((1e-17, 1e-14), width / 3, True)]
     y0 = np.array([[0.25, -0.25, 0.4, 0.1], [0.25, 0.5, -0.1, 0.2],
                    [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.5, 1.0]])
     m = y0.shape[1]
 
-    def run(tol):
-        return _dop853_batch(_flow_rhs(w, (0.0, 0.0)), np.full(m, w.t_lower),
-                             np.full(m, w.t_upper), y0, tol, (w.t_upper - w.t_lower) / 8,
-                             (2, lambda xi: xi), dense=True)
+    def run(y, tol, max_step, dense):
+        k = y.shape[1]
+        return _dop853_batch(_flow_rhs(w, (0.0, 0.0)), np.full(k, w.t_lower),
+                             np.full(k, w.t_upper), y, tol, max_step,
+                             (2, lambda xi: xi), dense=dense)
 
-    res, t, y, rows = run([np.array(x) for x in zip(*tols)])
+    tols, steps, dense = zip(*cells)
+    res, t, y, rows = run(y0, [np.array(x) for x in zip(*tols)], np.array(steps),
+                          np.array(dense))
     assert list(res.failures) == [None] * m
-    for c, tol in enumerate(tols):
-        res_u, t_u, y_u, rows_u = run(tol)
-        assert t[c] == t_u[c] and y[:, c].tobytes() == y_u[:, c].tobytes()
-        for name in ("s_old", "h", "y_old", "F"):
-            assert getattr(rows[c], name).tobytes() == getattr(rows_u[c], name).tobytes()
-        assert res.zeros[c] == res_u.zeros[c]
-        assert [res.stages[c], res.accepted[c], res.rejected[c]] == \
-            [res_u.stages[c], res_u.accepted[c], res_u.rejected[c]]
+    for c, (tol, step, dense_c) in enumerate(cells):
+        for y_ref, k in ((y0, c), (y0[:, c:c + 1], 0)):   # its uniform batch, and alone
+            res_u, t_u, y_u, rows_u = run(y_ref, tol, step, dense_c)
+            assert t[c] == t_u[k] and y[:, c].tobytes() == y_u[:, k].tobytes()
+            assert (rows[c] is None) == (rows_u[k] is None) == (not dense_c)
+            for name in ("s_old", "h", "y_old", "F") if dense_c else ():
+                assert getattr(rows[c], name).tobytes() == getattr(rows_u[k], name).tobytes()
+            assert res.zeros[c] == res_u.zeros[k]
+            assert [res.stages[c], res.accepted[c], res.rejected[c]] == \
+                [res_u.stages[k], res_u.accepted[k], res_u.rejected[k]]
     assert len(set(res.accepted)) == m
+
+
+def test_legs_take_one_config_per_cell(strong_log):
+    # per cell its own tolerances, strip step bound and event tolerance, and
+    # dense rows only where it has sample times: each cell runs as if alone
+    w = strong_log
+    width = w.t_upper - w.t_lower
+    cfgs = [IntegratorConfig(), IntegratorConfig(rel_tol=5e-11, abs_tol=5e-11,
+                                                 max_step=width / 64),
+            IntegratorConfig(rel_tol=1e-8, event_tol=1e-6)]
+    y0 = np.array([[0.25, 0.25, -0.4], [0.25, 0.25, 0.1], [0.0] * 3, [1.0] * 3])
+    t_end = w.t_upper + 10.0
+    samples = [None, np.linspace(-2.0, t_end, 9), None]
+    batch = integrate_legs(w, -2.0, y0, t_end, cfgs, (0.0, 0.0), samples)
+    assert batch.runs[0] is batch.runs[2] is batch.samples[0] is batch.samples[2] is None
+    for c, cfg in enumerate(cfgs):
+        alone = integrate_legs(w, -2.0, y0[:, c:c + 1], t_end, cfg, (0.0, 0.0),
+                               samples[c:c + 1])
+        assert batch.zeros[c] == alone.zeros[0]
+        assert [batch.stages[c], batch.accepted[c], batch.rejected[c]] == \
+            [alone.stages[0], alone.accepted[0], alone.rejected[0]]
+    alone = integrate_legs(w, -2.0, y0[:, 1:2], t_end, cfgs[1], (0.0, 0.0), samples[1:2])
+    assert batch.samples[1].tobytes() == alone.samples[0].tobytes()
+    assert batch.accepted[1] > batch.accepted[0] > batch.accepted[2]
+    with pytest.raises(InvalidParameterError, match="one integrator config per cell"):
+        integrate_legs(w, -2.0, y0, t_end, cfgs[:2], (0.0, 0.0))
+

@@ -19,7 +19,7 @@ from minfol.quadrature import quad_2d
 from minfol.rigidity import (ConjugateFinding, RescaledSides, conjugate_point_scan,
                              discriminant_inequality_check, gibbs_density,
                              rescaled_inequality_sides, scaling_exponent_fit,
-                             verify_finding, verify_findings)
+                             strip_step_over_zero_spacing, verify_finding, verify_findings)
 
 GRID = np.linspace(-0.4, 0.4, 4)
 # the (u0, p0) grid of configs/scan-conjugate.json
@@ -133,6 +133,20 @@ class TestScan:
             conjugate_point_scan(flat_log, [], GRID, -1.0, 5.0)
         with pytest.raises(InvalidParameterError):
             conjugate_point_scan(flat_log, GRID, GRID, 5.0, -1.0)
+
+    @pytest.mark.parametrize("t_start", [math.nan, -math.inf])
+    def test_nonfinite_t_start_rejected(self, strong_log, t_start):
+        # a NaN t_start once passed the t_start < t_end check and stepped nothing
+        with pytest.raises(InvalidParameterError, match="t_start must be finite"):
+            conjugate_point_scan(strong_log, [0.0], [0.0], t_start, 5.0)
+
+    def test_slides_need_a_finite_t_end(self, strong_log):
+        # the slides once fell at [nan, inf, inf]: 0 findings, 0 failures, 0 steps
+        with pytest.raises(InvalidParameterError, match="finite t_end"):
+            conjugate_point_scan(strong_log, [0.0], [0.0], -2.0, math.inf, n_slide=3)
+        rep = conjugate_point_scan(strong_log, [-0.25], [0.5], -2.0, math.inf)
+        assert rep.findings and rep.diagnostics["accepted_steps"] > 0
+        assert rep.residuals == verify_findings(strong_log, rep.findings, t_end=math.inf)[0]
 
 
 class TestStripCannotBeSteppedOver:
@@ -264,6 +278,45 @@ class TestVerification:
         for k in (0, 40, 86):
             assert verify_finding(strong_log, findings[k]) == batch[k]
 
+    @pytest.mark.parametrize("n_slide,t_end", [(1, None), (2, 3.4)])
+    def test_scan_residuals_are_verify_findings(self, strong_log, n_slide, t_end):
+        # the residual read from a cell's verification copy has the bits
+        # verify_findings gives; with t_end 3.4 the second slide is on the strip
+        t_end = strong_log.t_upper + 10.0 if t_end is None else t_end
+        rep = conjugate_point_scan(strong_log, CONFIG_GRID, CONFIG_GRID, -2.0, t_end,
+                                   n_slide=n_slide)
+        assert len({f.t_start for f in rep.findings}) == n_slide
+        got, work = verify_findings(strong_log, rep.findings, t_end=t_end)
+        assert len(rep.residuals) == len(rep.findings)
+        assert np.array(rep.residuals).tobytes() == np.array(got).tobytes()
+        assert max(got) < 1e-6
+        # every cell has a copy, so the scan's check steps more than the findings'
+        assert rep.diagnostics["verification"]["accepted_steps"] > work["accepted_steps"]
+
+    def test_failed_copy_of_a_finding_is_raised(self, strong_log, flat_log, monkeypatch):
+        def fail_the_copies(w, t0, y0, t_end, cfgs, *args):
+            # every cell at other settings than the scan's is a verification copy
+            res = integrate_legs(w, t0, y0, t_end, cfgs, *args)
+            res.failures = [IntegrationFailureError("copy") if c != IntegratorConfig()
+                            else exc for c, exc in zip(cfgs, res.failures)]
+            return res
+
+        monkeypatch.setattr("minfol.rigidity.integrate_legs", fail_the_copies)
+        with pytest.raises(IntegrationFailureError, match="copy"):
+            conjugate_point_scan(strong_log, GRID, GRID, -2.0, strong_log.t_upper + 10.0)
+        # the copy of a cell without a finding only adds its work
+        rep = conjugate_point_scan(flat_log, GRID, GRID, -1.0, 5.0)
+        assert rep.findings == rep.failures == rep.residuals == []
+        assert rep.diagnostics["verification"]["stage_evaluations"] > 0
+
+    def test_t2_outside_the_run_rejected(self, strong_log):
+        # t2 past t_end was once read from free motion extrapolated inside the strip
+        f = ConjugateFinding(u0=0.0, p0=0.0, t_start=-2.0, t1=-2.0, t2=0.63)
+        for bad, t_end in ((f, 0.3), (replace(f, t2=-2.0), None),
+                           (replace(f, t2=math.nan), None)):
+            with pytest.raises(InvalidParameterError, match=r"\(t1, t_end\]"):
+                verify_findings(strong_log, [bad], t_end=t_end)
+
     def test_first_failed_finding_is_raised(self, strong_log, config_scan,
                                             monkeypatch):
         def failing(*args, **kwargs):
@@ -275,6 +328,30 @@ class TestVerification:
         monkeypatch.setattr("minfol.rigidity.integrate_legs", failing)
         with pytest.raises(IntegrationFailureError, match="third"):
             verify_findings(strong_log, self._findings(config_scan)[:6])
+
+
+class TestSturmStepCheck:
+    """The scan's strip step bound over the least spacing pi / (K e^T) of two
+    zeros of xi: reported, not assumed below 1."""
+
+    def test_shipped_config_is_below_one(self, strong_log):
+        assert strip_step_over_zero_spacing(strong_log, IntegratorConfig()) == \
+            pytest.approx(0.655, abs=5e-4)
+
+    def test_steep_bump_is_above_one(self, strong_log):
+        w = product_potential(make_bump(0.0, 1.0, -60.0), make_bump(2.0, 1.0, 1.0))
+        ratio = strip_step_over_zero_spacing(w, IntegratorConfig())
+        assert ratio == pytest.approx(2.07, abs=5e-3)
+        # K scales with the square root of the amplitude, the step bound not at all
+        assert ratio == pytest.approx(
+            math.sqrt(10) * strip_step_over_zero_spacing(strong_log, IntegratorConfig()),
+            rel=1e-12)
+
+    def test_config_step_bound_and_zero_curvature(self, strong_log, flat_log):
+        width = strong_log.t_upper - strong_log.t_lower
+        half = strip_step_over_zero_spacing(strong_log, IntegratorConfig(max_step=width / 16))
+        assert half == strip_step_over_zero_spacing(strong_log, IntegratorConfig()) / 2
+        assert strip_step_over_zero_spacing(flat_log, IntegratorConfig()) == 0.0
 
 
 class TestZeroCount:
