@@ -32,9 +32,13 @@ RESIDUAL_TOL = 1e-7
 
 def _run_certify(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
+    t0 = time.perf_counter()
     cert_a = check_condition_A(pot, cfg.n, x0_offset=cfg.params["x0_offset"],
                                grid_points=cfg.params["grid_points"])
+    t1 = time.perf_counter()
     cert_b = check_condition_B(pot, cfg.n)
+    timing.update(condition_A_seconds=t1 - t0,
+                  condition_B_seconds=time.perf_counter() - t1)
     certified = "certified" in (cert_a.verdict, cert_b.verdict)
     results = {"condition_A": cert_a.to_dict(), "condition_B": cert_b.to_dict()}
     verdict = "certified" if certified else "not-certified"
@@ -47,10 +51,13 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     r0 = float(p["r0"]) if p["r0"] is not None else 2.0 * pot.r_outer
     r_end = float(p["r_end"]) if p["r_end"] is not None else 1e-2
     run_cfg = replace(cfg.integrator, t_range=(math.log(r0), math.log(r_end)))
+    t0 = time.perf_counter()
     traj = integrate_radial_ivp(pot, cfg.n, r0, float(p["u0"]), float(p["du0"]),
                                 run_cfg)
+    t1 = time.perf_counter()
     write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"),
                          samples=p["samples"])
+    timing.update(flow_seconds=t1 - t0, csv_seconds=time.perf_counter() - t1)
     u_end, p_end = traj.state(traj.t_min if r_end < r0 else traj.t_max)
     results = {"r0": r0, "r_end": r_end,
                "final_state": {"u": u_end, "p": p_end},
@@ -101,6 +108,7 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
     pot = build_potential(cfg)
     p = cfg.params
     alphas = [float(a) for a in grid(p["alphas"])]
+    t0 = time.perf_counter()
     if p["family"] == "N_A":
         fam = build_NA_family(pot, cfg.n, float(p["A"]), alphas,
                               cfg=cfg.integrator, r_min=float(p["r_min"]),
@@ -109,6 +117,7 @@ def _run_foliate(cfg: ExperimentConfig, out_dir: str, timing: dict):
         fam = build_MA_family(pot, cfg.n, float(p["A"]), alphas,
                               cfg=cfg.integrator,
                               r_end=None if p["r_end"] is None else float(p["r_end"]))
+    timing["family_seconds"] = time.perf_counter() - t0
     write_family_csv(fam, os.path.join(out_dir, "family.csv"))
     ordering = fam.ordering
     results = {"family": p["family"], "A": float(p["A"]), "alphas": alphas,
@@ -196,6 +205,7 @@ def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
     rng = np.random.default_rng(cfg.seed)
     rows, checks = [], []
     closed_forms = {3: 0.25, 4: 1.0 / 6.0}
+    t0 = time.perf_counter()
     for n in p["n_list"]:
         if n in closed_forms:
             lhs, rhs = hardy_identity_check(lambda r: 1.0 - r, n, 0.0, 1.0,
@@ -211,6 +221,7 @@ def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
             rows.append((n, "random-%d" % k, lhs, rhs, rel))
             checks.append(rel <= rel_tol and lhs >= -1e-10)
+    timing["checks_seconds"] = time.perf_counter() - t0
     write_csv(os.path.join(out_dir, "results.csv"),
               ("n", "case", "lhs", "rhs", "rel_err"), rows)
     results = {"num_checks": len(checks),

@@ -66,7 +66,9 @@ def quad_1d(f, a: float, b: float) -> tuple:
 def quad_2d(f, u_lo: float, u_hi: float, t_lo: float, t_hi: float,
             tol: float) -> tuple:
     """Integrals over [u_lo, u_hi] x [t_lo, t_hi] of the components of
-    f(v, t), a tuple of arrays, by the tensor rule."""
+    f(v, t), a tuple of arrays, by the tensor rule. An array f returns may
+    be reused by its next call (`rigidity.RescaledSides` writes into one
+    workspace per order), so each is reduced before f is called again."""
     scale = 0.25 * (u_hi - u_lo) * (t_hi - t_lo)
 
     def rule(order):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -182,6 +183,22 @@ def gibbs_density(w: Potential, s: PhaseState) -> float:
     return math.exp(-hamiltonian_value(w, s))
 
 
+_WORKSPACES = threading.local()
+
+
+def _sides_workspace(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two (order, order) arrays for the integrands of
+    `RescaledSides` (the second holds the Gibbs factor until the RHS
+    integrand overwrites it), allocated on first use and kept for the life
+    of the thread, so no integrand call allocates an order-sized array.
+    Each call overwrites the arrays the one before returned: this relies on
+    `quad_2d` reducing every returned component before its next call."""
+    cache = vars(_WORKSPACES)
+    if order not in cache:
+        cache[order] = tuple(np.empty((order, order)) for _ in range(2))
+    return cache[order]
+
+
 class RescaledSides:
     """The two sides of the discriminant inequality for the rescaled family
     W_N(u, t) = W(Nu, t)/N^2 of one potential, for any N >= 1:
@@ -193,7 +210,10 @@ class RescaledSides:
     On the tensor rule N enters only through the Gibbs factor, so the N-free
     arrays -W e^{2t}, e^{2t} W_u and e^{2t} (2W + W_t) are computed once per
     quadrature order reached and kept while the evaluator lives; each N's
-    sides are integrated once."""
+    sides are integrated once. The Gibbs factor and the integrands are
+    written into `_sides_workspace`, which every evaluator of the thread
+    shares and which outlives the fit. The operations run in the order of
+    exp(a / N^2) * g * g, so every bit is that of fresh arrays."""
 
     def __init__(self, w: Potential, quad_tol: float = 1e-12):
         self.w, self.quad_tol = w, quad_tol
@@ -212,8 +232,11 @@ class RescaledSides:
                     W, W_u, W_t = self.w.jet(v, t, (0, 1, 3))
                     self._fields[len(v)] = (-W * e2, e2 * W_u, e2 * (2.0 * W + W_t))
                 a, g, h = self._fields[len(v)]
-                gibbs = np.exp(a / n2)
-                return gibbs * g * g, gibbs * h * h
+                lhs, rhs = _sides_workspace(len(v))
+                gibbs = np.exp(np.divide(a, n2, out=rhs), out=rhs)
+                np.multiply(np.multiply(gibbs, g, out=lhs), g, out=lhs)
+                np.multiply(np.multiply(gibbs, h, out=rhs), h, out=rhs)
+                return lhs, rhs
 
             w = self.w
             lhs, rhs = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper,

@@ -225,6 +225,22 @@ class TestRunCommand:
         assert os.path.exists(os.path.join(out, "timing.txt"))
 
 
+@pytest.mark.parametrize("name, phases", [
+    ("certify", ["condition_A_seconds", "condition_B_seconds"]),
+    ("solve", ["flow_seconds", "csv_seconds"]),
+    ("foliate", ["family_seconds"]),
+    ("hardy-check", ["checks_seconds"])])
+def test_timing_has_the_phase_times(tmp_path, name, phases):
+    out = str(tmp_path / "out")
+    code, report = run_command(load_config(os.path.join(CONFIGS, name + ".json")), out)
+    assert code == 0, report["verdict"]
+    lines = open(os.path.join(out, "timing.txt")).read().splitlines()
+    assert [line.split("=")[0] for line in lines] == ["wall_clock_seconds"] + phases
+    seconds = [float(line.split("=")[1]) for line in lines]
+    # the phases run inside the timed command; %.6f rounds each value
+    assert min(seconds) >= 0 and sum(seconds[1:]) <= seconds[0] + 1e-5
+
+
 @pytest.mark.parametrize("name", ["scan-conjugate", "rigidity-scaling", "foliate",
                                   "example446"])
 def test_no_command_runs_the_curvature_search(tmp_path, monkeypatch, name):

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -478,6 +479,37 @@ class TestScaling:
         assert sides.diagnostics == {
             "quadratures": 3, "integrand_evaluations": len(orders),
             "highest_order": max(order for order, _ in orders)}
+
+    def test_warm_evaluator_allocates_no_order_sized_array(self, scaling_log):
+        sides = RescaledSides(scaling_log)
+        sides(4), sides(8)
+        assert sides.diagnostics["highest_order"] == 192
+        tracemalloc.start()
+        try:
+            sides(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one order-192 array is 295 KB; allocating the Gibbs factor and the
+        # integrands afresh peaks near 869 KB
+        assert sides.diagnostics["highest_order"] == 192
+        assert peak < 64 * 1024
+
+    def test_evaluators_share_the_workspace(self, scaling_log):
+        wide = _wide_shell()
+        Ns = [1, 3, 8, 32, 128]
+        expected = {(name, N): _one_shot_sides(w, N)
+                    for name, w in (("log", scaling_log), ("wide", wide)) for N in Ns}
+        first, second = RescaledSides(scaling_log), RescaledSides(wide)
+        for N in Ns:
+            assert first(N) == expected["log", N]
+            assert second(N) == expected["wide", N]
+        # every thread has a workspace of its own
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(lambda w: [RescaledSides(w)(N) for N in Ns],
+                                   [scaling_log, wide] * 2))
+        assert pooled == [[expected[name, N] for N in Ns]
+                          for name in ("log", "wide") * 2]
 
     def test_zero_potential_is_identically_zero(self, flat_log):
         fit = scaling_exponent_fit(flat_log, [4, 8, 16])
