@@ -54,6 +54,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     t0 = time.perf_counter()
     traj = integrate_radial_ivp(pot, cfg.n, r0, float(p["u0"]), float(p["du0"]),
                                 run_cfg)
+    fit = asymptotic_match_outer(traj, cfg.n) if cfg.n >= 3 else None  # before any artifact
     t1 = time.perf_counter()
     write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"),
                          samples=p["samples"])
@@ -63,8 +64,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
                "final_state": {"u": u_end, "p": p_end},
                "events": [{"t": ev.t, "kind": ev.kind} for ev in traj.events],
                "diagnostics": stepper_work([traj.sol])}
-    if cfg.n >= 3:
-        fit = asymptotic_match_outer(traj, cfg.n)
+    if fit is not None:
         results["outer_fit"] = {"alpha": fit.alpha, "A": fit.A,
                                 "max_residual": fit.max_residual}
     return 0, results, "solved"

@@ -160,9 +160,11 @@ def _check_section(section: str, params: dict) -> None:
                           % params["family"])
     if section == "foliate" and not params["r_min"] > 0:
         raise ConfigError("foliate.r_min must be a number > 0, got %r" % (params["r_min"],))
-    n_list = params.get("n_list", [3])
-    if not (isinstance(n_list, list) and n_list and all(_is_int(n) and n >= 3 for n in n_list)):
-        raise ConfigError("hardy.n_list must hold integers >= 3, got %r" % (n_list,))
+    if section == "solve" and not params["samples"] >= 2:
+        raise ConfigError("solve.samples must be an integer >= 2, got %r" % (params["samples"],))
+    if section == "hardy" and not (isinstance(params["n_list"], list) and params["n_list"]
+                                   and all(_is_int(n) and n >= 3 for n in params["n_list"])):
+        raise ConfigError("hardy.n_list must hold integers >= 3, got %r" % (params["n_list"],))
     if section != "scaling":
         return
     N_list, pair, tol = (params[k] for k in ("N_list", "convergence_pair", "quad_tol"))

@@ -1,4 +1,6 @@
-"""Linearized fields along trajectories, conjugate points and Riccati bounds."""
+"""Linearized fields along trajectories, conjugate points and Riccati bounds.
+A field is the dense joint run of the flow and its linearization, read at the
+times each consumer needs (a Riccati trace: the sample grid of its span)."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .potential import Potential
 
 @dataclass
 class JacobiField:
-    """Solution of the linearized equation along a reference trajectory."""
+    """The linearized equation's solution along a trajectory, on [t_min, t_max]."""
 
     traj: Trajectory
     mode: str  # "log-form" | "radial-form"
@@ -23,9 +25,8 @@ class JacobiField:
     xi0: float
     dxi0: float
     sol: LegSolution  # the joint run (u, p, xi, xi')
-    t: np.ndarray
-    xi: np.ndarray
-    xidot: np.ndarray
+    t_min: float
+    t_max: float
     zeros: list[float] = field(default_factory=list)
 
     def value(self, t):
@@ -59,13 +60,12 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
         raise InvalidParameterError("requested range not covered by the trajectory")
     damping = 0.0 if mode == "log-form" else traj.damping
     u, p = traj.state(t_init)
-    ts = _sample_grid(lo, hi)
     run = integrate_legs(traj.w, t_init, [[float(u)], [float(p)], [xi0], [dxi0]], t_end,
-                         cfg, (traj.damping, damping), [ts])
+                         cfg, (traj.damping, damping), dense=True)
     run.raise_failure()
-    sol, ys = run.runs[0], run.samples[0]
+    sol = run.runs[0]
     return JacobiField(traj=traj, mode=mode, t_init=t_init, xi0=xi0, dxi0=dxi0,
-                       sol=sol, t=ts, xi=ys[2], xidot=ys[3], zeros=sol.zeros)
+                       sol=sol, t_min=lo, t_max=hi, zeros=sol.zeros)
 
 
 def find_vanishing(fld: JacobiField, kind: str, from_t: float) -> list[float]:
@@ -102,11 +102,13 @@ class RiccatiTrace:
 
 
 def riccati_from_jacobi(fld: JacobiField) -> RiccatiTrace:
-    """Build the Riccati trace; the zeros of xi are its blow-up markers."""
+    """The trace on the sample grid of the field's span; xi's zeros mark its blow-ups."""
+    ts = _sample_grid(fld.t_min, fld.t_max)
+    _, _, xi, xidot = fld.sol(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega = fld.xidot / fld.xi
+        omega = xidot / xi
     omega = np.where(np.isfinite(omega), omega, np.nan)
-    return RiccatiTrace(fld=fld, t=fld.t, omega=omega, blowups=list(fld.zeros))
+    return RiccatiTrace(fld=fld, t=ts, omega=omega, blowups=list(fld.zeros))
 
 
 def riccati_blowup_window(omega0: float, B: float,

@@ -27,7 +27,8 @@ per stage on the active cells, and each step's stages in one buffer, summed
 in stage order so that no cell's bits depend on another. A single run is a
 one-cell batch, and a backward batch steps forward in s = -t. A dense run
 keeps each accepted step's output rows, read by scipy's OdeSolution rule
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6). A dense run is the one way
+a solution is read: each consumer evaluates its LegSolution at its own times.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SupportEvent:
     kind: str  # "enter" | "exit"
 
 
-# dense sample spacing of the exported sample grids
+# spacing of the sample grids that consumers read dense runs on
 _SCAN_DX = 1e-2
 # strip-leg step bound: this fraction of the strip width. By Sturm comparison
 # zeros of xi lie at least pi / (K e^{t_upper}) apart, so a step below that
@@ -213,8 +214,8 @@ def _flow_rhs(w: Potential, damping):
 @dataclass
 class LegBatch:
     """Per cell of a batch run: the zeros of xi (or a flow's support events),
-    the failure or None and the work done; for a sampled run also the
-    LegSolution and the states at the sample times (None if it failed)."""
+    the failure or None, the work done, and for a dense cell its LegSolution
+    (None if the cell is not dense or failed)."""
 
     zeros: list
     failures: list
@@ -222,13 +223,11 @@ class LegBatch:
     accepted: np.ndarray    # steps (of the strip leg)
     rejected: np.ndarray
     runs: list = field(default_factory=list)
-    samples: list = field(default_factory=list)  # (state, k) at the sample times
 
     def __getitem__(self, cells: slice) -> "LegBatch":
         """The record of a slice of the batch's cells."""
         return LegBatch(*(x[cells] for x in (self.zeros, self.failures, self.stages,
-                                             self.accepted, self.rejected, self.runs,
-                                             self.samples)))
+                                             self.accepted, self.rejected, self.runs)))
 
     def raise_failure(self):
         """Raise the first failed cell's error, if any cell failed."""
@@ -378,16 +377,16 @@ def strip_step(w: Potential, cfg: IntegratorConfig) -> float:
     return min(cfg.max_step, (w.t_upper - w.t_lower) / _STRIP_STEPS)
 
 
-def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, samples=None) -> LegBatch:
+def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, dense=False) -> LegBatch:
     """Three-leg runs from the columns of y0 at t0 to t_end (each one time or
     one per cell), all in one direction: flow states (u, p) with damping (d,)
     record where they enter and leave the support box, joint states
     (u, p, xi, xi') with damping (d, d_xi) the zeros of xi. cfg is one
     IntegratorConfig or one per cell: its tolerances, strip step bound and
     event tolerance. A backward batch steps forward in s = -t on -f(-s, y),
-    which negates every time and stage exactly. With samples (per cell its
-    times, or None), every step of a cell with times keeps its dense rows,
-    and the cell gets its LegSolution and its states at those times."""
+    which negates every time and stage exactly. A dense cell (dense is one
+    flag, or one per cell) keeps the rows of every step and gets its
+    LegSolution in `runs`, which reads it at any times."""
     y0 = np.asarray(y0, dtype=float)
     m = y0.shape[1]
     cfgs = [cfg] * m if isinstance(cfg, IntegratorConfig) else list(cfg)
@@ -403,7 +402,6 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, samples=None) -> L
     t_in, t_out = (a, b) if d > 0 else (b, a)
     y_in = _free(y0, t_in - t0, damping)
     joint, rhs = len(damping) == 2, _flow_rhs(w, damping)
-    dense = False if samples is None else [x is not None for x in samples]
     res, s, y, rows = _dop853_batch(
         rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in,
         [np.array([c.rel_tol for c in cfgs]), np.array([c.abs_tol for c in cfgs])],
@@ -429,15 +427,13 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, samples=None) -> L
                 if lo[c] <= t_b <= hi[c] and abs(edge[t_b][0]) < w.u_bound:
                     events.append(SupportEvent(t=t_b, kind=kind))
             res.zeros[c] = sorted(events, key=lambda ev: ev.t)
-    if samples is not None:
-        res.runs = [None if res.failures[c] or rows[c] is None else LegSolution(
-            t0=t0[c], y0=y0[:, c], direction=d, t_in=t_in[c], t_out=t_out[c],
-            y_out=y[:, c], strip=rows[c], damping=tuple(damping),
-            ts=d * np.append(rows[c].s_old, s[c]), stages=int(res.stages[c]),
-            accepted=int(res.accepted[c]), rejected=int(res.rejected[c]),
-            zeros=res.zeros[c] if joint else [], events=[] if joint else res.zeros[c])
-            for c in range(m)]
-        res.samples = [run and run(np.ravel(x)) for run, x in zip(res.runs, samples)]
+    res.runs = [None if res.failures[c] or rows[c] is None else LegSolution(
+        t0=t0[c], y0=y0[:, c], direction=d, t_in=t_in[c], t_out=t_out[c],
+        y_out=y[:, c], strip=rows[c], damping=tuple(damping),
+        ts=d * np.append(rows[c].s_old, s[c]), stages=int(res.stages[c]),
+        accepted=int(res.accepted[c]), rejected=int(res.rejected[c]),
+        zeros=res.zeros[c] if joint else [], events=[] if joint else res.zeros[c])
+        for c in range(m)]
     return res
 
 
@@ -455,25 +451,16 @@ def _sample_grid(t_lo, t_hi):
 
 @dataclass
 class Trajectory:
-    """Dense solution of the log-time flow, with support entry/exit events."""
+    """Dense solution of the log-time flow on [t_min, t_max], with support events."""
 
     n: int
     w: Potential
     damping: float
-    sol: LegSolution  # over [t_min, t_max]
-    t: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
+    sol: LegSolution
+    t_min: float
+    t_max: float
     events: list[SupportEvent] = field(default_factory=list)
     cfg: IntegratorConfig = field(default_factory=IntegratorConfig)
-
-    @property
-    def t_min(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.t[-1])
 
     def state(self, t):
         y = self.sol(t)
@@ -490,16 +477,15 @@ class Trajectory:
 
 
 def _trajectories(w: Potential, n: int, t0: float, y0, cfg: IntegratorConfig) -> list:
-    """The flows from the (u, p) columns of y0 at t0 to the end of cfg's
-    t_range (default: 20 past the strip), all in one batch and sampled on the
-    export grid: per column its Trajectory, or its IntegrationFailureError."""
+    """The dense flows from the (u, p) columns of y0 at t0 to the end of cfg's
+    t_range (default: 20 past the strip), all in one batch: per column its
+    Trajectory, or its IntegrationFailureError."""
     t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
     damping = float(n - 2)
-    ts = _sample_grid(min(t0, t_end), max(t0, t_end))
-    run = integrate_legs(w, t0, y0, t_end, cfg, (damping,), [ts] * np.shape(y0)[1])
-    return [exc or Trajectory(n=n, w=w, damping=damping, sol=sol, t=ts, u=ys[0], p=ys[1],
-                              events=sol.events, cfg=cfg)
-            for exc, sol, ys in zip(run.failures, run.runs, run.samples)]
+    run = integrate_legs(w, t0, y0, t_end, cfg, (damping,), dense=True)
+    return [exc or Trajectory(n=n, w=w, damping=damping, sol=sol, t_min=float(min(t0, t_end)),
+                              t_max=float(max(t0, t_end)), events=sol.events, cfg=cfg)
+            for exc, sol in zip(run.failures, run.runs)]
 
 
 def _trajectory(w: Potential, n: int, t0: float, u0: float, p0: float,
@@ -544,15 +530,15 @@ class AsymptoticFit:
 
 
 def asymptotic_match_outer(traj: Trajectory, n: int) -> AsymptoticFit:
-    """Least-squares fit of u = alpha / r^{n-2} + A on samples beyond the support."""
+    """Least-squares fit of u = alpha / r^{n-2} + A on the span's samples past the support."""
     if n < 3:
         raise InvalidParameterError("outer matching requires n >= 3")
-    t_out = traj.w.t_upper
-    mask = traj.t > t_out + 1e-9
+    ts = _sample_grid(traj.t_min, traj.t_max)
+    mask = ts > traj.w.t_upper + 1e-9
     if int(np.count_nonzero(mask)) < 4:
         raise InsufficientRangeError("trajectory does not extend beyond the support")
-    ts = traj.t[mask]
-    us = traj.u[mask]
+    us = traj.state(ts)[0][mask]
+    ts = ts[mask]
     r = np.exp(ts)
     basis = np.column_stack([r ** (2.0 - n), np.ones_like(r)])
     coef, *_ = np.linalg.lstsq(basis, us, rcond=None)
@@ -571,7 +557,7 @@ def flow_volume_check(w: Potential, s0: PhaseState,
     """
     t0, t_end = cfg.t_range if cfg.t_range else (s0.t, w.t_upper + 10.0)
     run = integrate_legs(w, t0, [[s0.u] * 2, [s0.p] * 2, [1.0, 0.0], [0.0, 1.0]], t_end,
-                         cfg, (0.0, 0.0), [[t_end]] * 2)
+                         cfg, (0.0, 0.0), dense=True)
     run.raise_failure()
-    a, b = (y[:, 0] for y in run.samples)
+    a, b = (sol(t_end) for sol in run.runs)
     return float(a[2] * b[3] - b[2] * a[3])

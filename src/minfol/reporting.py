@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from .odeflow import PhaseState, Trajectory, hamiltonian_value
+from .odeflow import Trajectory
 
 TRAJECTORY_SAMPLES = 512
 
@@ -25,13 +25,15 @@ def write_csv(path: str, header, rows) -> None:
 
 def write_trajectory_csv(traj: Trajectory, path: str,
                          samples: int = TRAJECTORY_SAMPLES) -> None:
+    """t, r, u, p and H = p^2/2 + e^{2t} W(u, t) at equally spaced times, read
+    in one call; exp is math.exp's, as in `hamiltonian_value` (np.exp may differ)."""
     ts = np.linspace(traj.t_min, traj.t_max, samples)
-    rows = []
-    for t in ts:
-        u, p = traj.state(float(t))
-        h = hamiltonian_value(traj.w, PhaseState(u=u, p=p, t=float(t)))
-        rows.append((float(t), math.exp(float(t)), u, p, h))
-    write_csv(path, ("t", "r", "u", "p", "H"), rows)
+    u, p = traj.state(ts)
+    t = ts.tolist()
+    e2 = np.array([math.exp(2.0 * x) for x in t])
+    h = 0.5 * p * p + e2 * traj.w.w(u, ts)
+    write_csv(path, ("t", "r", "u", "p", "H"),
+              zip(t, map(math.exp, t), u.tolist(), p.tolist(), h.tolist()))
 
 
 def write_findings_csv(findings, path: str) -> None:

@@ -108,7 +108,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
 
     def run(ts):
         try:
-            return integrate_legs(w, ts, y0, t_end, cfgs, (0.0, 0.0), [None] * n + [()] * n)
+            return integrate_legs(w, ts, y0, t_end, cfgs, (0.0, 0.0), [False] * n + [True] * n)
         except MinfolError as exc:  # the slide's cells fail, the scan continues
             return LegBatch([[]] * 2 * n, [exc] * 2 * n, *np.zeros((3, 2 * n), dtype=int),
                             [None] * 2 * n)
@@ -158,7 +158,7 @@ def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorCo
                                         "got %r" % (f.t1, t_end, f.t2))
     y0 = np.reshape([(f.u0, f.p0, 0.0, 1.0) for f in findings], (-1, 4)).T
     run = integrate_legs(w, [f.t1 for f in findings], y0, t_end, _verify_cfg(w, cfg),
-                         (0.0, 0.0), [()] * len(findings))
+                         (0.0, 0.0), dense=True)
     run.raise_failure()
     return [_residual(sol, f, t_end) for sol, f in zip(run.runs, findings)], stepper_work([run])
 

@@ -345,14 +345,18 @@ def test_key_the_command_does_not_read_is_2_without_report(tmp_path, capsys, dat
     _shipped("foliate", foliate={"alphas": [0.1, "0.2"]}),
     _shipped("example446", example446={"u0_grid": [-0.5, 0.5, -3]}),
     _shipped("example446", example446={"u0_grid": 0.5}),
+    _shipped("solve", solve={"samples": 0}),
+    _shipped("solve", solve={"samples": -3}),
 ], ids=["t_end-string", "r0-0", "r_end-negative", "r0-string", "r_start-0",
         "r_end-bool", "r_min-0", "r_min-negative", "u0-count-1", "p0-count-0",
-        "alphas-empty", "alphas-string", "u0_grid-count-negative", "u0_grid-number"])
+        "alphas-empty", "alphas-string", "u0_grid-count-negative", "u0_grid-number",
+        "samples-0", "samples-negative"])
 def test_bad_radius_end_time_or_grid_is_2_without_report(tmp_path, capsys, data):
     out = tmp_path / "out"
     assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "report.json").exists()
+    assert not out.exists()   # a config error writes no artifact
 
 
 def test_three_values_ending_in_a_float_are_values_and_a_radius_is_kept(tmp_path):
@@ -371,6 +375,42 @@ def _fmt(x) -> str:
     """The CSV field form the writers must keep: a float's (or np.float64's)
     shortest round-trip repr, str of anything else."""
     return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _per_sample_trajectory_csv(traj, path, samples):
+    """The oracle: trajectory.csv written one state read and one scalar H per
+    sample time."""
+    from minfol.odeflow import PhaseState, hamiltonian_value
+    from minfol.reporting import write_csv
+
+    rows = []
+    for t in np.linspace(traj.t_min, traj.t_max, samples):
+        u, p = traj.state(float(t))
+        h = hamiltonian_value(traj.w, PhaseState(u=u, p=p, t=float(t)))
+        rows.append((float(t), math.exp(float(t)), u, p, h))
+    write_csv(path, ("t", "r", "u", "p", "H"), rows)
+
+
+@pytest.mark.parametrize("data", [
+    _shipped("solve"), _shipped("solve", n=2, solve={"r0": 0.05, "r_end": 40.0})],
+    ids=["shipped", "n2-forward"])
+def test_trajectory_csv_matches_the_per_sample_oracle(tmp_path, data):
+    from dataclasses import replace
+
+    from minfol.config import build_potential
+    from minfol.odeflow import integrate_radial_ivp
+
+    cfg = validate_config(data)
+    out = str(tmp_path / "out")
+    assert run_command(cfg, out)[0] == 0
+    p = cfg.params
+    traj = integrate_radial_ivp(build_potential(cfg), cfg.n, p["r0"], p["u0"], p["du0"],
+                                replace(cfg.integrator,
+                                        t_range=(math.log(p["r0"]), math.log(p["r_end"]))))
+    assert traj.t_max - traj.t_min > 5.0 and (cfg.n == 2) == (p["r0"] < p["r_end"])
+    path = str(tmp_path / "oracle.csv")
+    _per_sample_trajectory_csv(traj, path, p["samples"])
+    assert open(os.path.join(out, "trajectory.csv"), "rb").read() == open(path, "rb").read()
 
 
 def test_write_csv_matches_the_repr_oracle(tmp_path):
@@ -429,6 +469,16 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "report.json").exists()
         assert not (out / "findings.csv").exists()
+
+
+def test_solve_inside_the_support_is_2_without_artifacts(tmp_path, capsys):
+    # the outer fit needs samples beyond the support; it runs before any write
+    data = _shipped("solve", solve={"r0": 2.5, "r_end": 1.5})
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: trajectory does not extend beyond the support\n"
+    assert list(out.iterdir()) == []
 
 
 def _forbid_solve_ivp(monkeypatch):

@@ -10,7 +10,7 @@ from minfol.errors import InapplicableError, InvalidParameterError
 from minfol.foliation import (LeafFamily, build_MA_family, build_NA_family,
                               check_ordering, example_446_check,
                               select_example_446_variant)
-from minfol.odeflow import IntegratorConfig, asymptotic_match_outer
+from minfol.odeflow import IntegratorConfig, _sample_grid, asymptotic_match_outer
 from minfol.potential import make_bump, zero_potential
 
 ALPHAS = np.linspace(-0.4, 0.4, 5)
@@ -45,7 +45,9 @@ class TestOuterFamily:
             assert a.sol.direction == b.sol.direction == -1.0
             assert np.array_equal(alone.u_matrix[:, 0], family.u_matrix[:, j])
             assert np.array_equal(a.sol.ts, b.sol.ts)
-            assert np.array_equal(a.u, b.u) and np.array_equal(a.p, b.p)
+            ts = _sample_grid(a.t_min, a.t_max)
+            assert (a.t_min, a.t_max) == (b.t_min, b.t_max)
+            assert a.sol(ts).tobytes() == b.sol(ts).tobytes()
 
     def test_rejects_unsorted_alphas(self, certified_pot):
         with pytest.raises(InvalidParameterError):

@@ -228,15 +228,14 @@ def test_batch_samples_match_the_dense_runs(strong_log, damping, scipy_legs):
     refs = [scipy_legs(w, t0[c], y0[:, c], t_end[c], cfg, damping) for c in range(5)]
     samples = [np.concatenate((np.linspace(t_end[c], t0[c], 37), ref.ts[::3]))
                for c, ref in enumerate(refs)]
-    batch = integrate_legs(w, t0, y0, t_end, cfg, damping, samples=samples)
+    batch = integrate_legs(w, t0, y0, t_end, cfg, damping, dense=True)
     for c, ref in enumerate(refs):
-        assert batch.samples[c].shape == (4, len(samples[c]))
-        assert np.allclose(batch.samples[c], ref(samples[c]), rtol=1e-12, atol=1e-12)
-        assert np.array_equal(batch.runs[c](samples[c]), batch.samples[c])
+        got = batch.runs[c](samples[c])
+        assert got.shape == (4, len(samples[c]))
+        assert np.allclose(got, ref(samples[c]), rtol=1e-12, atol=1e-12)
         assert len(batch.zeros[c]) == len(ref.zeros)
-        alone = integrate_legs(w, t0[c], y0[:, c:c + 1], t_end[c], cfg,
-                               damping, samples=samples[c:c + 1])
-        assert np.array_equal(alone.samples[0], batch.samples[c])
+        alone = integrate_legs(w, t0[c], y0[:, c:c + 1], t_end[c], cfg, damping, dense=True)
+        assert np.array_equal(alone.runs[0](samples[c]), got)
 
 
 def _single_runs(w, n, t0, u0, p0, t_end):
@@ -329,7 +328,7 @@ def test_infinite_span_keeps_the_zeros_after_the_strip(weak_log, t_end):
     assert all(w.t_upper < z < 1e12 for zeros in batch.zeros for z in zeros)
     c = next(c for c, zeros in enumerate(batch.zeros) if zeros)
     alone = integrate_legs(w, w.t_lower, y0[:, c:c + 1], t_end, IntegratorConfig(),
-                           (0.0, 0.0), samples=[[w.t_upper]])
+                           (0.0, 0.0), dense=True)
     assert alone.zeros[0] == alone.runs[0].zeros == batch.zeros[c]
 
 
@@ -427,7 +426,7 @@ def test_mixed_tolerance_cell_equals_its_uniform_batch(strong_log):
 
 def test_legs_take_one_config_per_cell(strong_log):
     # per cell its own tolerances, strip step bound and event tolerance, and
-    # dense rows only where it has sample times: each cell runs as if alone
+    # dense rows only where it is dense: each cell runs as if alone
     w = strong_log
     width = w.t_upper - w.t_lower
     cfgs = [IntegratorConfig(), IntegratorConfig(rel_tol=5e-11, abs_tol=5e-11,
@@ -435,17 +434,17 @@ def test_legs_take_one_config_per_cell(strong_log):
             IntegratorConfig(rel_tol=1e-8, event_tol=1e-6)]
     y0 = np.array([[0.25, 0.25, -0.4], [0.25, 0.25, 0.1], [0.0] * 3, [1.0] * 3])
     t_end = w.t_upper + 10.0
-    samples = [None, np.linspace(-2.0, t_end, 9), None]
-    batch = integrate_legs(w, -2.0, y0, t_end, cfgs, (0.0, 0.0), samples)
-    assert batch.runs[0] is batch.runs[2] is batch.samples[0] is batch.samples[2] is None
+    dense = [False, True, False]
+    batch = integrate_legs(w, -2.0, y0, t_end, cfgs, (0.0, 0.0), dense)
+    assert batch.runs[0] is batch.runs[2] is None
     for c, cfg in enumerate(cfgs):
-        alone = integrate_legs(w, -2.0, y0[:, c:c + 1], t_end, cfg, (0.0, 0.0),
-                               samples[c:c + 1])
+        alone = integrate_legs(w, -2.0, y0[:, c:c + 1], t_end, cfg, (0.0, 0.0), dense[c])
         assert batch.zeros[c] == alone.zeros[0]
         assert [batch.stages[c], batch.accepted[c], batch.rejected[c]] == \
             [alone.stages[0], alone.accepted[0], alone.rejected[0]]
-    alone = integrate_legs(w, -2.0, y0[:, 1:2], t_end, cfgs[1], (0.0, 0.0), samples[1:2])
-    assert batch.samples[1].tobytes() == alone.samples[0].tobytes()
+        if dense[c]:
+            ts = np.linspace(-2.0, t_end, 9)
+            assert batch.runs[c](ts).tobytes() == alone.runs[0](ts).tobytes()
     assert batch.accepted[1] > batch.accepted[0] > batch.accepted[2]
     with pytest.raises(InvalidParameterError, match="one integrator config per cell"):
         integrate_legs(w, -2.0, y0, t_end, cfgs[:2], (0.0, 0.0))

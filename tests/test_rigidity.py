@@ -249,7 +249,7 @@ class TestVerification:
                                      run_cfg)
         fld = integrate_jacobi(traj, 0.0, 1.0, mode="log-form", cfg=run_cfg,
                                t_init=f.t1, t_end=min(f.t2 + 0.5, t_end))
-        scale = float(np.max(np.abs(fld.xi))) or 1.0
+        scale = float(np.max(np.abs(fld.sol(_sample_grid(fld.t_min, fld.t_max))[2]))) or 1.0
         return abs(float(fld.value(f.t2))) / scale
 
     @staticmethod
