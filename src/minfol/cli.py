@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .certify import check_condition_A, check_condition_B, hardy_identity_check
-from .config import ExperimentConfig, build_bumps, build_potential, grid, load_config
+from .config import (HARDY_CLOSED_FORMS, ExperimentConfig, build_bumps, build_potential, grid,
+                     load_config)
 from .errors import MinfolError
 from .foliation import build_MA_family, build_NA_family, example_446_check
 from .odeflow import asymptotic_match_outer, integrate_radial_ivp, stepper_work
@@ -62,7 +63,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: str, timing: dict):
     u_end, p_end = traj.state(traj.t_min if r_end < r0 else traj.t_max)
     results = {"r0": r0, "r_end": r_end,
                "final_state": {"u": u_end, "p": p_end},
-               "events": [{"t": ev.t, "kind": ev.kind} for ev in traj.events],
+               "events": [{"t": ev.t, "kind": ev.kind} for ev in traj.sol.events],
                "diagnostics": stepper_work([traj.sol])}
     if fit is not None:
         results["outer_fit"] = {"alpha": fit.alpha, "A": fit.A,
@@ -204,16 +205,15 @@ def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
     rel_tol = float(p["rel_tol"])
     rng = np.random.default_rng(cfg.seed)
     rows, checks = [], []
-    closed_forms = {3: 0.25, 4: 1.0 / 6.0}
     t0 = time.perf_counter()
     for n in p["n_list"]:
-        if n in closed_forms:
+        exact = HARDY_CLOSED_FORMS.get(n)
+        if exact is not None:
             lhs, rhs = hardy_identity_check(lambda r: 1.0 - r, n, 0.0, 1.0,
                                             dxi=lambda r: -1.0)
-            rel = abs(lhs - closed_forms[n]) / closed_forms[n]
+            rel = abs(lhs - exact) / exact
             rows.append((n, "closed-form", lhs, rhs, rel))
-            checks.append(rel <= rel_tol and abs(rhs - closed_forms[n])
-                          <= rel_tol * closed_forms[n])
+            checks.append(rel <= rel_tol and abs(rhs - exact) <= rel_tol * exact)
         for k in range(p["num_random"]):
             xi = _random_test_function(rng, float(p["r1"]), float(p["r2"]))
             lhs, rhs = hardy_identity_check(xi, n, float(p["r1"]),

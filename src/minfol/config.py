@@ -57,8 +57,11 @@ _POTENTIAL_KEYS = {"zero": {"u_bound": 1.0, "r_inner": 1.0, "r_outer": 3.0},
                    "product": {"f": None, "g": None, "scale": 1.0},
                    "example446": {"phi": None, "psi": None, "variant": "auto"}}
 
-_INTEGRATOR = {"rel_tol": 1e-10, "abs_tol": 1e-10, "max_step": math.inf,
-               "event_tol": 1e-12}
+_INTEGRATOR = {"rel_tol": 1e-10, "abs_tol": 1e-10, "max_step": math.inf}
+
+# hardy-check's closed-form cases: n -> the identity's two sides for xi = 1 - r
+# on [0, 1], int_0^1 r^{n-1} - ((n-2)/2)^2 r^{n-3} (1 - r)^2 dr
+HARDY_CLOSED_FORMS = {3: 0.25, 4: 1.0 / 6.0}
 
 _BUMP = dict.fromkeys(("center", "width", "amplitude"), 0.0)
 
@@ -153,8 +156,12 @@ def _check_section(section: str, params: dict) -> None:
             raise ConfigError("%s.%s must be a finite number%s or null, got %r"
                               % (section, key, " > 0" if least == 0 else "", x))
     for key in _GRIDS.get(section, ()):
-        if params[key] is not None:
-            grid(params[key], "%s.%s" % (section, key))
+        if params[key] is None:
+            continue
+        values = grid(params[key], "%s.%s" % (section, key))
+        if len(values) < 2 and section != "scan":   # a scan may have one cell
+            raise ConfigError("%s.%s must hold at least two values, as its leaves are "
+                              "compared, got %r" % (section, key, params[key]))
     if section == "foliate" and params["family"] not in ("N_A", "M_A"):
         raise ConfigError("foliate.family must be N_A or M_A, got %r"
                           % params["family"])
@@ -162,9 +169,11 @@ def _check_section(section: str, params: dict) -> None:
         raise ConfigError("foliate.r_min must be a number > 0, got %r" % (params["r_min"],))
     if section == "solve" and not params["samples"] >= 2:
         raise ConfigError("solve.samples must be an integer >= 2, got %r" % (params["samples"],))
-    if section == "hardy" and not (isinstance(params["n_list"], list) and params["n_list"]
-                                   and all(_is_int(n) and n >= 3 for n in params["n_list"])):
-        raise ConfigError("hardy.n_list must hold integers >= 3, got %r" % (params["n_list"],))
+    if section == "certify" and not params["grid_points"] >= 2:
+        raise ConfigError("certify.grid_points must be an integer >= 2, got %r"
+                          % (params["grid_points"],))
+    if section == "hardy":
+        _check_hardy(params)
     if section != "scaling":
         return
     N_list, pair, tol = (params[k] for k in ("N_list", "convergence_pair", "quad_tol"))
@@ -180,6 +189,21 @@ def _check_section(section: str, params: dict) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("scaling.quad_tol must be a finite number > 0, got %r"
                           % (tol,))
+
+
+def _check_hardy(params: dict) -> None:
+    n_list, r1, r2 = params["n_list"], params["r1"], params["r2"]
+    if not (isinstance(n_list, list) and n_list and all(_is_int(n) and n >= 3 for n in n_list)):
+        raise ConfigError("hardy.n_list must hold integers >= 3, got %r" % (n_list,))
+    if not 0 <= r1 < r2:
+        raise ConfigError("hardy needs 0 <= r1 < r2, got r1 = %r, r2 = %r" % (r1, r2))
+    if not params["rel_tol"] > 0:
+        raise ConfigError("hardy.rel_tol must be > 0, got %r" % (params["rel_tol"],))
+    if not params["num_random"] >= 0:
+        raise ConfigError("hardy.num_random must be >= 0, got %r" % (params["num_random"],))
+    if params["num_random"] == 0 and not set(n_list) & set(HARDY_CLOSED_FORMS):
+        raise ConfigError("hardy-check would run no check: num_random is 0 and n_list holds "
+                          "no n with a closed form (%s)" % ", ".join(map(str, HARDY_CLOSED_FORMS)))
 
 
 def validate_config(data: dict) -> ExperimentConfig:

@@ -10,19 +10,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import (InapplicableError, IntegrationFailureError,
-                     InvalidParameterError, MinfolError, PartialFamilyError)
+                     InvalidParameterError, PartialFamilyError)
 from .odeflow import (IntegratorConfig, Trajectory, _dop853_batch, _trajectories,
                       stepper_work)
 from .odeflow import integrate_radial_ivp  # noqa: F401  (perfbench traces this name)
 from .potential import BumpFunction, Potential, _profile, example_446_potential
 
 GRID_POINTS = 512
+# the leaves of example 4.4.6, and the variant oracle's probe leaves
+_LEAF_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
+_PROBE_CFG = IntegratorConfig()
 
 
 @dataclass
 class OrderingReport:
-    min_gap: float
-    gaps: list[float]                  # min over the r-grid, per leaf pair
+    min_gap: float                     # min over the r-grid and the leaf pairs
     min_dudalpha: float
     verdict: str                       # "ordered" | "not-ordered"
     degenerate_input: bool = False
@@ -49,15 +51,14 @@ def check_ordering(fam: LeafFamily) -> OrderingReport:
     alphas = np.asarray(fam.alpha_grid, float)
     degenerate = bool(np.any(np.diff(alphas) <= 0))
     diffs = np.diff(fam.u_matrix, axis=1)
-    gaps = [float(np.min(diffs[:, j])) for j in range(diffs.shape[1])]
-    min_gap = min(gaps)
+    min_gap = float(np.min(diffs))
     if degenerate:
         dud = 0.0
     else:
         dud = float(np.min(diffs / np.diff(alphas)[None, :]))
     mid = fam.u_matrix[len(fam.r_grid) // 2, :]
     report = OrderingReport(
-        min_gap=min_gap, gaps=gaps, min_dudalpha=dud,
+        min_gap=min_gap, min_dudalpha=dud,
         verdict="ordered" if (min_gap > 0 and not degenerate) else "not-ordered",
         degenerate_input=degenerate,
         coverage=(float(mid[0]), float(mid[-1])))
@@ -68,7 +69,8 @@ def build_NA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     r_min: float = 1e-4,
                     r_start: Optional[float] = None) -> LeafFamily:
-    """Leaves with outer form u = alpha / r^{n-2} + A, integrated inward."""
+    """Leaves with outer form u = alpha / r^{n-2} + A, integrated inward
+    from r_start >= r_outer (where that form holds) to r_min < r_start."""
     if n < 3:
         raise InvalidParameterError("outer-pinned family requires n >= 3")
     r_start = 2.0 * pot.r_outer if r_start is None else r_start
@@ -83,7 +85,8 @@ def build_MA_family(pot: Potential, n: int, A: float, alphas,
                     cfg: IntegratorConfig = IntegratorConfig(),
                     r_end: Optional[float] = None) -> LeafFamily:
     """Leaves with inner form u = A / r^{n-2} + alpha on (0, r_inner],
-    integrated outward.  Requires a potential vanishing near the origin."""
+    integrated outward from r_inner to r_end > r_inner.  Requires a potential
+    vanishing near the origin."""
     if n < 3:
         raise InvalidParameterError("inner-pinned family requires n >= 3")
     if not pot.r_inner or pot.r_inner <= 0:
@@ -103,6 +106,12 @@ def _pinned_family(kind, pot, n, A, alphas, r0, r_far, cfg, start) -> LeafFamily
     (N_A inward)."""
     if not (r0 > 0 and r_far > 0):
         raise InvalidParameterError("start and end radii must be > 0, got %r and %r" % (r0, r_far))
+    if kind == "N_A" and not r0 >= pot.r_outer:
+        raise InvalidParameterError("N_A starts where its outer form holds, at r_start >= "
+                                    "r_outer = %r, got %r" % (pot.r_outer, r0))
+    if not (r_far < r0 if kind == "N_A" else r_far > r0):
+        raise InvalidParameterError("%s runs %s from r = %r, got an end radius of %r" % (
+            kind, "inward" if kind == "N_A" else "outward", r0, r_far))
     alphas = list(alphas)
     if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha grid must be nonempty and strictly increasing")
@@ -122,9 +131,8 @@ def _pinned_family(kind, pot, n, A, alphas, r0, r_far, cfg, start) -> LeafFamily
     else:
         # a single leaf is trivially ordered
         mid = float(u_matrix[len(r_grid) // 2, 0])
-        fam.ordering = OrderingReport(min_gap=math.inf, gaps=[],
-                                      min_dudalpha=math.inf, verdict="ordered",
-                                      coverage=(mid, mid))
+        fam.ordering = OrderingReport(min_gap=math.inf, min_dudalpha=math.inf,
+                                      verdict="ordered", coverage=(mid, mid))
     return fam
 
 
@@ -198,21 +206,18 @@ def _newton_residual(w, ts, u, uddot) -> float:
 
 
 def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
-                      cfg: Optional[IntegratorConfig] = None,
                       variant: str = "chain-rule",
                       fd_step: float = 2e-4) -> ExampleReport:
-    """Integrate du/dt = phi'(u) psi(t) per initial value and verify the Newton
-    residual u'' + e^{2t} W'_u(u, t) along each graph (u'' by a fourth-order
-    stencil on the dense flow field), plus pairwise non-crossing. u0_grid None
-    is 11 values. With variant "auto", the variant oracle's probes step in the
-    leaves' batch and its pick scores the leaves; their work is in
-    diagnostics["variant_selection"]."""
-    if cfg is None:
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
+    """Integrate du/dt = phi'(u) psi(t) per initial value at _LEAF_CFG and
+    verify the Newton residual u'' + e^{2t} W'_u(u, t) along each graph (u''
+    by a fourth-order stencil on the dense flow field), plus pairwise
+    non-crossing. u0_grid None is 11 values. With variant "auto", the variant
+    oracle's probes step in the leaves' batch and its pick scores the leaves;
+    their work is in diagnostics["variant_selection"]."""
     u0_grid = sorted(float(x) for x in (_inset(phi, 11) if u0_grid is None else u0_grid))
-    probes = [(_inset(phi, 5), IntegratorConfig(), 2e-4)] if variant == "auto" else []
+    probes = [(_inset(phi, 5), _PROBE_CFG, 2e-4)] if variant == "auto" else []
     t0 = time.perf_counter()
-    *probed, (ts, flows, work) = _example_leaves(phi, psi, probes + [(u0_grid, cfg, fd_step)])
+    *probed, (ts, flows, work) = _example_leaves(phi, psi, probes + [(u0_grid, _LEAF_CFG, fd_step)])
     t1 = time.perf_counter()
     diagnostics = {"leaves": work}
     if probed:
@@ -252,12 +257,11 @@ def _best_variant(phi, psi, ts, flows) -> str:
 
 
 def select_example_446_variant(phi: BumpFunction, psi: BumpFunction,
-                               cfg: IntegratorConfig = IntegratorConfig(),
                                diagnostics: Optional[dict] = None) -> str:
     """Residual oracle: pick the variant whose Newton residual along the
-    first-order flow is smaller. Both are scored on the same probe leaves,
-    whose stepper work is added to `diagnostics` when it is given."""
-    (ts, flows, work), = _example_leaves(phi, psi, [(_inset(phi, 5), cfg, 2e-4)])
+    first-order flow is smaller. Both are scored on the same probe leaves at
+    _PROBE_CFG, whose stepper work is added to `diagnostics` when it is given."""
+    (ts, flows, work), = _example_leaves(phi, psi, [(_inset(phi, 5), _PROBE_CFG, 2e-4)])
     if diagnostics is not None:
         diagnostics.update(work)
     return _best_variant(phi, psi, ts, flows)

@@ -14,20 +14,21 @@ from .errors import ContractViolationError, InapplicableError, InvalidParameterE
 from .odeflow import IntegratorConfig, LegSolution, Trajectory, _sample_grid, integrate_legs
 from .potential import Potential
 
+# the slack of each Riccati bound and of the disconjugacy test's omega >= 0
+_BOUND_TOL = 1e-9
+
 
 @dataclass
 class JacobiField:
     """The linearized equation's solution along a trajectory, on [t_min, t_max]."""
 
-    traj: Trajectory
-    mode: str  # "log-form" | "radial-form"
-    t_init: float
-    xi0: float
-    dxi0: float
     sol: LegSolution  # the joint run (u, p, xi, xi')
     t_min: float
     t_max: float
-    zeros: list[float] = field(default_factory=list)
+
+    @property
+    def zeros(self) -> list[float]:
+        return self.sol.zeros
 
     def value(self, t):
         return self.sol(t)[2]
@@ -63,9 +64,7 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
     run = integrate_legs(traj.w, t_init, [[float(u)], [float(p)], [xi0], [dxi0]], t_end,
                          cfg, (traj.damping, damping), dense=True)
     run.raise_failure()
-    sol = run.runs[0]
-    return JacobiField(traj=traj, mode=mode, t_init=t_init, xi0=xi0, dxi0=dxi0,
-                       sol=sol, t_min=lo, t_max=hi, zeros=sol.zeros)
+    return JacobiField(sol=run.runs[0], t_min=lo, t_max=hi)
 
 
 def find_vanishing(fld: JacobiField, kind: str, from_t: float) -> list[float]:
@@ -88,15 +87,17 @@ def find_vanishing(fld: JacobiField, kind: str, from_t: float) -> list[float]:
             raise ContractViolationError(
                 "focal search needs xi'(from_t)=0, xi(from_t)=1; "
                 "got (%g, %g)" % (v, dv))
-    return [z for z in fld.zeros if z > from_t + max(fld.traj.cfg.event_tol, 1e-9)]
+    return [z for z in fld.zeros if z > from_t + 1e-9]
 
 
 @dataclass
 class RiccatiTrace:
-    """omega = xi'/xi sampled along the field's trajectory."""
+    """omega = xi'/xi sampled along the field's trajectory, with the flow's
+    (u, p) at the same samples of the same joint run."""
 
-    fld: JacobiField
     t: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
     omega: np.ndarray  # nan where xi vanishes at a sample
     blowups: list[float] = field(default_factory=list)
 
@@ -104,11 +105,11 @@ class RiccatiTrace:
 def riccati_from_jacobi(fld: JacobiField) -> RiccatiTrace:
     """The trace on the sample grid of the field's span; xi's zeros mark its blow-ups."""
     ts = _sample_grid(fld.t_min, fld.t_max)
-    _, _, xi, xidot = fld.sol(ts)
+    u, p, xi, xidot = fld.sol(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = xidot / xi
     omega = np.where(np.isfinite(omega), omega, np.nan)
-    return RiccatiTrace(fld=fld, t=ts, omega=omega, blowups=list(fld.zeros))
+    return RiccatiTrace(t=ts, u=u, p=p, omega=omega, blowups=list(fld.zeros))
 
 
 def riccati_blowup_window(omega0: float, B: float,
@@ -162,10 +163,10 @@ def _region_bound(u, p, t, K: float, T: float, U: float):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _lower_envelopes(K: float, tau0, n_grid: int = 200) -> np.ndarray:
-    """certified_lower_envelope at each tau0 < 0 of a 1-D array: the grid
-    minimum of each row, its bracket refined by golden section, and the
-    smaller of the two, each B coth(B d) at a tau1 in (tau0, 0)."""
+def _lower_envelopes(K: float, tau0) -> np.ndarray:
+    """certified_lower_envelope at each tau0 < 0 of a 1-D array: the minimum
+    of each row of a 200-point grid, its bracket refined by golden section,
+    and the smaller of the two, each B coth(B d) at a tau1 in (tau0, 0)."""
     tau0 = np.asarray(tau0, float)
 
     def term(tau1):  # B coth(B d), d = tau1 - tau0, with its limit 1/d as B d -> 0
@@ -173,24 +174,24 @@ def _lower_envelopes(K: float, tau0, n_grid: int = 200) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(B * d < 1e-8, 1.0 / d, B / np.tanh(B * d))
 
-    taus = np.linspace(tau0 + 1e-6 * np.abs(tau0), -1e-12, n_grid, axis=1)
+    taus = np.linspace(tau0 + 1e-6 * np.abs(tau0), -1e-12, 200, axis=1)
     vals = term(taus)
     i = np.argmin(vals, axis=1)[:, None]
     a = np.take_along_axis(taus, np.maximum(i - 1, 0), 1)
-    b = np.take_along_axis(taus, np.minimum(i + 1, n_grid - 1), 1)
+    b = np.take_along_axis(taus, np.minimum(i + 1, taus.shape[1] - 1), 1)
     for _ in range(48):  # each step shrinks the brackets by _GOLDEN, all 48 by ~1e-10
         c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
         a, b = np.where(term(c) < term(d), (a, d), (c, b))
     return -np.minimum(np.take_along_axis(vals, i, 1), term(0.5 * (a + b)))[:, 0]
 
 
-def certified_lower_envelope(K: float, tau0: float, n_grid: int = 200) -> float:
+def certified_lower_envelope(K: float, tau0: float) -> float:
     """Certified lower bound on omega at time tau0 < 0 for conjugate-point-free
     solutions: the best comparison bound -min over tau1 in (tau0, 0) of
     B coth(B (tau1 - tau0)), B = K e^{tau1}."""
     if tau0 >= 0:
         raise InvalidParameterError("envelope applies to tau0 < 0")
-    return float(_lower_envelopes(K, [tau0], n_grid)[0])
+    return float(_lower_envelopes(K, [tau0])[0])
 
 
 @dataclass
@@ -205,13 +206,13 @@ class RiccatiBoundsReport:
     all_ok: bool
 
 
-def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
-                         tol: float = 1e-9) -> RiccatiBoundsReport:
+def riccati_bounds_check(trace: RiccatiTrace, w: Potential) -> RiccatiBoundsReport:
     """Check the uniform, tail, region and certified-envelope bounds on omega.
 
-    Requires a blow-up-free trace.  The certified comparison envelope is
-    authoritative for the lower bound at t < 0; the e^{t/4} decay rate is
-    reported informationally only.
+    Requires a blow-up-free trace; each bound holds to within _BOUND_TOL.
+    The region bounds are read at the trace's own (u, p).  The certified
+    comparison envelope is authoritative for the lower bound at t < 0; the
+    e^{t/4} decay rate is reported informationally only.
     """
     if trace.blowups:
         raise InapplicableError("trace has blow-up markers; bounds do not apply")
@@ -225,21 +226,21 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential,
     uniform_margin = cap - np.abs(om)
 
     tail = t > T + 1e-12
-    tail_ok = bool(np.all(om[tail] >= -tol)
-                   and np.all(om[tail] < 1.0 / (t[tail] - T) + tol))
+    tail_ok = bool(np.all(om[tail] >= -_BOUND_TOL)
+                   and np.all(om[tail] < 1.0 / (t[tail] - T) + _BOUND_TOL))
 
     env = np.full_like(om, -cap)
     neg = t < -1e-9
     env[neg] = np.maximum(_lower_envelopes(K, t[neg]), -cap)
     envelope_margin = om - env
 
-    lo, hi = _region_bound(*trace.fld.traj.state(t), t, K, T, w.u_bound)
-    region_ok = bool(np.all((lo - tol <= om) & (om <= hi + tol)))
+    lo, hi = _region_bound(trace.u, trace.p, t, K, T, w.u_bound)
+    region_ok = bool(np.all((lo - _BOUND_TOL <= om) & (om <= hi + _BOUND_TOL)))
 
     rate = float(np.max(-env[neg] * np.exp(-t[neg] / 4.0), initial=0.0))
 
-    all_ok = bool(np.all(uniform_margin >= -tol) and tail_ok
-                  and np.all(envelope_margin >= -tol) and region_ok)
+    all_ok = bool(np.all(uniform_margin >= -_BOUND_TOL) and tail_ok
+                  and np.all(envelope_margin >= -_BOUND_TOL) and region_ok)
     return RiccatiBoundsReport(t=t, omega=om, uniform_margin=uniform_margin,
                                tail_ok=tail_ok, envelope_margin=envelope_margin,
                                region_ok=region_ok, decay_rate_coeff=rate,
@@ -257,8 +258,7 @@ def nonvanishing_field(traj: Trajectory,
 
 
 def is_disconjugate(traj: Trajectory,
-                    cfg: Optional[IntegratorConfig] = None,
-                    tol: float = 1e-9) -> bool:
+                    cfg: Optional[IntegratorConfig] = None) -> bool:
     """Whole-line disconjugacy test: the canonical field never vanishes and
     leaves the strip with omega >= 0, so it stays positive under the exact
     free decay omega' = -omega^2 for all later times."""
@@ -266,4 +266,4 @@ def is_disconjugate(traj: Trajectory,
     if fld.zeros:
         return False
     omega_end = float(fld.derivative(traj.t_max) / fld.value(traj.t_max))
-    return omega_end >= -tol
+    return omega_end >= -_BOUND_TOL

@@ -51,10 +51,9 @@ class IntegratorConfig:
     abs_tol: float = 1e-10
     max_step: float = math.inf
     t_range: Optional[tuple[float, float]] = None
-    event_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.event_tol <= 0:
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidParameterError("integrator tolerances must be positive")
         if not self.max_step > 0:
             raise InvalidParameterError("integrator max_step must be > 0, got %r"
@@ -91,6 +90,8 @@ _SCAN_DX = 1e-2
 # scan reports their ratio (rigidity.strip_step_over_zero_spacing), and past 1
 # only the error control keeps a step from spanning two zeros.
 _STRIP_STEPS = 8
+# zeros of xi closer than this are one zero
+_ZERO_MERGE = 1e-12
 _EPS = np.finfo(float).eps
 # DOP853's coefficients as (stage, 1, 1) columns against a (stage, state, cell)
 # buffer: views of scipy's tables, each row cut to the stages it reads
@@ -182,17 +183,17 @@ class LegSolution:
         return out.reshape((len(self.y0),) + t.shape)
 
 
-def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros, tol):
-    """Zeros of xi over a joint run, sorted and closer than tol merged: t0 if
-    xi starts at 0, the closed-form zero of each free leg, and the strip
-    leg's zeros."""
+def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros):
+    """Zeros of xi over a joint run, sorted, those closer than _ZERO_MERGE
+    merged: t0 if xi starts at 0, the closed-form zero of each free leg, and
+    the strip leg's zeros."""
     zeros = [t0] if y0[2] == 0.0 else []
     for t_a, y_a, t_b in ((t0, y0, t_in), (t_out, y_out, t_end)):
         s = _free_zero(y_a[2], y_a[3], d_xi, t_b - t_a)
         if s is not None:
             zeros.append(t_a + s)
     zeros = sorted(zeros + strip_zeros)
-    return [z for i, z in enumerate(zeros) if i == 0 or z - zeros[i - 1] > tol]
+    return [z for i, z in enumerate(zeros) if i == 0 or z - zeros[i - 1] > _ZERO_MERGE]
 
 
 def _flow_rhs(w: Potential, damping):
@@ -382,9 +383,9 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, dense=False) -> Le
     one per cell), all in one direction: flow states (u, p) with damping (d,)
     record where they enter and leave the support box, joint states
     (u, p, xi, xi') with damping (d, d_xi) the zeros of xi. cfg is one
-    IntegratorConfig or one per cell: its tolerances, strip step bound and
-    event tolerance. A backward batch steps forward in s = -t on -f(-s, y),
-    which negates every time and stage exactly. A dense cell (dense is one
+    IntegratorConfig or one per cell: its tolerances and strip step bound. A
+    backward batch steps forward in s = -t on -f(-s, y), which negates every
+    time and stage exactly. A dense cell (dense is one
     flag, or one per cell) keeps the rows of every step and gets its
     LegSolution in `runs`, which reads it at any times."""
     y0 = np.asarray(y0, dtype=float)
@@ -418,7 +419,7 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, dense=False) -> Le
             res.zeros[c] = []
         elif joint:
             res.zeros[c] = _joint_zeros(t0[c], y0[:, c], t_in[c], t_out[c], y[:, c], t_end[c],
-                                        damping[1], [z for z, _ in hits], cfgs[c].event_tol)
+                                        damping[1], [z for z, _ in hits])
         else:   # strip crossings of |u| = u_bound, and the strip's edges inside the box
             events = [SupportEvent(t=z, kind="enter" if yz[0] * yz[1] < 0 else "exit")
                       for z, yz in hits]
@@ -451,15 +452,14 @@ def _sample_grid(t_lo, t_hi):
 
 @dataclass
 class Trajectory:
-    """Dense solution of the log-time flow on [t_min, t_max], with support events."""
+    """Dense solution of the log-time flow on [t_min, t_max]; its support
+    events are `sol.events`."""
 
-    n: int
     w: Potential
     damping: float
     sol: LegSolution
     t_min: float
     t_max: float
-    events: list[SupportEvent] = field(default_factory=list)
     cfg: IntegratorConfig = field(default_factory=IntegratorConfig)
 
     def state(self, t):
@@ -469,12 +469,6 @@ class Trajectory:
     def u_of_r(self, r):
         return self.state(np.log(np.asarray(r, float)))[0]
 
-    def first_entry(self) -> Optional[float]:
-        for ev in self.events:
-            if ev.kind == "enter":
-                return ev.t
-        return None
-
 
 def _trajectories(w: Potential, n: int, t0: float, y0, cfg: IntegratorConfig) -> list:
     """The dense flows from the (u, p) columns of y0 at t0 to the end of cfg's
@@ -483,8 +477,8 @@ def _trajectories(w: Potential, n: int, t0: float, y0, cfg: IntegratorConfig) ->
     t_end = cfg.t_range[1] if cfg.t_range else w.t_upper + 20.0
     damping = float(n - 2)
     run = integrate_legs(w, t0, y0, t_end, cfg, (damping,), dense=True)
-    return [exc or Trajectory(n=n, w=w, damping=damping, sol=sol, t_min=float(min(t0, t_end)),
-                              t_max=float(max(t0, t_end)), events=sol.events, cfg=cfg)
+    return [exc or Trajectory(w=w, damping=damping, sol=sol, t_min=float(min(t0, t_end)),
+                              t_max=float(max(t0, t_end)), cfg=cfg)
             for exc, sol in zip(run.failures, run.runs)]
 
 

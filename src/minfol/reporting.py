@@ -49,12 +49,13 @@ def write_family_csv(fam, path: str) -> None:
 def write_report(report: dict, out_dir: str, wall_clock: float, **phases) -> str:
     """report.json is byte-identical across reruns; the wall-clock time and
     the phase times (name=seconds) are written to a timing.txt sidecar so
-    they never perturb the report."""
+    they never perturb the report. The report is serialized before the file
+    is opened, so a report that cannot be written leaves no report.json."""
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2,
-                            allow_nan=False) + "\n")
+        fh.write(text)
     with open(os.path.join(out_dir, "timing.txt"), "w", encoding="utf-8") as fh:
         fh.write("wall_clock_seconds=%.6f\n" % wall_clock)
         fh.writelines("%s=%.6f\n" % item for item in phases.items())

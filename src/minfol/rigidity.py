@@ -32,7 +32,6 @@ class ScanReport:
     u0_grid: list[float]
     p0_grid: list[float]
     t_starts: list[float]
-    t_end: float
     findings: list[ConjugateFinding] = field(default_factory=list)
     failures: list[tuple[float, float, float, str]] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)  # per finding, from its copy
@@ -54,6 +53,8 @@ class ScalingFit:
 # the verification's strip step bound, as a fraction of the strip width: an
 # eighth of the scan's, so that a finding is re-stepped on another sequence
 _VERIFY_STRIP_STEPS = 64
+# the doubling search for a crossover past the listed N stops here
+_MAX_SEARCH_N = 4096
 
 
 def _verify_cfg(w: Potential, cfg: IntegratorConfig) -> IntegratorConfig:
@@ -113,8 +114,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
             return LegBatch([[]] * 2 * n, [exc] * 2 * n, *np.zeros((3, 2 * n), dtype=int),
                             [None] * 2 * n)
 
-    report = ScanReport(u0_grid=u0_grid, p0_grid=p0_grid, t_starts=t_starts,
-                        t_end=t_end)
+    report = ScanReport(u0_grid=u0_grid, p0_grid=p0_grid, t_starts=t_starts)
     batches = list(map_fn(run, t_starts))
     scans, copies = [b[:n] for b in batches], [b[n:] for b in batches]
     checks = []   # per finding, its copy's run and failure
@@ -274,14 +274,14 @@ def discriminant_inequality_check(w: Potential, quad_tol: float = 1e-12
 
 
 def scaling_exponent_fit(w: Potential, N_list,
-                         quad_tol: float = 1e-12,
-                         max_search_N: int = 4096) -> ScalingFit:
+                         quad_tol: float = 1e-12) -> ScalingFit:
     """Log-log slopes of both sides against N, and the first N >= 1 at which
     the inequality fails.
 
     Every integer below the first failing listed N is tried. When no listed
     N fails, N doubles past the list until the inequality fails, and the
-    crossover is bisected between the last holding and the first failing N."""
+    crossover is bisected between the last holding and the first failing N.
+    A search that reaches _MAX_SEARCH_N without a failure gives None."""
     if not all(float(N).is_integer() for N in N_list):
         raise InvalidParameterError("N values must be integers, got %r" % (list(N_list),))
     N_list = [int(N) for N in N_list]
@@ -309,9 +309,9 @@ def scaling_exponent_fit(w: Potential, N_list,
         crossover = next(N for N in range(1, crossover + 1) if fails(N))
     else:
         holds = max(N_list)
-        while holds < max_search_N and not fails(2 * holds):
+        while holds < _MAX_SEARCH_N and not fails(2 * holds):
             holds *= 2
-        if holds < max_search_N:
+        if holds < _MAX_SEARCH_N:
             N = 2 * holds
             while N - holds > 1:
                 mid = (holds + N) // 2

@@ -103,7 +103,7 @@ class ScipyLegs:
         self.zeros, self.events = [], []
         if len(y0) == 4:
             self.zeros = _joint_zeros(t0, y0, t_in, t_out, self.y_out, t_end, d_xi,
-                                      [float(t) for t, _ in hits], cfg.event_tol)
+                                      [float(t) for t, _ in hits])
         else:
             self.events = [SupportEvent(t=float(t), kind="enter" if y[0] * y[1] < 0 else "exit")
                            for t, y in hits]

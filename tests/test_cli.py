@@ -347,16 +347,48 @@ def test_key_the_command_does_not_read_is_2_without_report(tmp_path, capsys, dat
     _shipped("example446", example446={"u0_grid": 0.5}),
     _shipped("solve", solve={"samples": 0}),
     _shipped("solve", solve={"samples": -3}),
+    _shipped("hardy-check", hardy={"r1": 4.0, "r2": 0.1}),
+    _shipped("hardy-check", hardy={"rel_tol": -1.0}),
+    _shipped("hardy-check", hardy={"num_random": -3}),
+    _shipped("hardy-check", hardy={"num_random": 0, "n_list": [5]}),
+    _shipped("certify", certify={"grid_points": 0}),
+    _shipped("certify", certify={"grid_points": -5}),
+    _shipped("certify", certify={"grid_points": 1}),
+    _shipped("foliate", foliate={"alphas": [0.25]}),
+    _shipped("example446", example446={"u0_grid": [0.0]}),
+    _shipped("solve", integrator={"event_tol": 1e-12}),
 ], ids=["t_end-string", "r0-0", "r_end-negative", "r0-string", "r_start-0",
         "r_end-bool", "r_min-0", "r_min-negative", "u0-count-1", "p0-count-0",
         "alphas-empty", "alphas-string", "u0_grid-count-negative", "u0_grid-number",
-        "samples-0", "samples-negative"])
+        "samples-0", "samples-negative", "hardy-r1-above-r2", "hardy-rel_tol-negative",
+        "hardy-num_random-negative", "hardy-no-check", "grid_points-0",
+        "grid_points-negative", "grid_points-1", "alphas-one-leaf", "u0_grid-one-leaf",
+        "event_tol"])
 def test_bad_radius_end_time_or_grid_is_2_without_report(tmp_path, capsys, data):
     out = tmp_path / "out"
     assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "report.json").exists()
     assert not out.exists()   # a config error writes no artifact
+
+
+@pytest.mark.parametrize("family, radius", [("N_A", {"r_min": 50.0}), ("N_A", {"r_start": 0.5}),
+                                            ("M_A", {"r_end": 0.5})],
+                         ids=["N_A-outward", "N_A-inside-r_outer", "M_A-inside-r_inner"])
+def test_foliate_span_that_pins_nothing_is_2_without_report(tmp_path, capsys, family, radius):
+    data = _shipped("foliate", foliate=dict(radius, family=family))
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.json").exists()
+
+
+def test_a_report_that_cannot_be_written_leaves_no_file(tmp_path):
+    from minfol.reporting import write_report
+
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_report({"min_gap": math.inf}, str(tmp_path), wall_clock=0.0)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_three_values_ending_in_a_float_are_values_and_a_radius_is_kept(tmp_path):

@@ -66,6 +66,13 @@ class TestOuterFamily:
         with pytest.raises(InvalidParameterError, match="radii must be > 0"):
             build_NA_family(certified_pot, 3, 0.0, ALPHAS, **radii)
 
+    @pytest.mark.parametrize("radii, message", [
+        ({"r_min": 50.0}, "runs inward"), ({"r_start": 0.5}, "outer form")])
+    def test_rejects_a_span_that_pins_nothing(self, certified_pot, radii, message):
+        # an r_min past r_start runs outward; inside r_outer the outer form fails
+        with pytest.raises(InvalidParameterError, match=message):
+            build_NA_family(certified_pot, 3, 0.0, ALPHAS, **radii)
+
 
 class TestInnerFamily:
     def test_is_ordered(self, certified_pot):
@@ -78,6 +85,12 @@ class TestInnerFamily:
         # r_end = 0.0 used to fall back to the default 2 r_outer = 6
         with pytest.raises(InvalidParameterError, match="radii must be > 0"):
             build_MA_family(certified_pot, 3, 0.0, [-0.1, 0.1], r_end=r_end)
+
+    @pytest.mark.parametrize("r_end", [0.5, 1.0])
+    def test_rejects_an_end_radius_at_or_below_r_inner(self, certified_pot, r_end):
+        assert certified_pot.r_inner == 1.0
+        with pytest.raises(InvalidParameterError, match="runs outward"):
+            build_MA_family(certified_pot, 3, 0.0, ALPHAS, r_end=r_end)
 
     def test_requires_inner_gap(self):
         pot = zero_potential(u_bound=1.0, r_inner=0.0, r_outer=3.0)

@@ -18,7 +18,8 @@ from minfol.jacobi import (_lower_envelopes, _region_bound,
                            nonvanishing_field, omega_region_bound,
                            riccati_blowup_window, riccati_bounds_check,
                            riccati_from_jacobi)
-from minfol.odeflow import IntegratorConfig, PhaseState, integrate_hamiltonian
+from minfol.odeflow import (IntegratorConfig, LegSolution, PhaseState, Trajectory,
+                            integrate_hamiltonian)
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
@@ -224,6 +225,22 @@ class TestDisconjugacy:
         assert rep.all_ok
         assert rep.tail_ok and rep.region_ok
         assert np.all(rep.uniform_margin >= -1e-9)
+
+    def test_trace_reads_the_flow_of_its_own_joint_run(self, weak_log, monkeypatch):
+        # (u, p) are the bits of the run that gives omega, and the bounds
+        # check evaluates no trajectory or run of its own
+        traj = _trajectory(weak_log, t0=-2.0, t1=weak_log.t_upper + 5.0,
+                           u0=0.1, p0=0.0)
+        fld = nonvanishing_field(traj, TIGHT)
+        trace = riccati_from_jacobi(fld)
+        u, p = fld.sol(trace.t)[:2]
+        assert trace.u.tobytes() == u.tobytes() and trace.p.tobytes() == p.tobytes()
+
+        def forbidden(*args):
+            raise AssertionError("the bounds check evaluated a run")
+        monkeypatch.setattr(Trajectory, "state", forbidden)
+        monkeypatch.setattr(LegSolution, "__call__", forbidden)
+        assert riccati_bounds_check(trace, weak_log).region_ok
 
     def test_bounds_need_the_curvature_constant(self, weak_pot):
         # a potential that did not pass through to_log_form has K = None

@@ -69,9 +69,9 @@ def test_support_events_detected(weak_log):
     s0 = PhaseState(u=-3.0, p=1.0, t=-2.0)
     cfg = IntegratorConfig(t_range=(-2.0, 4.0))
     traj = integrate_hamiltonian(weak_log, s0, cfg)
-    kinds = [ev.kind for ev in traj.events]
+    kinds = [ev.kind for ev in traj.sol.events]
     assert "enter" in kinds and "exit" in kinds
-    entry = traj.first_entry()
+    entry = next(ev.t for ev in traj.sol.events if ev.kind == "enter")
     u, _ = traj.state(entry)
     # at entry the state sits on the strip boundary
     assert (abs(abs(u) - weak_log.u_bound) < 1e-6
@@ -292,7 +292,7 @@ def test_solve_config_takes_the_oracles_steps(scipy_legs):
     t0, t_end = math.log(p["r0"]), math.log(p["r_end"])
     run_cfg = replace(cfg.integrator, t_range=(t0, t_end))
     traj = integrate_radial_ivp(pot, cfg.n, p["r0"], p["u0"], p["du0"], run_cfg)
-    assert traj.events and traj.sol.direction == -1.0
+    assert traj.sol.events and traj.sol.direction == -1.0
     _assert_run_is_the_oracles(pot, traj.sol, t0, (p["u0"], p["r0"] * p["du0"]), t_end,
                                run_cfg, (cfg.n - 2.0,), scipy_legs)
 
@@ -425,13 +425,13 @@ def test_mixed_tolerance_cell_equals_its_uniform_batch(strong_log):
 
 
 def test_legs_take_one_config_per_cell(strong_log):
-    # per cell its own tolerances, strip step bound and event tolerance, and
-    # dense rows only where it is dense: each cell runs as if alone
+    # per cell its own tolerances and strip step bound, and dense rows only
+    # where it is dense: each cell runs as if alone
     w = strong_log
     width = w.t_upper - w.t_lower
     cfgs = [IntegratorConfig(), IntegratorConfig(rel_tol=5e-11, abs_tol=5e-11,
                                                  max_step=width / 64),
-            IntegratorConfig(rel_tol=1e-8, event_tol=1e-6)]
+            IntegratorConfig(rel_tol=1e-8, abs_tol=1e-8)]
     y0 = np.array([[0.25, 0.25, -0.4], [0.25, 0.25, 0.1], [0.0] * 3, [1.0] * 3])
     t_end = w.t_upper + 10.0
     dense = [False, True, False]
