@@ -7,8 +7,7 @@ import argparse
 import numpy as np
 
 from minfol.catalog import certified_bump, example_pair
-from minfol.foliation import (build_MA_family, build_NA_family,
-                              example_446_check, select_example_446_variant)
+from minfol.foliation import build_MA_family, build_NA_family, example_446_check
 
 
 def main():
@@ -26,13 +25,12 @@ def main():
               (label, rep.verdict, rep.min_gap, rep.min_dudalpha))
 
     phi, psi = example_pair()
-    variant = select_example_446_variant(phi, psi)
     lo, hi = phi.support
     u0s = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 11)
-    rep = example_446_check(phi, psi, u0s, variant=variant)
+    rep = example_446_check(phi, psi, u0s, variant="auto")
     print("explicit family (variant %s): max residual %.3e, "
           "min pairwise gap %.3e, crossings %d" %
-          (variant, rep.max_residual, rep.min_pairwise_gap, rep.crossings))
+          (rep.variant, rep.max_residual, rep.min_pairwise_gap, rep.crossings))
 
 
 if __name__ == "__main__":

@@ -11,15 +11,14 @@ import numpy as np
 
 from .errors import (InapplicableError, IntegrationFailureError,
                      InvalidParameterError, PartialFamilyError)
-from .odeflow import (IntegratorConfig, Trajectory, _dop853_batch, _trajectories,
-                      stepper_work)
+from .odeflow import (_STRIP_STEPS, IntegratorConfig, Trajectory, _dop853_batch,
+                      _trajectories, stepper_work)
 from .odeflow import integrate_radial_ivp  # noqa: F401  (perfbench traces this name)
 from .potential import BumpFunction, Potential, _profile, example_446_potential
 
 GRID_POINTS = 512
-# the leaves of example 4.4.6, and the variant oracle's probe leaves
+# the leaves of example 4.4.6
 _LEAF_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
-_PROBE_CFG = IntegratorConfig()
 
 
 @dataclass
@@ -152,7 +151,7 @@ class ExampleReport:
     min_pairwise_gap: float
     initial_gap: float
     crossings: int
-    diagnostics: dict = field(default_factory=dict)   # stepper work of leaves, probes
+    diagnostics: dict = field(default_factory=dict)   # stepper work of the leaves
     timing: dict = field(default_factory=dict)        # seconds per phase
 
 
@@ -167,37 +166,33 @@ def _first_order_rhs(phi, psi):
     return rhs
 
 
-def _example_leaves(phi, psi, groups):
-    """Per group (u0_grid, cfg, fd_step): the sample times, per initial value
-    u0 the leaf u and its u'' by a fourth-order stencil on the dense
-    first-order flow du/dt = phi'(u) psi(t), and the group's stepper work.
-    Every leaf of every group steps in one `_dop853_batch` run, at its own
-    group's tolerances. The leaves do not depend on the variant of W."""
+def _example_leaves(phi, psi, u0_grid, fd_step):
+    """The sample times, per initial value u0 the leaf u and its u'' by a
+    fourth-order stencil on the dense first-order flow du/dt = phi'(u) psi(t),
+    and the stepper work. The leaves step in one `_dop853_batch` run at
+    _LEAF_CFG, at most psi's support width over _STRIP_STEPS per step. The
+    leaves do not depend on the variant of W."""
     t_lo, t_hi = psi.support
     t_span = (t_lo - 0.5, t_hi + 0.5)
-    grids, cfgs, steps = zip(*groups)
-    for u0_grid, fd_step in zip(grids, steps):
-        if len(u0_grid) == 0:
-            raise InvalidParameterError("the u0 grid is empty")
-        if not 0.0 < 4 * fd_step < t_span[1] - t_span[0]:
-            raise InvalidParameterError("need 0 < 4 fd_step < %r, got fd_step = %r"
-                                        % (t_span[1] - t_span[0], fd_step))
-    ends = np.cumsum([0] + [len(u0_grid) for u0_grid in grids])
-    tol = [np.repeat([getattr(c, k) for c in cfgs], np.diff(ends)) for k in ("rel_tol", "abs_tol")]
+    if len(u0_grid) == 0:
+        raise InvalidParameterError("the u0 grid is empty")
+    if not 0.0 < 4 * fd_step < t_span[1] - t_span[0]:
+        raise InvalidParameterError("need 0 < 4 fd_step < %r, got fd_step = %r"
+                                    % (t_span[1] - t_span[0], fd_step))
+    m = len(u0_grid)
     run, _, _, rows = _dop853_batch(
-        _first_order_rhs(phi, psi), np.full(ends[-1], t_span[0]), np.full(ends[-1], t_span[1]),
-        np.concatenate(grids)[None], tol, math.inf, dense=True)
+        _first_order_rhs(phi, psi), np.full(m, t_span[0]), np.full(m, t_span[1]),
+        np.array(u0_grid, dtype=float)[None], (_LEAF_CFG.rel_tol, _LEAF_CFG.abs_tol),
+        (t_hi - t_lo) / _STRIP_STEPS, dense=True)
     for message in filter(None, run.failures):
         raise IntegrationFailureError("first-order flow failed: %s" % message)
-    out = []
-    for h, a, b in zip(steps, ends, ends[1:]):
-        ts = np.linspace(t_span[0] + 2 * h, t_span[1] - 2 * h, 801)
-        stencil = np.concatenate((ts + 2 * h, ts + h, ts - h, ts - 2 * h, ts))
-        u = np.array([leaf(stencil)[0] for leaf in rows[a:b]]).reshape(b - a, 5, len(ts))
-        udot = phi.derivative(u) * psi.value(stencil.reshape(5, len(ts)))
-        uddot = (-udot[:, 0] + 8 * udot[:, 1] - 8 * udot[:, 2] + udot[:, 3]) / (12.0 * h)
-        out.append((ts, list(zip(u[:, 4], uddot)), stepper_work([run[a:b]])))
-    return out
+    h = fd_step
+    ts = np.linspace(t_span[0] + 2 * h, t_span[1] - 2 * h, 801)
+    stencil = np.concatenate((ts + 2 * h, ts + h, ts - h, ts - 2 * h, ts))
+    u = np.array([leaf(stencil)[0] for leaf in rows]).reshape(m, 5, len(ts))
+    udot = phi.derivative(u) * psi.value(stencil.reshape(5, len(ts)))
+    uddot = (-udot[:, 0] + 8 * udot[:, 1] - 8 * udot[:, 2] + udot[:, 3]) / (12.0 * h)
+    return ts, list(zip(u[:, 4], uddot)), stepper_work([run])
 
 
 def _newton_residual(w, ts, u, uddot) -> float:
@@ -211,22 +206,19 @@ def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
     """Integrate du/dt = phi'(u) psi(t) per initial value at _LEAF_CFG and
     verify the Newton residual u'' + e^{2t} W'_u(u, t) along each graph (u''
     by a fourth-order stencil on the dense flow field), plus pairwise
-    non-crossing. u0_grid None is 11 values. With variant "auto", the variant
-    oracle's probes step in the leaves' batch and its pick scores the leaves;
-    their work is in diagnostics["variant_selection"]."""
+    non-crossing. u0_grid None is 11 values. Variant "auto" is the variant
+    with the smaller largest residual over these leaves."""
     u0_grid = sorted(float(x) for x in (_inset(phi, 11) if u0_grid is None else u0_grid))
-    probes = [(_inset(phi, 5), _PROBE_CFG, 2e-4)] if variant == "auto" else []
     t0 = time.perf_counter()
-    *probed, (ts, flows, work) = _example_leaves(phi, psi, probes + [(u0_grid, _LEAF_CFG, fd_step)])
+    ts, flows, work = _example_leaves(phi, psi, u0_grid, fd_step)
     t1 = time.perf_counter()
-    diagnostics = {"leaves": work}
-    if probed:
-        variant = _best_variant(phi, psi, *probed[0][:2])
-        diagnostics["variant_selection"] = probed[0][2]
-    w = example_446_potential(phi, psi, variant=variant)
-    leaves = [ExampleLeaf(u0=u0, t=ts, u=us,
-                          max_residual=_newton_residual(w, ts, us, uddot))
-              for u0, (us, uddot) in zip(u0_grid, flows)]
+    ws = {v: example_446_potential(phi, psi, variant=v)
+          for v in (("as-printed", "chain-rule") if variant == "auto" else (variant,))}
+    residuals = {v: [_newton_residual(w, ts, us, uddot) for us, uddot in flows]
+                 for v, w in ws.items()}
+    variant = min(residuals, key=lambda v: max(residuals[v]))
+    leaves = [ExampleLeaf(u0=u0, t=ts, u=us, max_residual=res)
+              for u0, (us, _), res in zip(u0_grid, flows, residuals[variant])]
     max_res = max(leaf.max_residual for leaf in leaves)
     if len(leaves) >= 2:
         diffs = np.diff(np.column_stack([us for us, _ in flows]), axis=1)
@@ -237,7 +229,7 @@ def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
         min_gap, crossings, initial_gap = math.inf, 0, math.inf
     return ExampleReport(variant=variant, leaves=leaves, max_residual=max_res,
                          min_pairwise_gap=min_gap, initial_gap=initial_gap,
-                         crossings=crossings, diagnostics=diagnostics,
+                         crossings=crossings, diagnostics={"leaves": work},
                          timing={"flow_seconds": t1 - t0,
                                  "residual_seconds": time.perf_counter() - t1})
 
@@ -248,20 +240,7 @@ def _inset(phi, count):
     return np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), count)
 
 
-def _best_variant(phi, psi, ts, flows) -> str:
-    """The variant whose largest Newton residual over the leaves is smaller."""
-    ws = {v: example_446_potential(phi, psi, variant=v) for v in ("as-printed", "chain-rule")}
-    res = {v: max(_newton_residual(w, ts, us, uddot) for us, uddot in flows)
-           for v, w in ws.items()}
-    return min(res, key=res.get)
-
-
-def select_example_446_variant(phi: BumpFunction, psi: BumpFunction,
-                               diagnostics: Optional[dict] = None) -> str:
-    """Residual oracle: pick the variant whose Newton residual along the
-    first-order flow is smaller. Both are scored on the same probe leaves at
-    _PROBE_CFG, whose stepper work is added to `diagnostics` when it is given."""
-    (ts, flows, work), = _example_leaves(phi, psi, [(_inset(phi, 5), _PROBE_CFG, 2e-4)])
-    if diagnostics is not None:
-        diagnostics.update(work)
-    return _best_variant(phi, psi, ts, flows)
+def select_example_446_variant(phi: BumpFunction, psi: BumpFunction) -> str:
+    """Residual oracle: the variant whose Newton residual along the default 11
+    leaves of the first-order flow is smaller."""
+    return example_446_check(phi, psi, None, variant="auto").variant

@@ -193,7 +193,7 @@ class TestRunCommand:
                         for f in ("report.json", "leaves.csv")])
         assert raw[0] == raw[1]
         diag = _validate_report(str(tmp_path / "a"))["results"]["diagnostics"]
-        assert sorted(diag) == ["leaves", "variant_selection"]
+        assert sorted(diag) == ["leaves"]
         for work in diag.values():
             assert sorted(work) == ["accepted_steps", "rejected_steps",
                                     "stage_evaluations"]

@@ -124,32 +124,54 @@ class TestExplicitFamily:
         phi, psi = example_pair()
         assert select_example_446_variant(phi, psi) == "chain-rule"
 
-    def test_variant_oracle_integrates_each_probe_once(self, monkeypatch):
+    def test_variant_oracle_integrates_each_leaf_once(self, monkeypatch):
         runs = _captured_runs(monkeypatch)
         phi, psi = example_pair()
         assert select_example_446_variant(phi, psi) == "chain-rule"
-        assert [args[3].shape[1] for args, _ in runs] == [5]
+        assert [args[3].shape[1] for args, _ in runs] == [11]
 
-    def test_auto_steps_the_probes_with_the_leaves(self, monkeypatch):
-        # one batch of 5 probes + the leaves gives the bits of the oracle's
-        # own run followed by the check at the variant it picked
+    def test_auto_reports_the_winners_check(self, monkeypatch):
+        # auto steps the leaves once and scores both variants on them, so its
+        # report is the bits of the explicit check at the variant it picked
         phi, psi = example_pair()
         u0s = list(np.linspace(-0.8, 0.8, 11))
-        probe_work = {}
-        variant = select_example_446_variant(phi, psi, diagnostics=probe_work)
-        ref = example_446_check(phi, psi, u0s, variant=variant)
+        ref = example_446_check(phi, psi, u0s, variant="chain-rule")
         runs = _captured_runs(monkeypatch)
         rep = example_446_check(phi, psi, u0s, variant="auto")
-        assert [args[3].shape[1] for args, _ in runs] == [5 + len(u0s)]
-        assert rep.variant == variant == "chain-rule"
-        assert rep.diagnostics == {"leaves": ref.diagnostics["leaves"],
-                                   "variant_selection": probe_work}
+        assert [args[3].shape[1] for args, _ in runs] == [len(u0s)]
+        assert rep.variant == "chain-rule"
+        assert rep.diagnostics == {"leaves": ref.diagnostics["leaves"]}
         assert sorted(rep.timing) == ["flow_seconds", "residual_seconds"]
         for got, want in zip(rep.leaves, ref.leaves):
             assert got.u0 == want.u0 and got.max_residual == want.max_residual
             assert got.t.tobytes() == want.t.tobytes() and got.u.tobytes() == want.u.tobytes()
         assert (rep.max_residual, rep.min_pairwise_gap, rep.initial_gap, rep.crossings) == \
             (ref.max_residual, ref.min_pairwise_gap, ref.initial_gap, ref.crossings)
+
+    # random-22 and random-5 are pairs 22 and 5 of 40 drawn with default_rng(2026)
+    @pytest.mark.parametrize("phi, psi", [
+        ((0.0, 1.0, 1.0), (0.5, 0.5, 1.0)),
+        ((0.16797992439850484, 0.32765638766488253, -1.247771259930606),
+         (-0.22450941936285307, 0.8307746959539437, -0.9651390468326793)),
+        ((-0.22595161138628173, 0.31205610862538263, 0.5828835822997913),
+         (0.5798640752630395, 0.8684553732002194, -0.8724886905418314))],
+        ids=["shipped", "random-22", "narrow-phi"])
+    def test_auto_picks_the_lower_residual(self, phi, psi):
+        phi, psi = make_bump(*phi), make_bump(*psi)
+        reps = [example_446_check(phi, psi, None, variant=v)
+                for v in ("as-printed", "chain-rule")]
+        best = min(reps, key=lambda rep: rep.max_residual)
+        auto = example_446_check(phi, psi, None, variant="auto")
+        assert (auto.variant, auto.max_residual) == (best.variant, best.max_residual)
+
+    @pytest.mark.parametrize("phi, psi", [
+        ((0.4468197909796484, 0.7633773745025456, -0.8193152875439424),
+         (-0.020987294147206403, 0.7871964090936483, 0.676584392714844)),
+        ((-0.13, 0.207, 1.32), (-0.268, 0.414, 1.521))], ids=["random-5", "narrow-psi"])
+    def test_leaves_step_within_psis_support(self, phi, psi):
+        # a step longer than psi's support skips the flow's change there
+        rep = example_446_check(make_bump(*phi), make_bump(*psi), None, variant="chain-rule")
+        assert rep.max_residual < 1e-6
 
     def test_selected_variant_solves_newton_equation(self):
         phi, psi = example_pair()
@@ -168,8 +190,9 @@ class TestExplicitFamily:
 
 def _scipy_leaves(phi, psi, u0_grid, cfg, fd_step):
     """The oracle: one scipy DOP853 run per leaf with scalar callbacks (the
-    former `foliation._first_order_flow`) and the stencil on its dense
-    output. Per leaf: the accepted steps, u and u'' at the sample times."""
+    former `foliation._first_order_flow`), at most psi's support width over 8
+    per step, and the stencil on its dense output. Per leaf: the accepted
+    steps, u and u'' at the sample times."""
     t_lo, t_hi = psi.support
     t_span = (t_lo - 0.5, t_hi + 0.5)
     ts = np.linspace(t_span[0] + 2 * fd_step, t_span[1] - 2 * fd_step, 801)
@@ -177,7 +200,7 @@ def _scipy_leaves(phi, psi, u0_grid, cfg, fd_step):
     for u0 in u0_grid:
         res = solve_ivp(lambda t, y: (float(phi.derivative(y[0])) * float(psi.value(t)),),
                         t_span, (u0,), method="DOP853", dense_output=True,
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol)
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=(t_hi - t_lo) / 8)
         assert res.success
 
         def udot(t):
@@ -202,18 +225,16 @@ def _captured_runs(monkeypatch):
     return runs
 
 
-PROBES = list(np.linspace(-0.8, 0.8, 5))
+U0S = list(np.linspace(-0.8, 0.8, 11))
 CHECK_CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
 class TestBatchedLeaves:
-    @pytest.mark.parametrize("cfg, u0s", [(IntegratorConfig(), PROBES),
-                                          (CHECK_CFG, list(np.linspace(-0.8, 0.8, 11)))])
-    def test_each_leaf_takes_scipys_steps(self, monkeypatch, cfg, u0s):
+    def test_each_leaf_takes_scipys_steps(self, monkeypatch):
         phi, psi = example_pair()
         runs = _captured_runs(monkeypatch)
-        (ts, flows, work), = foliation._example_leaves(phi, psi, [(u0s, cfg, 2e-4)])
-        ts_ref, oracle = _scipy_leaves(phi, psi, u0s, cfg, 2e-4)
+        ts, flows, work = foliation._example_leaves(phi, psi, U0S, 2e-4)
+        ts_ref, oracle = _scipy_leaves(phi, psi, U0S, CHECK_CFG, 2e-4)
         assert np.array_equal(ts, ts_ref) and len(runs) == 1
         accepted = runs[0][1][0].accepted
         assert list(accepted) == [steps for steps, _, _ in oracle]
@@ -225,17 +246,16 @@ class TestBatchedLeaves:
 
     def test_leaf_alone_equals_the_batch(self):
         phi, psi = example_pair()
-        u0s = list(np.linspace(-0.8, 0.8, 11))
-        (_, batch, _), = foliation._example_leaves(phi, psi, [(u0s, CHECK_CFG, 2e-4)])
+        _, batch, _ = foliation._example_leaves(phi, psi, U0S, 2e-4)
         for j in (0, 3, 5, 10):
-            (_, alone, _), = foliation._example_leaves(phi, psi, [([u0s[j]], CHECK_CFG, 2e-4)])
+            _, alone, _ = foliation._example_leaves(phi, psi, [U0S[j]], 2e-4)
             assert np.array_equal(alone[0][0], batch[j][0])
             assert np.array_equal(alone[0][1], batch[j][1])
 
-    @pytest.mark.parametrize("u0s, fd_step", [([], 2e-4), (PROBES, 0.0),
-                                              (PROBES, -1e-3), (PROBES, math.nan),
-                                              (PROBES, math.inf), (PROBES, 0.5),
-                                              (PROBES, 0.6)])
+    @pytest.mark.parametrize("u0s, fd_step", [([], 2e-4), (U0S, 0.0),
+                                              (U0S, -1e-3), (U0S, math.nan),
+                                              (U0S, math.inf), (U0S, 0.5),
+                                              (U0S, 0.6)])
     def test_rejects_grids_and_steps_off_the_span(self, u0s, fd_step):
         phi, psi = example_pair()
         with pytest.raises(InvalidParameterError):
