@@ -25,10 +25,12 @@ Every run steps in `_dop853_batch`: scipy's DOP853 rules applied per cell to
 a (state, cell) array, the right-hand side (one potential jet) evaluated once
 per stage on the active cells, and each step's stages in one buffer, summed
 in stage order so that no cell's bits depend on another. A single run is a
-one-cell batch, and a backward batch steps forward in s = -t. A dense run
-keeps each accepted step's output rows, read by scipy's OdeSolution rule
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6). A dense run is the one way
-a solution is read: each consumer evaluates its LegSolution at its own times.
+one-cell batch, and a backward batch steps forward in s = -t. The step loop
+only steps; dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6) is
+one pass after it over the steps it kept. A dense run keeps each accepted
+step's output rows, read by scipy's OdeSolution rule. A dense run is the one
+way a solution is read: each consumer evaluates its LegSolution at its own
+times.
 """
 
 from __future__ import annotations
@@ -239,14 +241,18 @@ class LegBatch:
 def _stage_sum(coef, K, h):
     """h * sum_j coef[j] K[j] over the first stages of the buffer K, added in
     stage order from 0.0 as a term-by-term loop adds them, so that a cell's
-    bits depend on neither the other cells nor the layout of K: accumulate is
-    sequential by definition, where a reduction may sum pairwise."""
-    return (0.0 + np.add.accumulate(coef * K[:len(coef)], axis=0)[-1]) * h
+    bits depend on neither the other cells nor the layout of K. The terms are
+    laid out C-contiguous, where reduce adds whole rows in order; a row of one
+    element would be summed pairwise, so it accumulates instead."""
+    terms = np.multiply(coef, K[:len(coef)], order="C")
+    return (0.0 + (np.add.accumulate(terms)[-1] if terms[0].size == 1
+                   else np.add.reduce(terms, axis=0))) * h
 
 
 def _norm(x):
-    """np.linalg.norm of each cell's column."""
-    return np.sqrt(sum(c * c for c in x))
+    """np.linalg.norm of each cell's column: reduce adds fewer than 8 rows in
+    order in any layout."""
+    return np.sqrt(np.add.reduce(x * x, axis=0))
 
 
 def _horner(F, x):
@@ -274,13 +280,15 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
     t to t_stop at tol = (rel_tol, abs_tol) with step bound max_step (each
     one value, or one per cell): its tables, error norm, controller, initial
     step and step bound, with vectorized rhs(t, y) called once per stage on
-    the active cells. With watch = (row, g), a step on which g(y[row])
-    changes sign gets the dense-output stages and brentq finds the zero; a
-    dense cell (dense is one flag, or one per cell) gets them on every
-    accepted step and keeps its rows. A step below scipy's minimum, or a
-    non-finite error norm, fails that cell alone. Returns a LegBatch (work,
-    watched zeros and the states there, failure messages), the final times
-    and states, and per cell its StepRows (None unless dense)."""
+    the active cells. The step loop only steps: it keeps the stages of each
+    accepted step that a dense cell takes (dense is one flag, or one per
+    cell) or on which g(y[row]) changes sign, with watch = (row, g). The
+    three dense-output stages, which the step control does not read, then
+    come from three rhs calls over all kept steps, and brentq finds each
+    watched zero on its step's dense output. A step below scipy's minimum,
+    or a non-finite error norm, fails that cell alone. Returns a LegBatch
+    (work, watched zeros and the states there, failure messages), the final
+    times and states, and per cell its StepRows (None unless dense)."""
     t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
     RK, rms = DOP853, math.sqrt(len(y))    # per cell: rtol at scipy's floor, atol, step bound
     rtol, atol, max_step = (np.broadcast_to(x, (m,)) for x in (
@@ -289,8 +297,9 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
     power = -1 / (RK.error_estimator_order + 1)
     res = LegBatch([[] for _ in range(m)], np.array([None] * m), *np.zeros((3, m), dtype=int))
     active, retry = t < t_stop, np.zeros(m, dtype=bool)
-    kept = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((len(y), 0)),
-             np.zeros((3 + len(_D), len(y), 0)))]   # the dense rows of accepted steps
+    # per kept step: cell, sign change, t_old, t_new, y_old, y_new, stages
+    kept = [(np.zeros(0, dtype=int), np.zeros(0, dtype=bool), *np.zeros((2, 0)),
+             *np.zeros((2, len(y), 0)), np.zeros((_NS + 1, len(y), 0)))]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i = np.flatnonzero(active)   # scipy's initial step, per cell
@@ -319,7 +328,7 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
             t_new = np.minimum(ti + h, t_stop[i])
             h = t_new - ti
             yi = y[:, i]
-            K = np.empty((_NS + 1 + len(_A_EXTRA),) + yi.shape)   # the step's stages
+            K = np.empty((_NS + 1,) + yi.shape)   # the step's stages
             K[0] = f[:, i]
             for st, (a, t_st) in enumerate(zip(_A, ti + RK.C[1:, None] * h), 1):
                 K[st] = rhs(t_st, yi + _stage_sum(a, K, h))
@@ -348,24 +357,27 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
                         else [np.ones(k.size)] * 2)
             sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
             sel = sign | dense[cells]
-            s, sign = k[sel], sign[sel]
-            if s.size:   # the three dense-output stages
-                K = K[:, :, s]
-                for st, (a, frac) in enumerate(zip(_A_EXTRA, RK.C_EXTRA), _NS + 1):
-                    K[st] = rhs(ti[s] + frac * h[s], yi[:, s] + _stage_sum(a, K, h[s]))
-                res.stages[i[s]] += len(RK.C_EXTRA)
-                dy = y_new[:, s] - yi[:, s]
-                F = np.array([dy, h[s] * K[0] - dy, 2 * dy - h[s] * (K[_NS] + K[0])]
-                             + [_stage_sum(d, K, h[s]) for d in _D])
-                for j, q in zip(np.flatnonzero(sign), s[sign]):
-                    res.zeros[i[q]] += [_dense_zero(watch, F[..., j], yi[:, q], ti[q], t_new[q])]
-                keep = dense[i[s]]
-                if np.any(keep):
-                    kept.append((i[s[keep]], ti[s[keep]], h[s[keep]], yi[:, s[keep]],
-                                 F[..., keep]))
+            if np.any(sel):
+                s = k[sel]
+                kept.append((i[s], sign[sel], ti[s], t_new[s], yi[:, s], y_new[:, s], K[:, :, s]))
+        cell, sign, t_old, t_new, y_old, y_new = (np.concatenate(x, axis=-1) for x in
+                                                  list(zip(*kept))[:-1])
+        K = np.empty((_NS + 1 + len(_A_EXTRA),) + y_old.shape)   # the kept steps' stages
+        np.concatenate([x[-1] for x in kept], axis=-1, out=K[:_NS + 1])
+        del kept
+        h = t_new - t_old
+        for st, (a, frac) in enumerate(zip(_A_EXTRA, RK.C_EXTRA) if h.size else (), _NS + 1):
+            K[st] = rhs(t_old + frac * h, y_old + _stage_sum(a, K, h))
+        res.stages += len(RK.C_EXTRA) * np.bincount(cell, minlength=m)
+        dy = y_new - y_old
+        F = np.array([dy, h * K[0] - dy, 2 * dy - h * (K[_NS] + K[0])]
+                     + [_stage_sum(d, K, h) for d in _D])
+        for j in np.flatnonzero(sign):   # in round order: each cell's zeros in time order
+            res.zeros[cell[j]] += [_dense_zero(watch, F[..., j], y_old[:, j], t_old[j], t_new[j])]
     if not np.any(dense):
         return res, t, y, [None] * m
-    cell, *cols = (np.concatenate(x, axis=-1) for x in zip(*kept))
+    keep = dense[cell]
+    cell, cols = cell[keep], (t_old[keep], h[keep], y_old[:, keep], F[..., keep])
     order = np.argsort(cell, kind="stable")   # each cell's steps, in time order
     ends = np.searchsorted(cell[order], np.arange(m + 1))
     steps = (order[a:b] for a, b in zip(ends, ends[1:]))

@@ -350,7 +350,8 @@ def _dop853_rows():
 
 
 @pytest.mark.parametrize("neg_zero", [False, True])
-@pytest.mark.parametrize("layout", ["contiguous", "fancy-indexed", "one-element"])
+@pytest.mark.parametrize("layout", ["contiguous", "fancy-indexed", "one-element",
+                                    "two-element-column", "two-element-row"])
 @pytest.mark.parametrize("cells", [3, 40])
 def test_stage_sums_equal_the_term_by_term_loop(cells, layout, neg_zero):
     from minfol.odeflow import _stage_sum
@@ -366,6 +367,10 @@ def test_stage_sums_equal_the_term_by_term_loop(cells, layout, neg_zero):
         assert not K.flags.c_contiguous
     elif layout == "one-element":   # a one-cell first-order flow
         K, h = K[:, :1, :1], h[:1]
+    elif layout == "two-element-column":   # a one-cell flow of (u, p)
+        K, h = K[:, :2, :1], h[:1]
+    elif layout == "two-element-row":   # two first-order cells, taken by index
+        K, h = K[:, :1, [0, 2]], h[[0, 2]]
     for coef in _dop853_rows():
         got = _stage_sum(coef[:, None, None], K, h)
         want = _combine(list(K[:len(coef)]), coef, h)
@@ -374,6 +379,91 @@ def test_stage_sums_equal_the_term_by_term_loop(cells, layout, neg_zero):
     if neg_zero and layout != "fancy-indexed":
         assert np.signbit(K[0, 0, 0]) and not np.signbit(got[0, 0])
 
+
+@pytest.mark.parametrize("shape", [(4, 1), (4, 2), (1, 11), (2, 9), (4, 42)])
+def test_norm_adds_the_squares_in_row_order(shape):
+    from minfol.odeflow import _norm
+
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(200):
+        x = rng.standard_normal((shape[0], shape[1] + 2)) * 10.0 ** rng.integers(-6, 6)
+        for y in (x[:, :shape[1]], x[:, ::-1][:, :shape[1]],
+                  x[:, rng.permutation(shape[1] + 2)[:shape[1]]]):
+            assert _norm(y).tobytes() == np.sqrt(sum(c * c for c in y)).tobytes()
+
+
+
+def test_dense_stages_come_from_three_calls_after_the_last_step(strong_log):
+    # the three dense-output stages of every kept step (each step of a dense
+    # cell, and each step on which xi changes sign) come from three rhs calls
+    # after the step loop, each over all kept steps, three stages a kept step
+    from minfol.odeflow import _NS, _dop853_batch, _flow_rhs
+
+    w = strong_log
+    y0 = np.array([[0.25, -0.25, 0.4, 0.1], [0.25, 0.5, -0.1, 0.2],
+                   [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.5, 1.0]])
+    rhs, widths = _flow_rhs(w, (0.0, 0.0)), []
+
+    def counted(t, y):
+        widths.append(y.shape[1])
+        return rhs(t, y)
+
+    dense = np.array([True, False, False, True])
+    res, _, _, rows = _dop853_batch(counted, np.full(4, w.t_lower), np.full(4, w.t_upper),
+                                    y0, (1e-10, 1e-10), (w.t_upper - w.t_lower) / 8,
+                                    (2, lambda xi: xi), dense=dense)
+    kept = np.where(dense, res.accepted, [len(z) for z in res.zeros])
+    assert np.all(kept[~dense] > 0) and kept.sum() > 4
+    assert widths[-3:] == [kept.sum()] * 3 and max(widths[:-3]) <= 4
+    assert list(res.stages) == list(2 + _NS * (res.accepted + res.rejected) + 3 * kept)
+    assert [len(r.h) for r in rows if r is not None] == list(res.accepted[dense])
+
+
+def test_a_dense_cell_without_strip_steps_reads_its_free_legs(strong_log):
+    # a span that ends before the strip takes no strip step: its run reads
+    # the free motion, beside a cell that crosses the strip and alone
+    w = strong_log
+    t0, t_end = w.t_lower - 3.0, np.array([w.t_lower - 1.0, w.t_upper + 2.0])
+    y0 = np.array([[0.3, 0.3], [0.2, 0.2], [1.0, 1.0], [-0.8, -0.8]])
+    ts = np.linspace(t0, t_end[0], 9)
+    free = np.array([0.3 + 0.2 * (ts - t0), 0.2 + 0.0 * ts, 1.0 - 0.8 * (ts - t0),
+                     -0.8 + 0.0 * ts])
+    batch = integrate_legs(w, t0, y0, t_end, IntegratorConfig(), (0.0, 0.0), dense=True)
+    alone = integrate_legs(w, t0, y0[:, :1], t_end[0], IntegratorConfig(), (0.0, 0.0),
+                           dense=True)
+    assert batch.accepted[1] > 0
+    for run in (batch.runs[0], alone.runs[0]):
+        assert run.accepted == 0 and run.strip.s_old.size == run.strip.F.shape[-1] == 0
+        assert run(ts).tobytes() == free.tobytes()
+        assert run.zeros == [pytest.approx(t0 + 1.25, abs=1e-15)]
+
+
+@pytest.mark.parametrize("name, rhs_calls, stage_sums", [("scan-conjugate", 1181, 1379),
+                                                         ("example446", 1037, 1211)])
+def test_shipped_configs_make_the_counted_rhs_calls_and_stage_sums(
+        tmp_path, monkeypatch, name, rhs_calls, stage_sums):
+    from minfol import foliation, odeflow
+    from minfol.cli import main
+
+    calls = {"rhs": 0, "stage_sum": 0}
+    core, stage_sum = odeflow._dop853_batch, odeflow._stage_sum
+
+    def counted_core(rhs, *args, **kwargs):
+        def counted(t, y):
+            calls["rhs"] += 1
+            return rhs(t, y)
+        return core(counted, *args, **kwargs)
+
+    def counted_sum(*args):
+        calls["stage_sum"] += 1
+        return stage_sum(*args)
+
+    for module in (odeflow, foliation):
+        monkeypatch.setattr(module, "_dop853_batch", counted_core)
+    monkeypatch.setattr(odeflow, "_stage_sum", counted_sum)
+    out = str(tmp_path / "out")
+    assert main(["--config", os.path.join(CONFIGS, name + ".json"), "--out", out]) == 0
+    assert calls == {"rhs": rhs_calls, "stage_sum": stage_sums}
 
 def test_stage_coefficients_are_views_of_scipys_tables():
     from scipy.integrate import DOP853 as RK
