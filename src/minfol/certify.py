@@ -166,14 +166,3 @@ def second_variation(traj: Trajectory, xi, pot: Potential, n: int) -> float:
 
     return quad_1d(integrand, a, b)[0]
 
-
-def energy_gap_lower_bound(xi, envelope, n: int) -> float:
-    """Action-gap bound 1/2 |S^{n-1}| int r^{n-1} (xi'^2 - U(r) xi^2) dr."""
-    tf = as_test_function(xi)
-    a, b = tf.support
-
-    def integrand(r):
-        x, dx = tf.value(r), tf.derivative(r)
-        return (r ** (n - 1) * (dx * dx - envelope(r) * x * x),)
-
-    return 0.5 * sphere_area(n) * quad_1d(integrand, max(a, 0.0), b)[0]

@@ -25,10 +25,6 @@ class InsufficientRangeError(MinfolError):
     pass
 
 
-class ContractViolationError(MinfolError):
-    pass
-
-
 class InapplicableError(MinfolError):
     pass
 

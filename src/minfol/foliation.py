@@ -149,7 +149,6 @@ class ExampleReport:
     leaves: list[ExampleLeaf]
     max_residual: float
     min_pairwise_gap: float
-    initial_gap: float
     crossings: int
     diagnostics: dict = field(default_factory=dict)   # stepper work of the leaves
     timing: dict = field(default_factory=dict)        # seconds per phase
@@ -224,12 +223,11 @@ def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
         diffs = np.diff(np.column_stack([us for us, _ in flows]), axis=1)
         min_gap = float(np.min(diffs))
         crossings = int(np.count_nonzero(np.min(diffs, axis=0) <= 0))
-        initial_gap = float(np.min(np.diff(np.asarray(u0_grid))))
     else:
-        min_gap, crossings, initial_gap = math.inf, 0, math.inf
+        min_gap, crossings = math.inf, 0
     return ExampleReport(variant=variant, leaves=leaves, max_residual=max_res,
-                         min_pairwise_gap=min_gap, initial_gap=initial_gap,
-                         crossings=crossings, diagnostics={"leaves": work},
+                         min_pairwise_gap=min_gap, crossings=crossings,
+                         diagnostics={"leaves": work},
                          timing={"flow_seconds": t1 - t0,
                                  "residual_seconds": time.perf_counter() - t1})
 

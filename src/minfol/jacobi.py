@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, InapplicableError, InvalidParameterError
+from .errors import InapplicableError, InvalidParameterError
 from .odeflow import IntegratorConfig, LegSolution, Trajectory, _sample_grid, integrate_legs
 from .potential import Potential
 
@@ -67,29 +67,6 @@ def integrate_jacobi(traj: Trajectory, xi0: float, dxi0: float,
     return JacobiField(sol=run.runs[0], t_min=lo, t_max=hi)
 
 
-def find_vanishing(fld: JacobiField, kind: str, from_t: float) -> list[float]:
-    """Zeros of xi strictly after from_t.
-
-    kind "conjugate" requires the normalization xi(from_t) = 0, xi'(from_t) = 1;
-    kind "focal" requires xi'(from_t) = 0, xi(from_t) = 1.
-    """
-    if kind not in ("conjugate", "focal"):
-        raise InvalidParameterError("unknown kind %r" % (kind,))
-    v = float(fld.value(from_t))
-    dv = float(fld.derivative(from_t))
-    if kind == "conjugate":
-        if abs(v) > 1e-9 or abs(dv - 1.0) > 1e-6:
-            raise ContractViolationError(
-                "conjugate search needs xi(from_t)=0, xi'(from_t)=1; "
-                "got (%g, %g)" % (v, dv))
-    else:
-        if abs(dv) > 1e-9 or abs(v - 1.0) > 1e-6:
-            raise ContractViolationError(
-                "focal search needs xi'(from_t)=0, xi(from_t)=1; "
-                "got (%g, %g)" % (v, dv))
-    return [z for z in fld.zeros if z > from_t + 1e-9]
-
-
 @dataclass
 class RiccatiTrace:
     """omega = xi'/xi sampled along the field's trajectory, with the flow's
@@ -130,12 +107,6 @@ def riccati_blowup_window(omega0: float, B: float,
     return (t0, t0 + delta)
 
 
-def omega_region_bound(s, K: float, T: float, U: float) -> tuple[float, float]:
-    """Case-matched bounds on omega at a PhaseState (see _region_bound)."""
-    lo, hi = _region_bound(s.u, s.p, s.t, K, T, U)
-    return float(lo), float(hi)
-
-
 def _region_bound(u, p, t, K: float, T: float, U: float):
     """Case-matched (lower, upper) bounds on omega for states outside the
     strip, elementwise over arrays u, p, t.
@@ -164,9 +135,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _lower_envelopes(K: float, tau0) -> np.ndarray:
-    """certified_lower_envelope at each tau0 < 0 of a 1-D array: the minimum
-    of each row of a 200-point grid, its bracket refined by golden section,
-    and the smaller of the two, each B coth(B d) at a tau1 in (tau0, 0)."""
+    """The certified lower bound on omega of a conjugate-point-free solution
+    at each tau0 < 0 of a 1-D array: -min over tau1 in (tau0, 0) of
+    B coth(B (tau1 - tau0)), B = K e^{tau1}, the minimum taken over each row
+    of a 200-point grid and over its bracket refined by golden section."""
     tau0 = np.asarray(tau0, float)
 
     def term(tau1):  # B coth(B d), d = tau1 - tau0, with its limit 1/d as B d -> 0
@@ -185,15 +157,6 @@ def _lower_envelopes(K: float, tau0) -> np.ndarray:
     return -np.minimum(np.take_along_axis(vals, i, 1), term(0.5 * (a + b)))[:, 0]
 
 
-def certified_lower_envelope(K: float, tau0: float) -> float:
-    """Certified lower bound on omega at time tau0 < 0 for conjugate-point-free
-    solutions: the best comparison bound -min over tau1 in (tau0, 0) of
-    B coth(B (tau1 - tau0)), B = K e^{tau1}."""
-    if tau0 >= 0:
-        raise InvalidParameterError("envelope applies to tau0 < 0")
-    return float(_lower_envelopes(K, [tau0])[0])
-
-
 @dataclass
 class RiccatiBoundsReport:
     t: np.ndarray
@@ -202,7 +165,6 @@ class RiccatiBoundsReport:
     tail_ok: bool                     # 0 <= omega < 1/(t-T) for t > T
     envelope_margin: np.ndarray       # omega - certified lower envelope (t < 0)
     region_ok: bool                   # case-matched bounds at every sample
-    decay_rate_coeff: float           # empirical sup of -envelope * e^{-t/4}
     all_ok: bool
 
 
@@ -211,8 +173,7 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential) -> RiccatiBoundsRepo
 
     Requires a blow-up-free trace; each bound holds to within _BOUND_TOL.
     The region bounds are read at the trace's own (u, p).  The certified
-    comparison envelope is authoritative for the lower bound at t < 0; the
-    e^{t/4} decay rate is reported informationally only.
+    comparison envelope is the lower bound at t < 0.
     """
     if trace.blowups:
         raise InapplicableError("trace has blow-up markers; bounds do not apply")
@@ -237,14 +198,11 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential) -> RiccatiBoundsRepo
     lo, hi = _region_bound(trace.u, trace.p, t, K, T, w.u_bound)
     region_ok = bool(np.all((lo - _BOUND_TOL <= om) & (om <= hi + _BOUND_TOL)))
 
-    rate = float(np.max(-env[neg] * np.exp(-t[neg] / 4.0), initial=0.0))
-
     all_ok = bool(np.all(uniform_margin >= -_BOUND_TOL) and tail_ok
                   and np.all(envelope_margin >= -_BOUND_TOL) and region_ok)
     return RiccatiBoundsReport(t=t, omega=om, uniform_margin=uniform_margin,
                                tail_ok=tail_ok, envelope_margin=envelope_margin,
-                               region_ok=region_ok, decay_rate_coeff=rate,
-                               all_ok=all_ok)
+                               region_ok=region_ok, all_ok=all_ok)
 
 
 def nonvanishing_field(traj: Trajectory,

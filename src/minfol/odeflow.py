@@ -55,8 +55,9 @@ class IntegratorConfig:
     t_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidParameterError("integrator tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise InvalidParameterError("integrator tolerances must be positive and finite, "
+                                        "got rel_tol=%r, abs_tol=%r" % (self.rel_tol, self.abs_tol))
         if not self.max_step > 0:
             raise InvalidParameterError("integrator max_step must be > 0, got %r"
                                         % (self.max_step,))

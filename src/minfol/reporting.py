@@ -11,8 +11,6 @@ import numpy as np
 
 from .odeflow import Trajectory
 
-TRAJECTORY_SAMPLES = 512
-
 
 def write_csv(path: str, header, rows) -> None:
     """RFC-4180 CSV (CRLF line endings, UTF-8). csv writes every field with
@@ -23,8 +21,7 @@ def write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_trajectory_csv(traj: Trajectory, path: str,
-                         samples: int = TRAJECTORY_SAMPLES) -> None:
+def write_trajectory_csv(traj: Trajectory, path: str, samples: int) -> None:
     """t, r, u, p and H = p^2/2 + e^{2t} W(u, t) at equally spaced times, read
     in one call; exp is math.exp's, as in `hamiltonian_value` (np.exp may differ)."""
     ts = np.linspace(traj.t_min, traj.t_max, samples)

@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
-from .odeflow import (IntegratorConfig, LegBatch, LegSolution, PhaseState, _sample_grid,
-                      hamiltonian_value, integrate_legs, stepper_work, strip_step)
+from .odeflow import (IntegratorConfig, LegBatch, LegSolution, _sample_grid, integrate_legs,
+                      stepper_work, strip_step)
 from .potential import Potential, k_constant
 from .quadrature import quad_2d
 
@@ -176,11 +176,6 @@ def strip_step_over_zero_spacing(w: Potential, cfg: IntegratorConfig) -> float:
     when K = 0. Below 1 no strip step can hold two zeros."""
     K = k_constant(w)
     return strip_step(w, cfg) * K * math.exp(w.t_upper) / math.pi if K else 0.0
-
-
-def gibbs_density(w: Potential, s: PhaseState) -> float:
-    """alpha = e^{-H} = exp(-p^2/2 - e^{2t} W(u, t))."""
-    return math.exp(-hamiltonian_value(w, s))
 
 
 _WORKSPACES = threading.local()

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfol.certify import (SupportedFunction, check_condition_A,
-                            check_condition_B, energy_gap_lower_bound,
-                            hardy_identity_check, second_variation,
+                            check_condition_B, hardy_identity_check, second_variation,
                             sobolev_constant, sphere_area, sphere_volume)
 from minfol.errors import InvalidParameterError
 from minfol.jacobi import integrate_jacobi
@@ -140,28 +139,7 @@ class TestSecondVariation:
         assert abs(q) / scale ** 2 < 1e-6
 
 
-class TestEnergyGap:
-    def test_zero_envelope_gap_is_plain_energy(self):
-        xi = make_bump(2.0, 1.0, 1.0)
-        gap = energy_gap_lower_bound(xi, lambda r: np.zeros_like(r), 3)
-        from scipy.integrate import quad
-        plain, _ = quad(lambda r: r ** 2 * xi.derivative(r) ** 2, 1.0, 3.0,
-                        epsabs=1e-12)
-        assert gap == pytest.approx(0.5 * sphere_area(3) * plain, rel=1e-8)
-
-
 class TestAdditionalConstants:
     def test_sobolev_constant_n4(self):
         # 4 * 2 / 4 * |S^4| = 2 * 8 pi^2 / 3
         assert sobolev_constant(4) == pytest.approx(16.0 * math.pi ** 2 / 3.0)
-
-    def test_gap_at_threshold_envelope_matches_hardy_rhs(self):
-        # U at the exact pointwise threshold: the gap equals the Hardy
-        # remainder, which is nonnegative
-        n = 3
-        xi = make_bump(2.0, 1.0, 1.0)
-        c = ((n - 2) / 2.0) ** 2
-        gap = energy_gap_lower_bound(xi, lambda r: c / np.asarray(r) ** 2, n)
-        lhs, rhs = hardy_identity_check(xi, n, 1.0, 3.0)
-        assert gap == pytest.approx(0.5 * sphere_area(n) * rhs, rel=1e-8)
-        assert gap >= -1e-10

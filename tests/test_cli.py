@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -481,6 +482,15 @@ def test_commands_runners_and_schema_agree():
         schema = json.load(fh)
     assert set(cli._RUNNERS) == set(config.COMMANDS) \
         == set(schema["properties"]["command"]["enum"])
+
+
+def test_importing_the_cli_loads_no_jacobi_module():
+    # no command reads a Jacobi field, so a CLI process does not import one
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, minfol.cli; print('minfol.jacobi' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 class TestMainExitCodes:

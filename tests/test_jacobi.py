@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy.integrate import solve_ivp
 
-from minfol.errors import ContractViolationError, InvalidParameterError
+from minfol.errors import InvalidParameterError
 from minfol import jacobi
-from minfol.jacobi import (_lower_envelopes, _region_bound,
-                           certified_lower_envelope, find_vanishing,
-                           integrate_jacobi, is_disconjugate,
-                           nonvanishing_field, omega_region_bound,
+from minfol.jacobi import (_lower_envelopes, _region_bound, integrate_jacobi,
+                           is_disconjugate, nonvanishing_field,
                            riccati_blowup_window, riccati_bounds_check,
                            riccati_from_jacobi)
 from minfol.odeflow import (IntegratorConfig, LegSolution, PhaseState, Trajectory,
@@ -37,6 +35,12 @@ def _constant_coefficient_log(sign=1.0):
     views = (w.w, w.dw_du, w.d2w_duu, w.dw_dt)
     w.jet = lambda u, t, orders: [views[o](u, t) for o in orders]
     return w
+
+
+def _one_region_bound(u, p, t, K, T, U):
+    """_region_bound at one state, as two floats."""
+    lo, hi = _region_bound(u, p, t, K, T, U)
+    return float(lo), float(hi)
 
 
 def _trajectory(w, t0=0.0, t1=20.0, u0=0.0, p0=0.0):
@@ -73,18 +77,13 @@ class TestOscillation:
                                t_init=0.0)
         assert fld.zeros == []
 
-    def test_conjugate_normalization_contract(self):
-        traj = _trajectory(_constant_coefficient_log(+1.0), t1=5.0)
-        fld = integrate_jacobi(traj, 0.5, 1.0, mode="log-form", cfg=TIGHT,
-                               t_init=0.0)
-        with pytest.raises(ContractViolationError):
-            find_vanishing(fld, "conjugate", 0.0)
-
     def test_find_vanishing_focal(self):
         traj = _trajectory(_constant_coefficient_log(+1.0), t1=10.0)
         fld = integrate_jacobi(traj, 1.0, 0.0, mode="log-form", cfg=TIGHT,
                                t_init=0.0)
-        zeros = find_vanishing(fld, "focal", 0.0)
+        # the focal normalization xi(0) = 1, xi'(0) = 0
+        assert abs(float(fld.value(0.0)) - 1.0) <= 1e-6 and abs(float(fld.derivative(0.0))) <= 1e-9
+        zeros = [z for z in fld.zeros if z > 1e-9]
         # cos(t): first zero at pi/2
         assert zeros[0] == pytest.approx(math.pi / 2.0, abs=1e-8)
 
@@ -143,15 +142,13 @@ class TestRiccati:
         K, T, U = weak_log.k_curvature, weak_log.t_upper, weak_log.u_bound
         rng = np.random.default_rng(3)
         for _ in range(100):
-            s = PhaseState(u=rng.uniform(-3, 3), p=rng.uniform(-2, 2),
-                           t=rng.uniform(-4, T + 3))
-            lo, hi = omega_region_bound(s, K, T, U)
+            lo, hi = _one_region_bound(rng.uniform(-3, 3), rng.uniform(-2, 2),
+                                       rng.uniform(-4, T + 3), K, T, U)
             assert lo <= hi
 
     def test_past_support_upper_bound(self, weak_log):
         K, T, U = weak_log.k_curvature, weak_log.t_upper, weak_log.u_bound
-        s = PhaseState(u=0.0, p=0.0, t=T + 2.0)
-        lo, hi = omega_region_bound(s, K, T, U)
+        lo, hi = _one_region_bound(0.0, 0.0, T + 2.0, K, T, U)
         assert hi <= 1.0 / 2.0 + 1e-12
         assert lo >= 0.0 - 1e-12
 
@@ -159,13 +156,12 @@ class TestRiccati:
         # against direct integration of the worst-case comparison equation
         K = 0.3
         for tau0 in (-0.5, -1.5, -3.0):
-            env = certified_lower_envelope(K, tau0)
+            env = _lower_envelopes(K, [tau0])[0]
             assert env < 0.0 and math.isfinite(env)
 
     def test_certified_envelope_monotone(self):
         K = 0.3
-        vals = [certified_lower_envelope(K, tau0)
-                for tau0 in (-0.25, -1.0, -2.5, -5.0)]
+        vals = _lower_envelopes(K, [-0.25, -1.0, -2.5, -5.0])
         # deeper into the past the bound relaxes toward 0
         assert all(a <= b for a, b in zip(vals, vals[1:])) or \
             all(abs(v) < 1.0 for v in vals)
@@ -195,7 +191,7 @@ def test_envelope_is_the_attained_comparison_minimum(request, name):
                                        method="bounded", options={"xatol": 1e-13})
         assert -env[j] >= min(f[i], ref.fun) * (1.0 - 4e-16)
         if j % 30 == 0:
-            assert certified_lower_envelope(K, float(tau0)) == env[j]
+            assert _lower_envelopes(K, [float(tau0)])[0] == env[j]
 
 
 def test_jacobi_imports_no_scipy():
@@ -336,28 +332,25 @@ class TestRegionCases:
             cases.add(case)
             assert lo[j] == ref_lo
             assert hi[j] == pytest.approx(ref_hi, rel=1e-15, abs=0.0)
-            s = PhaseState(u=float(u[j]), p=float(p[j]), t=float(t[j]))
-            assert omega_region_bound(s, K, T, U) == (lo[j], hi[j])
+            assert _one_region_bound(float(u[j]), float(p[j]), float(t[j]), K, T, U) \
+                == (lo[j], hi[j])
         assert len(cases) == 9
 
 
     def test_above_strip_at_rest_is_free(self, weak_log):
         K, T, U = weak_log.k_curvature, weak_log.t_upper, weak_log.u_bound
-        lo, hi = omega_region_bound(
-            PhaseState(u=2.0 * U, p=0.0, t=T - 1.0), K, T, U)
+        lo, hi = _one_region_bound(2.0 * U, 0.0, T - 1.0, K, T, U)
         assert (lo, hi) == (0.0, 0.0)
 
     def test_below_strip_past_support_is_free(self, weak_log):
         K, T, U = weak_log.k_curvature, weak_log.t_upper, weak_log.u_bound
-        lo, hi = omega_region_bound(
-            PhaseState(u=-2.0 * U, p=0.5, t=T + 1.0), K, T, U)
+        lo, hi = _one_region_bound(-2.0 * U, 0.5, T + 1.0, K, T, U)
         assert (lo, hi) == (0.0, 0.0)
 
     def test_approaching_strip_from_above(self, weak_log):
         K, T, U = weak_log.k_curvature, weak_log.t_upper, weak_log.u_bound
         t = T - 1.0
-        lo, hi = omega_region_bound(
-            PhaseState(u=U + 1.0, p=1.0, t=t), K, T, U)
+        lo, hi = _one_region_bound(U + 1.0, 1.0, t, K, T, U)
         assert lo == 0.0
         assert hi == pytest.approx(K * math.exp(t - 1.0), rel=1e-12)
 

@@ -136,6 +136,13 @@ def test_invalid_state_rejected():
         PhaseState(u=float("nan"), p=0.0, t=0.0)
 
 
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        IntegratorConfig(**{name: value})
+
+
 def test_straight_line_outside_strip(weak_log):
     # above the strip with outward momentum past the support: free forever
     t0 = weak_log.t_upper + 0.1
