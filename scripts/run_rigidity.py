@@ -7,7 +7,7 @@ import argparse
 
 import numpy as np
 
-from minfol.catalog import scaling_log, strong_log
+from minfol.catalog import scaling_bump, strong_bump
 from minfol.rigidity import (conjugate_point_scan,
                              discriminant_inequality_check,
                              scaling_exponent_fit, verify_finding)
@@ -18,7 +18,7 @@ def main():
     parser.add_argument("--grid", type=int, default=7)
     args = parser.parse_args()
 
-    w = strong_log()
+    w = strong_bump()
     grid = np.linspace(-0.5, 0.5, args.grid)
     scan = conjugate_point_scan(w, grid, grid, -2.0, w.t_upper + 10.0)
     print("scan: %d findings over %d cells (%d failures)" %
@@ -30,7 +30,7 @@ def main():
               "(%.4f, %.4f), re-verification residual %.2e" %
               (f.u0, f.p0, f.t1, f.t2, res))
 
-    ws = scaling_log()
+    ws = scaling_bump()
     fit = scaling_exponent_fit(ws, [4, 8, 16, 32])
     print("scaling: slope_lhs %.4f (expect -3), slope_rhs %.4f (expect -5), "
           "crossover at N = %s" % (fit.slope_lhs, fit.slope_rhs,

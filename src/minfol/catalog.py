@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .potential import (BumpFunction, ProductPotential, make_bump,
-                        product_potential, scale_potential, to_log_form,
+                        product_potential, scale_potential,
                         u_bound_function, zero_potential)
 
 
@@ -66,14 +66,3 @@ def example_pair() -> tuple[BumpFunction, BumpFunction]:
     psi = make_bump(0.5, 0.5, 1.0)
     return phi, psi
 
-
-def weak_log() -> ProductPotential:
-    return to_log_form(weak_bump())
-
-
-def strong_log() -> ProductPotential:
-    return to_log_form(strong_bump())
-
-
-def scaling_log() -> ProductPotential:
-    return to_log_form(scaling_bump())

@@ -149,7 +149,7 @@ def check_condition_B(pot: Potential, n: int) -> Certificate:
 
 
 def second_variation(traj: Trajectory, xi, pot: Potential, n: int) -> float:
-    """Q(xi) = int r^{n-1} (xi'^2 - V''_uu(u(r), r) xi^2) dr over the test
+    """Q(xi) = int r^{n-1} (xi'^2 - W''_uu(u(r), ln r) xi^2) dr over the test
     function's support, which must lie inside the trajectory's r-range."""
     tf = as_test_function(xi)
     a, b = tf.support
@@ -161,8 +161,8 @@ def second_variation(traj: Trajectory, xi, pot: Potential, n: int) -> float:
             % (a, b, r_lo, r_hi))
 
     def integrand(r):
-        x, dx = tf.value(r), tf.derivative(r)
-        return (r ** (n - 1) * (dx * dx - pot.d2v_duu(traj.u_of_r(r), r) * x * x),)
+        x, dx, t = tf.value(r), tf.derivative(r), np.log(r)
+        return (r ** (n - 1) * (dx * dx - pot.d2w_duu(traj.state(t)[0], t) * x * x),)
 
     return quad_1d(integrand, a, b)[0]
 

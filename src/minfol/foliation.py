@@ -208,6 +208,8 @@ def example_446_check(phi: BumpFunction, psi: BumpFunction, u0_grid,
     non-crossing. u0_grid None is 11 values. Variant "auto" is the variant
     with the smaller largest residual over these leaves."""
     u0_grid = sorted(float(x) for x in (_inset(phi, 11) if u0_grid is None else u0_grid))
+    if any(a == b for a, b in zip(u0_grid, u0_grid[1:])):
+        raise InvalidParameterError("u0_grid values must be distinct, got %r" % (u0_grid,))
     t0 = time.perf_counter()
     ts, flows, work = _example_leaves(phi, psi, u0_grid, fd_step)
     t1 = time.perf_counter()

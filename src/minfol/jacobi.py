@@ -178,9 +178,6 @@ def riccati_bounds_check(trace: RiccatiTrace, w: Potential) -> RiccatiBoundsRepo
     if trace.blowups:
         raise InapplicableError("trace has blow-up markers; bounds do not apply")
     K, T = w.k_curvature, w.t_upper
-    if K is None:
-        raise InvalidParameterError("the bounds need the curvature constant K: "
-                                    "pass the potential through to_log_form")
     cap = K * math.exp(T)
     t = trace.t
     om = trace.omega

@@ -61,8 +61,10 @@ class IntegratorConfig:
         if not self.max_step > 0:
             raise InvalidParameterError("integrator max_step must be > 0, got %r"
                                         % (self.max_step,))
-        if self.t_range is not None and self.t_range[0] == self.t_range[1]:
-            raise InvalidParameterError("degenerate t_range")
+        if self.t_range is not None and not (
+                np.isfinite(self.t_range).all() and self.t_range[0] != self.t_range[1]):
+            raise InvalidParameterError("t_range must be two finite, distinct times, got %r"
+                                        % (self.t_range,))
 
     def halved(self) -> "IntegratorConfig":
         return replace(self, rel_tol=self.rel_tol / 2, abs_tol=self.abs_tol / 2)
@@ -514,8 +516,8 @@ def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
                          w: Optional[Potential] = None) -> Trajectory:
     """Radial solution of u'' + (n-1)/r u' + V'_u = 0 from (r0, u0, u'(r0)).
 
-    Integrated in t = ln r with p = r u'; `w`, when given, is integrated in
-    place of pot (a potential reads in both coordinates; K is not used).
+    Integrated in t = ln r with p = r u', on W(u, t) = V(u, e^t); `w`, when
+    given, is integrated in place of pot.
     """
     if r0 <= 0:
         raise InvalidParameterError("r0 must be positive")

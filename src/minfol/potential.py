@@ -1,8 +1,8 @@
-"""Compactly supported potentials as plain data, read in two coordinates.
+"""Compactly supported potentials as plain data, read in log time.
 
-A potential is a frozen dataclass of parameters. It is read radially as
-V(u, r) by the n >= 3 certificates, and in log time as W(u, t) = V(u, e^t)
-by the n = 2 flow. There are two families:
+A potential is a frozen dataclass of parameters, read as W(u, t) = V(u, e^t)
+in t = ln r for every dimension: the n = 2 flow, the n >= 3 radial solves
+and the second variation all evaluate W. There are two families:
 
 - `ProductPotential`: V(u, r) = lam * f(u) * g(r) for two bumps f and g.
   `f = g = None` is the identically-zero potential.
@@ -12,17 +12,16 @@ by the n = 2 flow. There are two families:
   "chain-rule" one.
 
 Both carry the support box (`u_bound`, `r_inner`, `r_outer`, `t_lower`,
-`t_upper`), the curvature constant K = sqrt(sup W''_uu) that controls the
-Riccati estimates (`k_curvature`, set by `to_log_form`; only the Riccati
-checks read it), and the rescaling factor N of W_N(u, t) = W(N u, t) / N^2
-(`n_scale`). K and the curvature envelope U(r) of the n >= 3 certificates
-come in closed form, with no search, from the extremes of the bump profile's
-g''; an example-4.4.6 potential has neither. Each family has one evaluator,
-which returns every derivative asked for from one pass of each bump
-(`_profile` shares its powers of 1/(1-s^2)). `Potential.jet(u, t, orders)`
-serves the flow and the quadrature; the views `w`, `dw_du`, `d2w_duu`,
-`dw_dt` and `v`, `dv_du`, `d2v_duu`, `dv_dr` are its one-order calls, with
-the same bits.
+`t_upper`) and the rescaling factor N of W_N(u, t) = W(N u, t) / N^2
+(`n_scale`). The curvature constant K = sqrt(sup W''_uu) that controls the
+Riccati estimates (`k_curvature`) and the curvature envelope U(r) of the
+n >= 3 certificates are derived from the parameters in closed form, with no
+search, from the extremes of the bump profile's g''; an example-4.4.6
+potential has neither. Each family has one evaluator, which returns every
+derivative asked for from one pass of each bump (`_profile` shares its
+powers of 1/(1-s^2)). `Potential.jet(u, t, orders)` serves the flow and the
+quadrature; the views `w`, `dw_du`, `d2w_duu` and `dw_dt` are its one-order
+calls, with the same bits.
 """
 
 from __future__ import annotations
@@ -120,19 +119,19 @@ def make_bump(center: float, width: float, amplitude: float) -> BumpFunction:
     return BumpFunction(center=center, width=width, amplitude=amplitude)
 
 
-def _potential_view(order: int, log: bool):
-    def view(self, u, x):
-        return self._jet(u, x, (order,), log)[0]
+def _potential_view(order: int):
+    def view(self, u, t):
+        return self.jet(u, t, (order,))[0]
     return view
 
 
 @dataclass(frozen=True, kw_only=True)
 class Potential:
-    """Support box, curvature constant and rescaling factor of a potential,
-    and its two coordinate views.
+    """Support box and rescaling factor of a potential, its log-time views
+    and its curvature constant.
 
     Every view is vectorized, pure, and exactly 0 outside
-    {|u| < u_bound, r_inner < r < r_outer}.
+    {|u| < u_bound, t_lower < t < t_upper}.
     """
 
     u_bound: float
@@ -140,32 +139,31 @@ class Potential:
     r_outer: float
     t_lower: float
     t_upper: float
-    k_curvature: Optional[float]   # set by to_log_form
     n_scale: float
 
-    def _evaluate(self, u, x, orders, log: bool):
+    def _evaluate(self, u, t, orders):
         """The family's evaluator: the derivatives `orders` (indices of
-        _ORDERS), one per index, at (u, t = x) if log, else at (u, r = x),
-        for n_scale = 1."""
+        _ORDERS), one per index, at (u, t), for n_scale = 1."""
         raise NotImplementedError
-
-    def _jet(self, u, x, orders, log: bool):
-        N = self.n_scale
-        if N == 1.0:    # 1.0 * u and d / 1.0 are exact: skip them
-            return self._evaluate(u, x, orders, log)
-        out, scale = self._evaluate(N * u, x, orders, log), (N * N, N, 1.0, N * N)
-        for k, o in enumerate(orders):
-            out[k] = out[k] / scale[o]
-        return out
 
     def jet(self, u, t, orders):
         """W and its derivatives at (u, t), one per index of _ORDERS in orders
         (0: W, 1: W_u, 2: W_uu, 3: W_t), from one pass of each bump."""
-        return self._jet(u, t, orders, True)
+        N = self.n_scale
+        if N == 1.0:    # 1.0 * u and d / 1.0 are exact: skip them
+            return self._evaluate(u, t, orders)
+        out, scale = self._evaluate(N * u, t, orders), (N * N, N, 1.0, N * N)
+        for k, o in enumerate(orders):
+            out[k] = out[k] / scale[o]
+        return out
 
-    # the one-order views: W, W_u, W_uu, W_t at (u, t) and V, V_u, V_uu, V_r at (u, r)
-    w, dw_du, d2w_duu, dw_dt = (_potential_view(o, True) for o in range(4))
-    v, dv_du, d2v_duu, dv_dr = (_potential_view(o, False) for o in range(4))
+    # the one-order views: W, W_u, W_uu, W_t at (u, t)
+    w, dw_du, d2w_duu, dw_dt = map(_potential_view, range(4))
+
+    @property
+    def k_curvature(self) -> float:
+        """The curvature constant K of the Riccati estimates: k_constant."""
+        return k_constant(self)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -176,16 +174,16 @@ class ProductPotential(Potential):
     g: Optional[BumpFunction]
     lam: float
 
-    def _evaluate(self, u, x, orders, log):
+    def _evaluate(self, u, t, orders):
         if self.f is None:
-            zero = np.zeros(np.broadcast(np.asarray(u, float), np.asarray(x, float)).shape)
+            zero = np.zeros(np.broadcast(np.asarray(u, float), np.asarray(t, float)).shape)
             return [zero] * len(orders)
-        r = np.exp(np.asarray(x, float)) if log else x
+        r = np.exp(np.asarray(t, float))
         du, dr, factors = _factor_orders(orders)
         F, G, out = self.f.jet(u, du), self.g.jet(r, dr), []
         for i, j, n in factors:   # 1.0 * x is exact: skipped
             val = F[i] * G[j] if self.lam == 1.0 else self.lam * (F[i] * G[j])
-            out.append(val * r if log and n else val)
+            out.append(val * r if n else val)
         return out
 
 
@@ -206,8 +204,8 @@ class Example446Potential(Potential):
     psi: BumpFunction
     psi_power: int
 
-    def _evaluate(self, u, x, orders, log):
-        t = np.asarray(x, float) if log else np.log(np.asarray(x, float))
+    def _evaluate(self, u, t, orders):
+        t = np.asarray(t, float)
         k, e2 = self.psi_power, np.exp(-2.0 * t)
         need = sorted({n for o in orders for n in _PHI_ORDERS[o]})
         F = dict(zip(need, self.phi.jet(u, need)))
@@ -224,9 +222,8 @@ class Example446Potential(Potential):
             elif o == 2:
                 out.append(-e2 * (P1 * F[2] + P * pk * (F[2] * F[2] + F[1] * F[3])))
             else:
-                dw_dt = 2.0 * e2 * bracket - e2 * (P2[0] * F[0]
-                                                   + 0.5 * k * pk * P1 * F[1] * F[1])
-                out.append(dw_dt if log else dw_dt / x)
+                out.append(2.0 * e2 * bracket - e2 * (P2[0] * F[0]
+                                                      + 0.5 * k * pk * P1 * F[1] * F[1]))
         return out
 
 
@@ -239,7 +236,7 @@ def _product(f, g, u_bound, r_inner, r_outer) -> ProductPotential:
     t_lower = math.log(r_inner) if r_inner else t_upper - 16.0
     return ProductPotential(f=f, g=g, lam=1.0, u_bound=u_bound, r_inner=r_inner,
                             r_outer=r_outer, t_lower=t_lower, t_upper=t_upper,
-                            k_curvature=None, n_scale=1.0)
+                            n_scale=1.0)
 
 
 def zero_potential(u_bound: float = 1.0, r_inner: float = 1.0,
@@ -293,9 +290,10 @@ def k_constant(w: Potential) -> float:
 
 
 def to_log_form(pot: Potential) -> Potential:
-    """The same potential with its curvature constant K filled in, ready for
-    the log-time flow W(u, t) = V(u, e^t)."""
-    return replace(pot, k_curvature=k_constant(pot))
+    """pot itself, once its curvature constant K is known to exist: raises
+    InvalidParameterError for a potential without one."""
+    k_constant(pot)
+    return pot
 
 
 def example_446_potential(phi: BumpFunction, psi: BumpFunction,
@@ -312,8 +310,7 @@ def example_446_potential(phi: BumpFunction, psi: BumpFunction,
     return Example446Potential(phi=phi, psi=psi, psi_power=_VARIANT_POWER[variant],
                                u_bound=abs(phi.center) + phi.width,
                                r_inner=math.exp(t_lower), r_outer=math.exp(t_upper),
-                               t_lower=t_lower, t_upper=t_upper, k_curvature=None,
-                               n_scale=1.0)
+                               t_lower=t_lower, t_upper=t_upper, n_scale=1.0)
 
 
 def rescale_log_potential(w: Potential, n_scale: int) -> Potential:

@@ -11,7 +11,7 @@ from minfol.certify import (SupportedFunction, check_condition_A,
 from minfol.errors import InvalidParameterError
 from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import IntegratorConfig, integrate_radial_ivp
-from minfol.potential import make_bump, scale_potential, to_log_form
+from minfol.potential import make_bump, scale_potential
 
 
 def _simpson_lhs(xi, dxi, n, r1, r2, num=20001):

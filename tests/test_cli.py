@@ -373,6 +373,15 @@ def test_bad_radius_end_time_or_grid_is_2_without_report(tmp_path, capsys, data)
     assert not out.exists()   # a config error writes no artifact
 
 
+def test_repeated_u0_is_2_without_report(tmp_path, capsys):
+    data = _shipped("example446", example446={"u0_grid": [-0.5, 0.0, 0.0, 0.5]})
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.json").exists()
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("family, radius", [("N_A", {"r_min": 50.0}), ("N_A", {"r_start": 0.5}),
                                             ("M_A", {"r_end": 0.5})],
                          ids=["N_A-outward", "N_A-inside-r_outer", "M_A-inside-r_inner"])

@@ -261,6 +261,13 @@ class TestBatchedLeaves:
         with pytest.raises(InvalidParameterError):
             example_446_check(phi, psi, u0s, fd_step=fd_step)
 
+    @pytest.mark.parametrize("u0s", [[-0.5, 0.0, 0.0, 0.5], [0.25, -0.5, 0.25]])
+    def test_rejects_a_repeated_initial_value(self, u0s):
+        # a leaf would "cross" its own copy
+        phi, psi = example_pair()
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            example_446_check(phi, psi, u0s)
+
 
 class TestFreeFamilies:
     def test_free_outer_leaves_are_exact(self):

@@ -239,13 +239,15 @@ class TestDisconjugacy:
         assert riccati_bounds_check(trace, weak_log).region_ok
 
     def test_bounds_need_the_curvature_constant(self, weak_pot):
-        # a potential that did not pass through to_log_form has K = None
-        assert weak_pot.k_curvature is None
+        # an example-4.4.6 potential has no curvature constant K
+        from minfol.catalog import example_pair
+        from minfol.potential import example_446_potential
+
         traj = _trajectory(weak_pot, t0=-2.0, t1=weak_pot.t_upper + 5.0,
                            u0=0.1, p0=0.0)
         trace = riccati_from_jacobi(nonvanishing_field(traj, TIGHT))
-        with pytest.raises(InvalidParameterError, match="to_log_form"):
-            riccati_bounds_check(trace, weak_pot)
+        with pytest.raises(InvalidParameterError, match="curvature constant"):
+            riccati_bounds_check(trace, example_446_potential(*example_pair()))
 
 
 class TestFreeField:

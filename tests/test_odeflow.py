@@ -143,6 +143,15 @@ def test_tolerances_must_be_positive_and_finite(name, value):
         IntegratorConfig(**{name: value})
 
 
+@pytest.mark.parametrize("t_range", [(-2.0, math.nan), (math.nan, 3.0), (-2.0, math.inf),
+                                     (-math.inf, 3.0), (1.0, 1.0)],
+                         ids=["end-nan", "start-nan", "end-inf", "start-inf", "degenerate"])
+def test_t_range_must_be_finite_and_distinct(t_range):
+    # a non-finite end would reach the flow: NaN passes an == test
+    with pytest.raises(InvalidParameterError, match="finite, distinct"):
+        IntegratorConfig(t_range=t_range)
+
+
 def test_straight_line_outside_strip(weak_log):
     # above the strip with outward momentum past the support: free forever
     t0 = weak_log.t_upper + 0.1

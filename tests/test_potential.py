@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from minfol.errors import InvalidParameterError, InvalidSupportError
-from minfol.potential import (example_446_potential, k_constant, make_bump,
-                              product_potential, rescale_log_potential,
-                              scale_potential, to_log_form, u_bound_function,
-                              zero_potential)
+from minfol.potential import (Example446Potential, example_446_potential,
+                              k_constant, make_bump, product_potential,
+                              rescale_log_potential, scale_potential,
+                              to_log_form, u_bound_function, zero_potential)
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -93,8 +93,8 @@ class TestRadialPotential:
         assert pot.r_inner == pytest.approx(1.0)
         assert pot.r_outer == pytest.approx(3.0)
         assert pot.u_bound == pytest.approx(1.0)
-        assert pot.v(0.5, 1.0) == 0.0
-        assert pot.v(0.0, 2.0) == pytest.approx(1.0)
+        assert pot.w(0.5, math.log(1.0)) == 0.0
+        assert pot.w(0.0, math.log(2.0)) == pytest.approx(1.0)
 
     def test_radial_support_must_avoid_origin(self):
         with pytest.raises(InvalidSupportError):
@@ -106,22 +106,26 @@ class TestRadialPotential:
                                 make_bump(2.0, 1.0, 1.0))
         half = scale_potential(pot, 0.5)
         for u, r in ((0.0, 2.0), (0.3, 1.7), (-0.4, 2.5)):
-            assert half.v(u, r) == pytest.approx(0.5 * pot.v(u, r))
-            assert half.d2v_duu(u, r) == pytest.approx(0.5 * pot.d2v_duu(u, r))
+            t = math.log(r)
+            assert half.w(u, t) == pytest.approx(0.5 * pot.w(u, t))
+            assert half.d2w_duu(u, t) == pytest.approx(0.5 * pot.d2w_duu(u, t))
 
     def test_zero_potential(self):
         pot = zero_potential(u_bound=1.0, r_inner=1.0, r_outer=3.0)
-        assert pot.v(0.2, 2.0) == 0.0
-        assert pot.dv_du(0.2, 2.0) == 0.0
+        assert pot.w(0.2, math.log(2.0)) == 0.0
+        assert pot.dw_du(0.2, math.log(2.0)) == 0.0
 
 
 class TestLogForm:
     def test_log_form_matches_radial(self, weak_pot):
+        # W(u, ln r) = V(u, r) = f(u) g(r), and to_log_form returns its input
         w = to_log_form(weak_pot)
+        assert w is weak_pot
+        f, g = weak_pot.f, weak_pot.g
         for u, r in ((0.0, 2.0), (0.3, 1.5), (-0.2, 2.8)):
             t = math.log(r)
-            assert w.w(u, t) == pytest.approx(weak_pot.v(u, r))
-            assert w.dw_du(u, t) == pytest.approx(weak_pot.dv_du(u, r))
+            assert w.w(u, t) == pytest.approx(f.value(u) * g.value(r))
+            assert w.dw_du(u, t) == pytest.approx(f.derivative(u) * g.value(r))
         assert w.t_upper == pytest.approx(math.log(weak_pot.r_outer))
 
     def test_k_constant_dominates_curvature(self, weak_log):
@@ -180,6 +184,19 @@ class TestLogForm:
             k_constant(_example446("chain-rule"))
         with pytest.raises(InvalidParameterError):
             to_log_form(_example446("as-printed"))
+        with pytest.raises(InvalidParameterError):
+            _example446("chain-rule").k_curvature
+
+    @pytest.mark.parametrize("name", ["flat", "weak_bump", "strong_bump", "certified_bump",
+                                      "narrow_bump", "scaling_bump"])
+    def test_k_curvature_is_k_constant(self, name):
+        from minfol import catalog
+
+        w = getattr(catalog, name)()
+        assert w.k_curvature.hex() == k_constant(w).hex()
+        for N in (2, 4, 8):
+            wn = rescale_log_potential(w, N)
+            assert wn.k_curvature.hex() == k_constant(wn).hex() == k_constant(w).hex()
 
     def test_rescale_shrinks_u_bound(self, weak_log):
         wn = rescale_log_potential(weak_log, 4)
@@ -194,7 +211,7 @@ class TestEnvelope:
         for _ in range(50):
             r = rng.uniform(certified_pot.r_inner, certified_pot.r_outer)
             u = rng.uniform(-certified_pot.u_bound, certified_pot.u_bound)
-            assert env(np.asarray([r]))[0] >= certified_pot.d2v_duu(u, r) - 1e-9
+            assert env(np.asarray([r]))[0] >= certified_pot.d2w_duu(u, math.log(r)) - 1e-9
 
     def test_envelope_nonnegative(self, strong_pot):
         env = u_bound_function(strong_pot, 3)
@@ -213,7 +230,7 @@ class TestEnvelope:
         env = u_bound_function(pot, 3)
         rr = np.linspace(pot.r_inner - 0.1, pot.r_outer + 0.1, 41)
         uu = np.linspace(-pot.u_bound, pot.u_bound, 4001)
-        grid = pot.d2v_duu(uu[:, None], rr[None, :])
+        grid = pot.d2w_duu(uu[:, None], np.log(rr)[None, :])
         got = env(rr)
         assert np.all(got >= np.max(grid, axis=0) - 1e-12)
         # reference: the dense grid max at each radius, refined locally
@@ -221,7 +238,7 @@ class TestEnvelope:
         for j, r in enumerate(rr):
             i = int(np.argmax(grid[:, j]))
             lo, hi = uu[max(i - 1, 0)], uu[min(i + 1, len(uu) - 1)]
-            res = optimize.minimize_scalar(lambda u: -float(pot.d2v_duu(u, r)),
+            res = optimize.minimize_scalar(lambda u: -float(pot.d2w_duu(u, math.log(r))),
                                            bounds=(lo, hi), method="bounded",
                                            options={"xatol": 1e-12})
             ref.append(max(0.0, grid[i, j], -res.fun))
@@ -275,18 +292,16 @@ def _example446(variant):
 
 
 def _family_case(name):
-    """(log form, radial form or None) of one member of each family."""
+    """The log form of one member of each family."""
     if name == "product":
-        pot = _product()
-    elif name == "scaled":
-        pot = scale_potential(_product(), 0.37)
-    elif name == "zero":
-        pot = zero_potential(u_bound=1.0, r_inner=1.0, r_outer=3.0)
-    elif name == "rescaled":
-        return rescale_log_potential(to_log_form(_product()), 4), None
-    else:
-        return _example446(name), None
-    return to_log_form(pot), pot
+        return _product()
+    if name == "scaled":
+        return scale_potential(_product(), 0.37)
+    if name == "zero":
+        return zero_potential(u_bound=1.0, r_inner=1.0, r_outer=3.0)
+    if name == "rescaled":
+        return rescale_log_potential(_product(), 4)
+    return _example446(name)
 
 
 FAMILY_CASES = ["product", "scaled", "rescaled", "zero", "as-printed",
@@ -303,7 +318,7 @@ def _interior_grid(w, count=7):
 
 @pytest.mark.parametrize("name", FAMILY_CASES)
 def test_derivatives_match_finite_differences(name):
-    w, radial = _family_case(name)
+    w = _family_case(name)
     U, T = _interior_grid(w)
     h = 1e-5
 
@@ -313,43 +328,54 @@ def test_derivatives_match_finite_differences(name):
     check(w.dw_du(U, T), (w.w(U + h, T) - w.w(U - h, T)) / (2 * h))
     check(w.d2w_duu(U, T), (w.dw_du(U + h, T) - w.dw_du(U - h, T)) / (2 * h))
     check(w.dw_dt(U, T), (w.w(U, T + h) - w.w(U, T - h)) / (2 * h))
-    if radial is not None:
-        R = np.exp(T)
-        check(radial.dv_dr(U, R),
-              (radial.v(U, R + h) - radial.v(U, R - h)) / (2 * h))
+
+
+def _radial_definition(pot, u, r):
+    """V, V_u, V_uu and r V_r at (u, r), written out from each family's
+    definition in the radius r."""
+    if isinstance(pot, Example446Potential):
+        phi, psi, k = pot.phi, pot.psi, pot.psi_power
+        s = np.log(r)
+        P, P1, P2 = (d(s) for d in (psi.value, psi.derivative, psi.second_derivative))
+        F0, F1, F2, F3 = (d(u) for d in (phi.value, phi.derivative, phi.second_derivative,
+                                         phi.third_derivative))
+        c = -1.0 / (r * r)
+        bracket = P1 * F0 + 0.5 * P**k * F1 * F1
+        return (c * bracket, c * (P1 * F1 + P**k * F1 * F2),
+                c * (P1 * F2 + P**k * (F2 * F2 + F1 * F3)),
+                -2.0 * c * bracket + c * (P2 * F0 + 0.5 * k * P**(k - 1) * P1 * F1 * F1))
+    if pot.f is None:
+        return (np.zeros(np.broadcast(u, r).shape),) * 4
+    N, c = pot.n_scale, pot.lam
+    f, g = pot.f, pot.g
+    return (c * f.value(N * u) * g.value(r) / N**2, c * f.derivative(N * u) * g.value(r) / N,
+            c * f.second_derivative(N * u) * g.value(r),
+            c * f.value(N * u) * r * g.derivative(r) / N**2)
 
 
 @pytest.mark.parametrize("name", FAMILY_CASES)
 def test_radial_and_log_views_agree(name):
-    w, _ = _family_case(name)
+    # the log views at t = ln r are the potential's radial definition V(u, r)
+    w = _family_case(name)
     U, T = _interior_grid(w)
-    R = np.exp(T)
-    np.testing.assert_allclose(w.v(U, R), w.w(U, T), rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(w.dv_du(U, R), w.dw_du(U, T), rtol=1e-12,
-                               atol=1e-15)
-    np.testing.assert_allclose(w.d2v_duu(U, R), w.d2w_duu(U, T), rtol=1e-12,
-                               atol=1e-15)
-    np.testing.assert_allclose(w.dv_dr(U, R) * R, w.dw_dt(U, T), rtol=1e-12,
-                               atol=1e-15)
+    views = (w.w(U, T), w.dw_du(U, T), w.d2w_duu(U, T), w.dw_dt(U, T))
+    for got, want in zip(views, _radial_definition(w, U, np.exp(T))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 LOG_VIEWS = ("w", "dw_du", "d2w_duu", "dw_dt")
-RADIAL_VIEWS = ("v", "dv_du", "d2v_duu", "dv_dr")
 
 
 @pytest.mark.parametrize("name", FAMILY_CASES)
 def test_pickle_round_trip(name):
-    for pot in _family_case(name):
-        if pot is None:
-            continue
-        copy = pickle.loads(pickle.dumps(pot))
-        assert copy == pot
-        U, T = _interior_grid(pot)
-        for views, X in ((LOG_VIEWS, T), (RADIAL_VIEWS, np.exp(T))):
-            for view in views:
-                before = np.asarray(getattr(pot, view)(U, X))
-                after = np.asarray(getattr(copy, view)(U, X))
-                assert after.tobytes() == before.tobytes(), view
+    pot = _family_case(name)
+    copy = pickle.loads(pickle.dumps(pot))
+    assert copy == pot
+    U, T = _interior_grid(pot)
+    for view in LOG_VIEWS:
+        before = np.asarray(getattr(pot, view)(U, T))
+        after = np.asarray(getattr(copy, view)(U, T))
+        assert after.tobytes() == before.tobytes(), view
 
 
 def _jet_inputs(w):
@@ -370,7 +396,7 @@ JET_ORDERS = [(0, 1, 2, 3), (1, 2), (0, 1, 3), (3, 0), (2,)]
 @pytest.mark.parametrize("kind", ["0-d", "all-inside", "mixed", "all-outside"])
 @pytest.mark.parametrize("name", FAMILY_CASES)
 def test_jet_equals_the_views_bit_for_bit(name, kind):
-    w, _ = _family_case(name)
+    w = _family_case(name)
     u, t = _jet_inputs(w)[kind]
     views = [getattr(w, view)(u, t) for view in LOG_VIEWS]
     for orders in JET_ORDERS:

@@ -428,7 +428,7 @@ class TestScaling:
         assert l <= r
 
     def test_one_field_pass_per_order(self):
-        w = catalog.scaling_log()
+        w = catalog.scaling_bump()
         calls = collections.Counter()
 
         class Counting:
