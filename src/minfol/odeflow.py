@@ -22,12 +22,13 @@ checked at every accepted step; a zero after the strip is found in closed
 form.
 
 Every run steps in `_dop853_batch`: scipy's DOP853 rules applied per cell to
-a (state, cell) array, the right-hand side (one potential jet) evaluated once
-per stage on the active cells, and each step's stages in one buffer, summed
-in stage order so that no cell's bits depend on another. A single run is a
-one-cell batch, and a backward batch steps forward in s = -t. The step loop
-only steps; dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6) is
-one pass after it over the steps it kept. A dense run keeps each accepted
+a (state, cell) array, the right-hand side (one potential jet, for a product
+potential one profile pass over both bumps) evaluated once per stage on the
+active cells, and each step's stages in one buffer, summed in stage order so
+that no cell's bits depend on another. A single run is a one-cell batch,
+and a backward batch steps forward in s = -t. The step loop only steps;
+dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6) is one pass
+after it over the steps it kept. A dense run keeps each accepted
 step's output rows, read by scipy's OdeSolution rule. A dense run is the one
 way a solution is read: each consumer evaluates its LegSolution at its own
 times.
@@ -203,16 +204,19 @@ def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros):
 
 def _flow_rhs(w: Potential, damping):
     """(u, p)' of the flow, and (xi, xi')' of its linearization when damping
-    holds a second entry, on a (state, cell) array: one potential jet a call."""
+    holds a second entry, on a (state, cell) array: one potential jet a call,
+    at 1-D u and t of one shape, which a product potential evaluates in one
+    stacked profile pass."""
     d_u, d_xi, orders = damping[0], damping[-1], (1, 2)[:len(damping)]
 
     def rhs(t, y):
         e2 = np.exp(2.0 * t)
         jet = w.jet(y[0], t, orders)
         out = np.empty_like(y)
-        out[0], out[1] = y[1], -d_u * y[1] - e2 * jet[0]
+        out[::2] = y[1::2]
+        np.subtract(-d_u * y[1], e2 * jet[0], out=out[1])
         if len(y) == 4:
-            out[2], out[3] = y[3], -d_xi * y[3] - e2 * jet[1] * y[2]
+            np.subtract(-d_xi * y[3], e2 * jet[1] * y[2], out=out[3])
         return out
     return rhs
 
@@ -245,11 +249,14 @@ def _stage_sum(coef, K, h):
     """h * sum_j coef[j] K[j] over the first stages of the buffer K, added in
     stage order from 0.0 as a term-by-term loop adds them, so that a cell's
     bits depend on neither the other cells nor the layout of K. The terms are
-    laid out C-contiguous, where reduce adds whole rows in order; a row of one
-    element would be summed pairwise, so it accumulates instead."""
+    laid out C-contiguous, where reduce adds whole rows in order onto its
+    initial 0.0. A row of one element would be summed pairwise, so it
+    accumulates instead and adds 0.0 last, which gives the same bits."""
     terms = np.multiply(coef, K[:len(coef)], order="C")
-    return (0.0 + (np.add.accumulate(terms)[-1] if terms[0].size == 1
-                   else np.add.reduce(terms, axis=0))) * h
+    acc = (0.0 + np.add.accumulate(terms)[-1] if terms[0].size == 1
+           else np.add.reduce(terms, axis=0, initial=0.0))
+    acc *= h
+    return acc
 
 
 def _norm(x):
@@ -305,7 +312,7 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
              *np.zeros((2, len(y), 0)), np.zeros((_NS + 1, len(y), 0)))]
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        i = np.flatnonzero(active)   # scipy's initial step, per cell
+        i = active.nonzero()[0]   # scipy's initial step, per cell
         ti, yi, span, f = t[i], y[:, i], t_stop[i] - t[i], np.zeros_like(y)
         f[:, i] = fi = rhs(ti, yi)
         scale = atol[i] + np.abs(yi) * rtol[i]
@@ -317,17 +324,17 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
         h_abs = np.zeros(m)
         h_abs[i] = np.minimum(np.minimum(100 * h0, h1), np.minimum(span, max_step[i]))
         res.stages[i] += 2
-        while np.any(active):
-            i = np.flatnonzero(active)
+        while active.any():
+            i = active.nonzero()[0]
             ti, h = t[i], h_abs[i]
             min_step = 10 * np.abs(np.nextafter(ti, np.inf) - ti)
-            new = ~retry[i]      # a new step starts clipped to [min_step, max_step]
-            h = np.where(new & (h > max_step[i]), max_step[i],
-                         np.where(new & (h < min_step), min_step, h))
+            new, h_max = ~retry[i], max_step[i]   # a new step starts clipped to [min_step, h_max]
+            h = np.where(new & (h > h_max), h_max, np.where(new & (h < min_step), min_step, h))
             small = h < min_step     # False for a NaN step, whose error norm fails
-            res.failures[i[small]], active[i[small]] = (
-                "Required step size is less than spacing between numbers.", False)
-            i, ti, h = i[~small], ti[~small], h[~small]
+            if small.any():
+                res.failures[i[small]], active[i[small]] = (
+                    "Required step size is less than spacing between numbers.", False)
+                i, ti, h = i[~small], ti[~small], h[~small]
             t_new = np.minimum(ti + h, t_stop[i])
             h = t_new - ti
             yi = y[:, i]
@@ -343,24 +350,26 @@ def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
             n3 = _norm(_stage_sum(_E3, K, 1.0) / scale) ** 2
             err = np.where((n5 == 0) & (n3 == 0), 0.0,
                            h * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
-            bad = i[~np.isfinite(err)]
-            res.failures[bad], active[bad] = "error norm is not finite", False
-            ok = err < 1
-            grow = np.where(err == 0, 10.0, np.minimum(10.0, 0.9 * err ** power))
+            finite, ok = np.isfinite(err), err < 1
+            if not finite.all():
+                bad = i[~finite]
+                res.failures[bad], active[bad] = "error norm is not finite", False
+            factor = 0.9 * err ** power
+            grow = np.where(err == 0, 10.0, np.minimum(10.0, factor))
             h_abs[i] = h * np.where(ok, np.where(retry[i], np.minimum(1.0, grow), grow),
-                                    np.maximum(0.2, 0.9 * err ** power))
-            retry[i] = ~ok
-            res.rejected[i[~ok & np.isfinite(err)]] += 1
-            k = np.flatnonzero(ok)
+                                    np.maximum(0.2, factor))
+            retry[i] = rejected = ~ok
+            res.rejected[i] += rejected & finite
+            k = ok.nonzero()[0]
             cells = i[k]
             res.accepted[cells] += 1
             t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[_NS][:, k]
             active[cells] = t_new[k] < t_stop[cells]
             g, g_new = ([watch[1](x[watch[0], k]) for x in (yi, y_new)] if watch is not None
                         else [np.ones(k.size)] * 2)
-            sign = ((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0))
+            sign = (np.minimum(g, g_new) <= 0) & (np.maximum(g, g_new) >= 0)
             sel = sign | dense[cells]
-            if np.any(sel):
+            if sel.any():
                 s = k[sel]
                 kept.append((i[s], sign[sel], ti[s], t_new[s], yi[:, s], y_new[:, s], K[:, :, s]))
         cell, sign, t_old, t_new, y_old, y_new = (np.concatenate(x, axis=-1) for x in
@@ -519,8 +528,11 @@ def integrate_radial_ivp(pot: Potential, n: int, r0: float, u0: float,
     Integrated in t = ln r with p = r u', on W(u, t) = V(u, e^t); `w`, when
     given, is integrated in place of pot.
     """
-    if r0 <= 0:
-        raise InvalidParameterError("r0 must be positive")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise InvalidParameterError("r0 must be finite and positive, got %r" % (r0,))
+    for name, value in (("u0", u0), ("du0", du0)):
+        if not math.isfinite(value):
+            raise InvalidParameterError("%s must be finite, got %r" % (name, value))
     if n < 2:
         raise InvalidParameterError("dimension must be >= 2")
     return _trajectory(pot if w is None else w, n, math.log(r0), u0, r0 * du0, cfg)

@@ -19,9 +19,11 @@ n >= 3 certificates are derived from the parameters in closed form, with no
 search, from the extremes of the bump profile's g''; an example-4.4.6
 potential has neither. Each family has one evaluator, which returns every
 derivative asked for from one pass of each bump (`_profile` shares its
-powers of 1/(1-s^2)). `Potential.jet(u, t, orders)` serves the flow and the
-quadrature; the views `w`, `dw_du`, `d2w_duu` and `dw_dt` are its one-order
-calls, with the same bits.
+powers of 1/(1-s^2)); a product potential read at one-dimensional u and t
+of one shape, as the flow reads it, passes both bumps' arguments through
+`_profile` stacked, in one pass. `Potential.jet(u, t, orders)` serves the
+flow and the quadrature; the views `w`, `dw_du`, `d2w_duu` and `dw_dt` are
+its one-order calls, with the same bits.
 """
 
 from __future__ import annotations
@@ -41,25 +43,29 @@ _ORDERS = ((0, 0), (1, 0), (2, 0), (0, 1))
 _VARIANT_POWER = {"as-printed": 1, "chain-rule": 2}
 
 
+# a point of the profile's left foot where g and its first three derivatives
+# are +0.0: exp(1 - 1/q) underflows, and each factor it multiplies is positive
+_FOOT = -0.9999
+
+
 def _profile(s, orders):
     """The derivatives of the orders asked for (each <= 3) of the bump profile
     g(s) = exp(1 - 1/(1-s^2)), one per order, from one pass.
 
-    They vanish identically for |s| >= 1. A single point, or an array with
-    every point inside, skips the masking; exp and the powers go through the
-    same ufuncs either way, so the branches agree to the last bit.
+    They vanish identically for |s| >= 1 (and at NaN). A single point is
+    read as a scalar, and an array with every point inside is read as it is
+    (a large quadrature grid is not copied). Otherwise every point outside is
+    moved to _FOOT, where each order is +0.0, so the formula is never read
+    outside its support and needs no mask afterwards. exp and the powers go
+    through the same ufuncs in every branch, so they agree to the last bit.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
-        return (_profile_inside(s[()], orders) if abs(s) < 1.0
-                else [np.float64(0.0)] * len(orders))
+        s = s[()]
+        return _profile_inside(s, orders) if abs(s) < 1.0 else [np.float64(0.0)] * len(orders)
     m = np.abs(s) < 1.0
-    if np.count_nonzero(m) == m.size:
-        return _profile_inside(s, orders)
-    out = [np.zeros_like(s) for _ in orders]
-    for o, d in zip(out, _profile_inside(s[m], orders)):
-        o[m] = d
-    return out
+    return _profile_inside(s if np.count_nonzero(m) == m.size else np.where(m, s, _FOOT),
+                           orders)
 
 
 def _profile_inside(s, orders):
@@ -71,11 +77,11 @@ def _profile_inside(s, orders):
         h1 = -2.0 * s / np.square(q)
         d.append(h1 * val)
         if top > 1:
-            h2 = -2.0 * (1.0 + 3.0 * s * s) / np.power(q, 3)
+            h2 = -2.0 * (1.0 + 3.0 * s * s) / np.power(q, 3.0)
             d.append((h2 + h1 * h1) * val)
             if top > 2:
-                h3 = -24.0 * s * (1.0 + s * s) / np.power(q, 4)
-                d.append((h3 + 3.0 * h1 * h2 + np.power(h1, 3)) * val)
+                h3 = -24.0 * s * (1.0 + s * s) / np.power(q, 4.0)
+                d.append((h3 + 3.0 * h1 * h2 + np.power(h1, 3.0)) * val)
     return list(map(d.__getitem__, orders))
 
 
@@ -105,9 +111,15 @@ class BumpFunction:
         """The derivatives of the orders asked for (each 0..3) at x, one per
         order, vectorized, from one profile pass."""
         s = (np.asarray(x, dtype=float) - self.center) / self.width
-        a, w, out = self.amplitude, self.width, _profile(s, orders)
-        for k, n in enumerate(orders):   # x / 1.0 is exact: skipped
-            out[k] = a * out[k] if w**n == 1.0 else a * out[k] / w**n
+        return self._scaled(_profile(s, orders), orders)
+
+    def _scaled(self, out, orders):
+        """The profile's derivatives out, one per order, as this bump's:
+        a d / w^n, in place."""
+        a, w = self.amplitude, self.width
+        for k, n in enumerate(orders):   # 1.0 * x and x / 1.0 are exact: skipped
+            d, wn = out[k] if a == 1.0 else a * out[k], w ** n
+            out[k] = d if wn == 1.0 else d / wn
         return out
 
     value, derivative, second_derivative, third_derivative = map(_bump_view, range(4))
@@ -175,16 +187,35 @@ class ProductPotential(Potential):
     lam: float
 
     def _evaluate(self, u, t, orders):
+        """Every element takes the ufuncs of f.jet(u) and g.jet(e^t) in their
+        order, stacked or not, so the two paths agree to the last bit."""
         if self.f is None:
             zero = np.zeros(np.broadcast(np.asarray(u, float), np.asarray(t, float)).shape)
             return [zero] * len(orders)
-        r = np.exp(np.asarray(t, float))
         du, dr, factors = _factor_orders(orders)
-        F, G, out = self.f.jet(u, du), self.g.jet(r, dr), []
+        f, g = self.f, self.g
+        if isinstance(u, np.ndarray) and u.ndim == 1 and u.shape == np.shape(t):
+            # one profile pass over the stacked arguments [(u - c_f)/w_f ; (r - c_g)/w_g]
+            x = np.empty((2,) + u.shape)
+            x[0], r = u, np.exp(t, out=x[1])
+            center, width = self._columns
+            d = _profile((x - center) / width, du + dr)
+            F = f._scaled([dk[0] for dk in d[:len(du)]], du)
+            G = g._scaled([dk[1] for dk in d[len(du):]], dr)
+        else:
+            r = np.exp(np.asarray(t, float))
+            F, G = f.jet(u, du), g.jet(r, dr)
+        out = []
         for i, j, n in factors:   # 1.0 * x is exact: skipped
             val = F[i] * G[j] if self.lam == 1.0 else self.lam * (F[i] * G[j])
             out.append(val * r if n else val)
         return out
+
+    @functools.cached_property
+    def _columns(self):
+        """The centers and the widths of f and g, each a (2, 1) column."""
+        return tuple(np.array([[getattr(b, k)] for b in (self.f, self.g)])
+                     for k in ("center", "width"))
 
 
 @functools.lru_cache(maxsize=None)

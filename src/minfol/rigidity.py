@@ -89,6 +89,9 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
     p0_grid = [float(x) for x in p0_grid]
     if not math.isfinite(t_start):
         raise InvalidParameterError("t_start must be finite, got %r" % (t_start,))
+    for name, grid in (("u0", u0_grid), ("p0", p0_grid)):
+        if not all(map(math.isfinite, grid)):
+            raise InvalidParameterError("%s grid values must be finite, got %r" % (name, grid))
     if not t_start < t_end:
         raise InvalidParameterError("need t_start < t_end")
     if not u0_grid or not p0_grid:

@@ -555,3 +555,77 @@ def test_legs_take_one_config_per_cell(strong_log):
     with pytest.raises(InvalidParameterError, match="one integrator config per cell"):
         integrate_legs(w, -2.0, y0, t_end, cfgs[:2], (0.0, 0.0))
 
+
+@pytest.mark.parametrize("r0, u0, du0, name", [
+    (math.nan, 0.1, 0.0, "r0"), (math.inf, 0.1, 0.0, "r0"), (0.0, 0.1, 0.0, "r0"),
+    (-1.0, 0.1, 0.0, "r0"), (1.0, math.nan, 0.0, "u0"), (1.0, -math.inf, 0.0, "u0"),
+    (1.0, 0.1, math.nan, "du0"), (1.0, 0.1, math.inf, "du0")])
+def test_radial_ivp_needs_a_finite_start(r0, u0, du0, name):
+    # r0 = nan once gave a Trajectory on [nan, nan], r0 = inf one with
+    # t_max = inf, and u0 = nan a "phase state must be finite" from the
+    # failure bookkeeping
+    from minfol.catalog import certified_bump
+
+    with pytest.raises(InvalidParameterError, match="^%s must be finite" % name):
+        integrate_radial_ivp(certified_bump(), 3, r0, u0, du0)
+
+
+def _stacked_force_cases():
+    """Every catalog product potential, a scaled one, rescaled ones and bumps
+    of width 1 and of other widths."""
+    from minfol import catalog
+    from minfol.potential import (make_bump, product_potential, rescale_log_potential,
+                                  scale_potential)
+
+    cases = {name: getattr(catalog, name)() for name in
+             ("flat", "weak_bump", "strong_bump", "certified_bump", "narrow_bump",
+              "scaling_bump")}
+    cases["scaled"] = scale_potential(catalog.strong_bump(), -0.37)
+    for N in (2, 4, 8):
+        cases["rescaled-%d" % N] = rescale_log_potential(catalog.strong_bump(), N)
+    cases["widths"] = product_potential(make_bump(0.3, 0.7, -1.7), make_bump(2.5, 1.25, 0.6))
+    cases["widths-rescaled"] = rescale_log_potential(scale_potential(cases["widths"], 3.0), 4)
+    return cases
+
+
+STACKED_FORCE_CASES = _stacked_force_cases()
+
+
+def _force_points(w):
+    """(u, t) points inside the support box, outside it, and on |s| = 1 in u
+    (u = +-u_bound for a centered f) and in t (r = e^0 = 1 for g of support
+    [1, 3])."""
+    us = np.concatenate((np.linspace(-0.9, 0.9, 5) * w.u_bound, [-w.u_bound, w.u_bound],
+                         np.array([-3.0, -1.5, 1.5, 3.0]) * w.u_bound))
+    ts = np.concatenate((np.linspace(w.t_lower, w.t_upper, 5), [0.0, w.t_lower - 1.0,
+                                                                 w.t_upper + 1.0]))
+    return [(u, t) for u in us for t in ts]
+
+
+@pytest.mark.parametrize("cells", [1, 2, 64])
+@pytest.mark.parametrize("damping", [(0.0,), (1.0,), (0.0, 0.0), (2.0, 2.0)],
+                         ids=["flow-n2", "flow-n3", "joint-n2", "joint-n4"])
+@pytest.mark.parametrize("name", sorted(STACKED_FORCE_CASES))
+def test_flow_rhs_equals_the_jets_point_by_point(name, damping, cells):
+    # the stacked profile pass gives the bits of one w.jet per point, whose
+    # 0-d evaluation passes each bump on its own; signed zeros count
+    from minfol.odeflow import _flow_rhs
+
+    w = STACKED_FORCE_CASES[name]
+    points = _force_points(w)
+    rng = np.random.default_rng(len(points) + cells)
+    for start in range(0, len(points), cells):
+        chunk = [points[(start + k) % len(points)] for k in range(cells)]
+        u, t = (np.array(x) for x in zip(*chunk))
+        y = np.vstack((u, rng.uniform(-1.0, 1.0, (2 * len(damping) - 1, cells))))
+        y[1, ::3] = 0.0
+        got = _flow_rhs(w, damping)(t, y)
+        want = np.empty_like(y)
+        orders = (1, 2)[:len(damping)]
+        for c in range(cells):
+            e2, jet = np.exp(2.0 * t[c]), w.jet(y[0, c], t[c], orders)
+            want[0, c], want[1, c] = y[1, c], -damping[0] * y[1, c] - e2 * jet[0]
+            if len(damping) == 2:
+                want[2, c] = y[3, c]
+                want[3, c] = -damping[1] * y[3, c] - e2 * jet[1] * y[2, c]
+        assert got.shape == y.shape and got.tobytes() == want.tobytes(), (start, got, want)

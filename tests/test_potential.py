@@ -422,3 +422,27 @@ def test_profile_orders_equal_single_orders(s):
         for k, n in enumerate(orders):
             assert np.asarray(got[k]).tobytes() == np.asarray(_profile(s, (n,))[0]).tobytes()
             assert np.asarray(jet[k]).tobytes() == np.asarray(views[n](s)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(14,), (2, 7)])
+@pytest.mark.parametrize("orders", [(0,), (1,), (2,), (3,), (1, 2), (0, 1, 2, 3), (3, 0)])
+def test_profile_masked_branch_equals_its_points_without_warnings(orders, shape):
+    # the points outside go through the formula at a point of its foot, where
+    # every order is +0.0; nothing at or past |s| = 1 may raise a warning
+    import warnings
+
+    from minfol.potential import _profile
+
+    s = np.array([-np.inf, -1.5, -1.0, np.nextafter(-1.0, 0.0), -0.5, -0.0, 0.0, 0.3,
+                  0.9999, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 3.0,
+                  np.nan]).reshape(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _profile(s, orders)
+        points = [_profile(x, orders) for x in s.flat]
+    for k in range(len(orders)):
+        want = np.array([p[k] for p in points]).reshape(shape)
+        assert got[k].shape == shape
+        assert got[k].tobytes() == want.tobytes(), orders[k]
+    outside = ~(np.abs(s) < 1.0)
+    assert all(np.all(d[outside] == 0.0) and not np.any(np.signbit(d[outside])) for d in got)

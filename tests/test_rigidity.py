@@ -141,6 +141,21 @@ class TestScan:
         with pytest.raises(InvalidParameterError, match="t_start must be finite"):
             conjugate_point_scan(strong_log, [0.0], [0.0], t_start, 5.0)
 
+    @pytest.mark.parametrize("axis", ["u0", "p0"])
+    def test_nonfinite_grid_value_rejected(self, strong_log, axis):
+        # a NaN grid value once failed every cell of its slide ("phase state
+        # must be finite"): 0 findings and 3 failures where the finite cells
+        # alone give 2 findings
+        grids = {"u0": [0.25], "p0": [0.25]}
+        for bad in (math.nan, math.inf):
+            grids[axis] = [bad, 0.0, 0.25]
+            with pytest.raises(InvalidParameterError, match=axis + " grid values must be finite"):
+                conjugate_point_scan(strong_log, grids["u0"], grids["p0"], -2.0,
+                                     strong_log.t_upper + 10.0)
+        rep = conjugate_point_scan(strong_log, [0.0, 0.25], [0.25], -2.0,
+                                   strong_log.t_upper + 10.0)
+        assert len(rep.findings) == 2 and not rep.failures
+
     def test_slides_need_a_finite_t_end(self, strong_log):
         # the slides once fell at [nan, inf, inf]: 0 findings, 0 failures, 0 steps
         with pytest.raises(InvalidParameterError, match="finite t_end"):
