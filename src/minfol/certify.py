@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, MinfolError
 from .odeflow import Trajectory
-from .potential import BumpFunction, Potential, u_bound_function
-from .quadrature import quad_1d
+from .potential import BumpFunction, Potential, _profile, u_bound_function
+from .quadrature import Integrals, quad_1d
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,47 @@ def sobolev_constant(n: int) -> float:
     return n * (n - 2) / 4.0 * sphere_volume(n)
 
 
+def _hardy_integrands(n: int, r, x, dx) -> tuple:
+    """The integrands r^{n-1} (xi'^2 - ((n-2)/2)^2 xi^2 / r^2) and r phi'^2,
+    phi = xi r^{n/2-1}, at radii r from xi = x and xi' = dx there."""
+    c, m = ((n - 2) / 2.0) ** 2, n / 2.0 - 1.0
+    lhs = r ** (n - 1) * dx * dx - c * r ** (n - 3) * x * x
+    dphi = dx * r ** m + m * x * r ** (m - 1.0)
+    return lhs, r * dphi * dphi
+
+
+def _hardy_arguments(n: int, r1: float, r2: float) -> None:
+    """Raise unless n >= 3 and 0 <= r1 < r2 < inf."""
+    if n < 3:
+        raise InvalidParameterError("identity requires n >= 3")
+    if not (0 <= r1 < r2 < math.inf):
+        raise InvalidParameterError("need 0 <= r1 < r2 < inf")
+
+
+def _hardy_boundary(n: int, r1: float, xi_r1: float) -> float:
+    """The boundary term (n-2)/2 phi(r1)^2 of the identity's right side."""
+    m = n / 2.0 - 1.0
+    return m * (xi_r1 * r1 ** m) ** 2 if r1 > 0 else 0.0
+
+
 def hardy_identity_check(xi, n: int, r1: float, r2: float,
-                         dxi: Optional[Callable] = None) -> tuple[float, float]:
+                         dxi: Optional[Callable] = None) -> Integrals:
     """Both sides of the weighted Hardy identity on [r1, r2], xi(r2) = 0.
 
     LHS = int r^{n-1} (xi'^2 - ((n-2)/2)^2 xi^2 / r^2) dr,
     RHS = (n-2)/2 * phi(r1)^2 + int r phi'^2 dr with phi = xi r^{n/2-1}.
     The identity forces LHS = RHS >= 0.
 
-    xi is a BumpFunction or SupportedFunction, integrated over its support
-    within [r1, r2], or a callable with derivative dxi. Such a pair is
-    evaluated on arrays of radii, and a constant it returns is broadcast.
+    xi is a BumpFunction (the one-element batch of `hardy_identity_checks`)
+    or SupportedFunction, integrated over its support within [r1, r2], or a
+    callable with derivative dxi. Such a pair is evaluated on arrays of
+    radii, and a constant it returns is broadcast. The sides carry in
+    `orders` the quadrature order each integral reached (0: none).
     """
-    if n < 3:
-        raise InvalidParameterError("identity requires n >= 3")
-    if not (0 <= r1 < r2 < math.inf):
-        raise InvalidParameterError("need 0 <= r1 < r2 < inf")
+    if isinstance(xi, BumpFunction) and dxi is None:
+        sides = hardy_identity_checks([xi], n, r1, r2)
+        return Integrals((float(v[0]) for v in sides), (int(k[0]) for k in sides.orders))
+    _hardy_arguments(n, r1, r2)
     if callable(xi) and dxi is not None:
         val, dval, (lo, hi) = xi, dxi, (r1, r2)
     else:
@@ -83,19 +108,51 @@ def hardy_identity_check(xi, n: int, r1: float, r2: float,
     if abs(float(val(r2))) > 1e-10:
         raise InvalidParameterError("xi(r2) must vanish")
 
-    c = ((n - 2) / 2.0) ** 2
-    m = n / 2.0 - 1.0
-
     def integrands(r):
-        x = np.broadcast_to(val(r), r.shape)
-        dx = np.broadcast_to(dval(r), r.shape)
-        lhs = r ** (n - 1) * dx * dx - c * r ** (n - 3) * x * x
-        dphi = dx * r ** m + m * x * r ** (m - 1.0)    # phi = xi r^m
-        return lhs, r * dphi * dphi
+        return _hardy_integrands(n, r, np.broadcast_to(val(r), r.shape),
+                                 np.broadcast_to(dval(r), r.shape))
 
-    lhs, rhs = quad_1d(integrands, lo, hi) if lo < hi else (0.0, 0.0)
-    boundary = m * (float(val(r1)) * r1 ** m) ** 2 if r1 > 0 else 0.0
-    return lhs, boundary + rhs
+    sides = quad_1d(integrands, lo, hi) if lo < hi else Integrals((0.0, 0.0), (0, 0))
+    return Integrals((sides[0], _hardy_boundary(n, r1, float(val(r1))) + sides[1]),
+                     sides.orders)
+
+
+def hardy_identity_checks(bumps, n: int, r1: float, r2: float) -> Integrals:
+    """`hardy_identity_check` of each bump, as two arrays (LHS, RHS) with the
+    bits of one check at a time, and in `orders` two arrays of the order each
+    integral reached (0 for a bump wholly outside [r1, r2], whose integrals
+    are 0). The bumps whose support meets (r1, r2) are integrated on one
+    `quad_1d` batch: the centres, widths and amplitudes are (B, 1) columns,
+    and each order makes one profile pass for value and derivative."""
+    _hardy_arguments(n, r1, r2)
+    center, width, amplitude = (np.array([getattr(b, k) for b in bumps], float)
+                                for k in ("center", "width", "amplitude"))
+    at_r1, at_r2 = (_bump_columns(np.full(len(bumps), r), center, width, amplitude, (0,))[0]
+                    for r in (r1, r2))
+    if np.any(np.abs(at_r2) > 1e-10):
+        raise InvalidParameterError("xi(r2) must vanish")
+    lo, hi = np.maximum(r1, center - width), np.minimum(r2, center + width)
+    rows = np.flatnonzero(lo < hi)
+    cols = [v[rows, None] for v in (center, width, amplitude)]
+    lhs, rhs = np.zeros(len(bumps)), np.zeros(len(bumps))
+    orders = [np.zeros(len(bumps), int), np.zeros(len(bumps), int)]
+    if len(rows):
+        sides = quad_1d(lambda r: _hardy_integrands(n, r, *_bump_columns(r, *cols, (0, 1))),
+                        lo[rows], hi[rows])
+        lhs[rows], rhs[rows] = sides
+        orders[0][rows], orders[1][rows] = sides.orders
+    boundary = np.array([_hardy_boundary(n, r1, v) for v in at_r1.tolist()])
+    return Integrals((lhs, boundary + rhs), orders)
+
+
+def _bump_columns(x, center, width, amplitude, orders):
+    """The derivatives of the orders asked for of bumps at x, one bump per row
+    of x and of the columns center, width and amplitude, with the ufuncs of
+    `BumpFunction.jet` in its order."""
+    d = _profile((x - center) / width, orders)
+    for k, n in enumerate(orders):
+        d[k] = amplitude * d[k] / width ** n
+    return d
 
 
 @dataclass
@@ -108,9 +165,13 @@ class Certificate:
     grid_points: int = 0
     norm_value: Optional[float] = None
     threshold: Optional[float] = None
+    quadrature_order: Optional[int] = None   # B: the order its integral reached
 
     def to_dict(self):
-        return asdict(self)
+        out = asdict(self)
+        if self.quadrature_order is None:   # A integrates nothing
+            del out["quadrature_order"]
+        return out
 
 
 def check_condition_A(pot: Potential, n: int, x0_offset: float = 0.0,
@@ -138,14 +199,14 @@ def check_condition_B(pot: Potential, n: int) -> Certificate:
     env = u_bound_function(pot, n)
     r_lo = pot.r_inner if pot.r_inner else 0.0
 
-    (integral,) = quad_1d(lambda r: (env(r) ** (n / 2.0) * r ** (n - 1),),
-                          r_lo, pot.r_outer)
+    quad = quad_1d(lambda r: (env(r) ** (n / 2.0) * r ** (n - 1),), r_lo, pot.r_outer)
+    integral = quad[0]
     norm = (sphere_area(n) * integral) ** (2.0 / n)
     s_n = sobolev_constant(n)
     margin = s_n - norm
     return Certificate(condition="B", n=n, margin=margin,
                        verdict="certified" if margin >= 0 else "not-certified",
-                       norm_value=norm, threshold=s_n)
+                       norm_value=norm, threshold=s_n, quadrature_order=quad.orders[0])
 
 
 def second_variation(traj: Trajectory, xi, pot: Potential, n: int) -> float:

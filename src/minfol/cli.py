@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .certify import check_condition_A, check_condition_B, hardy_identity_check
+from .certify import (check_condition_A, check_condition_B, hardy_identity_check,
+                      hardy_identity_checks)
 from .config import (HARDY_CLOSED_FORMS, ExperimentConfig, build_bumps, build_potential, grid,
                      load_config)
 from .errors import MinfolError
@@ -202,32 +203,35 @@ def _random_test_function(rng, r1, r2):
 
 def _run_hardy(cfg: ExperimentConfig, out_dir: str, timing: dict):
     p = cfg.params
-    rel_tol = float(p["rel_tol"])
+    rel_tol, r1, r2 = float(p["rel_tol"]), float(p["r1"]), float(p["r2"])
     rng = np.random.default_rng(cfg.seed)
-    rows, checks = [], []
+    rows, checks, orders = [], [], []
     t0 = time.perf_counter()
     for n in p["n_list"]:
         exact = HARDY_CLOSED_FORMS.get(n)
         if exact is not None:
-            lhs, rhs = hardy_identity_check(lambda r: 1.0 - r, n, 0.0, 1.0,
-                                            dxi=lambda r: -1.0)
+            lhs, rhs = sides = hardy_identity_check(lambda r: 1.0 - r, n, 0.0, 1.0,
+                                                    dxi=lambda r: -1.0)
             rel = abs(lhs - exact) / exact
             rows.append((n, "closed-form", lhs, rhs, rel))
             checks.append(rel <= rel_tol and abs(rhs - exact) <= rel_tol * exact)
-        for k in range(p["num_random"]):
-            xi = _random_test_function(rng, float(p["r1"]), float(p["r2"]))
-            lhs, rhs = hardy_identity_check(xi, n, float(p["r1"]),
-                                            float(p["r2"]))
+            orders += sides.orders
+        bumps = [_random_test_function(rng, r1, r2) for _ in range(p["num_random"])]
+        sides = hardy_identity_checks(bumps, n, r1, r2)
+        for k, (lhs, rhs) in enumerate(zip(*(side.tolist() for side in sides))):
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
             rows.append((n, "random-%d" % k, lhs, rhs, rel))
             checks.append(rel <= rel_tol and lhs >= -1e-10)
+        orders += [k for side in sides.orders for k in side.tolist()]
     timing["checks_seconds"] = time.perf_counter() - t0
     write_csv(os.path.join(out_dir, "results.csv"),
               ("n", "case", "lhs", "rhs", "rel_err"), rows)
     results = {"num_checks": len(checks),
                "num_passed": int(sum(checks)),
                "max_rel_err": max(r[4] for r in rows),
-               "min_lhs": min(r[2] for r in rows)}
+               "min_lhs": min(r[2] for r in rows),
+               "diagnostics": {"integrals": sum(k > 0 for k in orders),
+                               "highest_order": max(orders, default=0)}}
     ok = all(checks)
     return (0 if ok else 1), results, \
         ("identity-holds" if ok else "identity-violated")

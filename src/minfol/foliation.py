@@ -156,11 +156,16 @@ class ExampleReport:
 
 def _first_order_rhs(phi, psi):
     """du/dt = phi'(u) psi(t) on a (1, cell) array: one profile pass over both
-    bumps' stacked arguments, scaled as BumpFunction.jet scales (x / 1.0 is exact)."""
+    bumps' arguments, written as [u ; t] into one array, scaled as
+    BumpFunction.jet scales (x / 1.0 is exact)."""
     center, width = (np.array([[getattr(b, k)] for b in (phi, psi)]) for k in ("center", "width"))
 
     def rhs(t, y):
-        g, dg = _profile((np.stack((y[0], t)) - center) / width, (0, 1))
+        x = np.empty((2,) + y[0].shape)
+        x[0], x[1] = y[0], t
+        x -= center
+        x /= width
+        g, dg = _profile(x, (0, 1))
         return (phi.amplitude * dg[0] / phi.width * (psi.amplitude * g[1]))[None]
     return rhs
 

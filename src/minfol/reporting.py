@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -13,12 +14,26 @@ from .odeflow import Trajectory
 
 
 def write_csv(path: str, header, rows) -> None:
-    """RFC-4180 CSV (CRLF line endings, UTF-8). csv writes every field with
-    str(), which gives a float or an np.float64 its shortest round-trip form."""
+    """RFC-4180 CSV (CRLF line endings, UTF-8) in csv.writer's bytes, written
+    at once. Each field is its str(), which gives a float or an np.float64
+    its shortest round-trip form."""
+    text = "\r\n".join(map(_csv_line, [header, *rows]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text + "\r\n")
+
+
+def _csv_line(row) -> str:
+    """One row as csv.writer writes it, without its line terminator: its
+    fields joined by commas, or, if that text could need csv's quoting or its
+    reading of None (a quote, CR, LF, a comma inside a field, "None" or no
+    text), csv.writer's own line."""
+    line = ",".join(map(str, row))
+    if (line.count(",") == len(row) - 1 and line and "None" not in line
+            and '"' not in line and "\r" not in line and "\n" not in line):
+        return line
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(row)
+    return buf.getvalue()[:-2]
 
 
 def write_trajectory_csv(traj: Trajectory, path: str, samples: int) -> None:

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minfol.certify import (SupportedFunction, check_condition_A,
-                            check_condition_B, hardy_identity_check, second_variation,
-                            sobolev_constant, sphere_area, sphere_volume)
+                            check_condition_B, hardy_identity_check, hardy_identity_checks,
+                            second_variation, sobolev_constant, sphere_area, sphere_volume)
+from minfol.cli import _random_test_function
 from minfol.errors import InvalidParameterError
 from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import IntegratorConfig, integrate_radial_ivp
 from minfol.potential import make_bump, scale_potential
+from minfol.quadrature import quad_1d
 
 
 def _simpson_lhs(xi, dxi, n, r1, r2, num=20001):
@@ -70,6 +72,83 @@ class TestHardyIdentity:
         with pytest.raises(InvalidParameterError):
             hardy_identity_check(lambda r: 1.0, 3, 0.0, 1.0,
                                  dxi=lambda r: 0.0)
+
+
+def _hardy_one_at_a_time(xi, n, r1, r2):
+    """The oracle: one bump's Hardy sides by one scalar `quad_1d` over its
+    support within [r1, r2], with the integrands written out here."""
+    c, m = ((n - 2) / 2.0) ** 2, n / 2.0 - 1.0
+    lo, hi = max(r1, xi.support[0]), min(r2, xi.support[1])
+
+    def integrands(r):
+        x, dx = xi.value(r), xi.derivative(r)
+        dphi = dx * r ** m + m * x * r ** (m - 1.0)
+        return r ** (n - 1) * dx * dx - c * r ** (n - 3) * x * x, r * dphi * dphi
+
+    if lo < hi:
+        sides = quad_1d(integrands, lo, hi)
+        (lhs, rhs), orders = sides, sides.orders
+    else:
+        (lhs, rhs), orders = (0.0, 0.0), (0, 0)
+    boundary = m * (float(xi.value(r1)) * r1 ** m) ** 2 if r1 > 0 else 0.0
+    return (lhs, boundary + rhs), tuple(orders)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestHardyBatch:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_batch_has_the_bits_of_one_at_a_time(self, n, seed):
+        rng = np.random.default_rng(seed)
+        bumps = [_random_test_function(rng, 0.1, 4.0) for _ in range(20)]
+        batch = hardy_identity_checks(bumps, n, 0.1, 4.0)
+        for j, xi in enumerate(bumps):
+            sides, orders = _hardy_one_at_a_time(xi, n, 0.1, 4.0)
+            assert _hex(v[j] for v in batch) == _hex(sides)
+            assert tuple(int(k[j]) for k in batch.orders) == orders
+            single = hardy_identity_check(xi, n, 0.1, 4.0)
+            assert _hex(single) == _hex(sides) and single.orders == orders
+
+    def test_clipped_and_outside_bumps(self):
+        r1, r2 = 0.5, 3.0
+        bumps = [make_bump(0.7, 0.4, 1.3),      # clipped by r1: xi(r1) != 0
+                 make_bump(2.0, 1.0 / 0.99, -0.8),   # clipped by r2, xi(r2) < 1e-10
+                 make_bump(0.2, 0.25, 2.0),     # wholly below r1
+                 make_bump(1.5, 0.5, 0.6),      # inside
+                 make_bump(3.5, 0.4, 1.0)]      # wholly above r2
+        assert bumps[1].support[1] > r2 and abs(bumps[1].value(r2)) < 1e-10
+        batch = hardy_identity_checks(bumps, 4, r1, r2)
+        for j, xi in enumerate(bumps):
+            sides, orders = _hardy_one_at_a_time(xi, 4, r1, r2)
+            assert _hex(v[j] for v in batch) == _hex(sides)
+            assert tuple(int(k[j]) for k in batch.orders) == orders
+        for j in (2, 4):   # (0, 0) plus a boundary term, which is 0 here
+            assert [v[j] for v in batch] == [0.0, 0.0]
+            assert [k[j] for k in batch.orders] == [0, 0]
+        # the r1-clipped bump's right side holds a boundary term
+        boundary = 1.0 * (bumps[0].value(r1) * r1) ** 2
+        assert boundary > 0.1 and batch[1][0] > boundary
+        assert batch[0][0] == pytest.approx(batch[1][0], rel=1e-8)
+
+    def test_one_element_batch_is_the_single_check(self):
+        xi = make_bump(1.4, 0.6, -1.1)
+        (lhs,), (rhs,) = hardy_identity_checks([xi], 5, 0.1, 4.0)
+        assert _hex(hardy_identity_check(xi, 5, 0.1, 4.0)) == _hex((lhs, rhs))
+
+    def test_empty_batch(self):
+        batch = hardy_identity_checks([], 3, 0.1, 4.0)
+        assert [v.shape for v in batch] == [(0,), (0,)]
+        assert [k.shape for k in batch.orders] == [(0,), (0,)]
+
+    def test_nonvanishing_endpoint_and_bad_dimension(self):
+        with pytest.raises(InvalidParameterError):
+            hardy_identity_checks([make_bump(1.0, 0.5, 1.0), make_bump(3.8, 0.5, 1.0)],
+                                  3, 0.1, 4.0)
+        with pytest.raises(InvalidParameterError):
+            hardy_identity_checks([make_bump(1.0, 0.5, 1.0)], 2, 0.1, 4.0)
 
 
 class TestConditions:

@@ -476,6 +476,54 @@ def test_write_csv_matches_the_repr_oracle(tmp_path):
     assert open(path, "rb").read() == oracle.getvalue().encode("utf-8")
 
 
+def test_write_csv_writes_rows_that_need_quoting_as_csv_does(tmp_path):
+    import io
+
+    from minfol.reporting import write_csv
+
+    header = ("a", "b")
+    rows = [(1.5, "plain"), ('say "hi"', 2), ("two\nlines", 3), ("cr\r", 4),
+            (None, 5.0), ("None", 6), ("x,y", 7), [""], [], [(1, 2)], (np.float64(0.1), -0.0)]
+    oracle = io.StringIO(newline="")
+    writer = csv.writer(oracle)
+    writer.writerow(header)
+    writer.writerows(rows)
+    path = str(tmp_path / "rows.csv")
+    write_csv(path, header, iter(rows))
+    assert open(path, "rb").read() == oracle.getvalue().encode("utf-8")
+
+
+def test_hardy_and_certify_report_their_quadrature_orders(tmp_path):
+    from minfol.certify import hardy_identity_check
+    from minfol.cli import _random_test_function
+    from minfol.quadrature import ORDERS
+
+    data = {"command": "hardy-check", "n": 3, "seed": 4,
+            "hardy": {"n_list": [3, 5], "num_random": 4}}
+    out = str(tmp_path / "hardy")
+    code, report = run_command(validate_config(data), out)
+    assert code == 0
+    cfg = validate_config(data).params
+    rng = np.random.default_rng(4)
+    orders = list(hardy_identity_check(lambda r: 1.0 - r, 3, 0.0, 1.0,
+                                       dxi=lambda r: -1.0).orders)
+    for n in (3, 5):
+        for _ in range(4):
+            xi = _random_test_function(rng, float(cfg["r1"]), float(cfg["r2"]))
+            orders += hardy_identity_check(xi, n, float(cfg["r1"]), float(cfg["r2"])).orders
+    assert report["results"]["diagnostics"] == {"integrals": 18,
+                                                "highest_order": max(orders)}
+    assert set(orders) <= set(ORDERS)
+    with open(os.path.join(out, "results.csv"), newline="") as fh:
+        assert {len(row) for row in csv.reader(fh)} == {5}
+
+    code, report = run_command(load_config(os.path.join(CONFIGS, "certify.json")),
+                               str(tmp_path / "certify"))
+    results = report["results"]
+    assert results["condition_B"]["quadrature_order"] in ORDERS
+    assert "quadrature_order" not in results["condition_A"]
+
+
 def test_integer_is_a_number_and_max_step_is_echoed(tmp_path):
     data = _shipped("solve", solve={"u0": 0, "du0": 0}, integrator={"max_step": 1})
     cfg = validate_config(data)
