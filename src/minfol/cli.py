@@ -139,9 +139,15 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
     t1 = time.perf_counter()
     timing["fit_seconds"] = t1 - t0
     rows = list(zip(fit.N_list, fit.lhs, fit.rhs))
+    # (rhs - lhs) / rhs at the last holding and the first failing N, both
+    # integrated by the crossover search
+    cross = fit.crossover_N
+    margins = None if cross in (None, 1) else [
+        {"N": N, "margin": (rhs - lhs) / rhs}
+        for N, (lhs, rhs) in zip((cross - 1, cross), fit.sides.integrate([cross - 1, cross]))]
     results = {"N_list": fit.N_list, "lhs": fit.lhs, "rhs": fit.rhs,
                "slope_lhs": fit.slope_lhs, "slope_rhs": fit.slope_rhs,
-               "crossover_N": fit.crossover_N,
+               "crossover_N": cross, "crossover_margins": margins,
                "identically_zero": fit.identically_zero}
     if fit.identically_zero:
         write_csv(os.path.join(out_dir, "scaling.csv"),
@@ -149,7 +155,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
         results["diagnostics"] = fit.sides.diagnostics
         return 1, results, "identically-zero"
     n_lo, n_hi = p["convergence_pair"]
-    lo, hi = fit.sides(n_lo), fit.sides(n_hi)
+    lo, hi = fit.sides.integrate([n_lo, n_hi])
     t2 = time.perf_counter()
     disc = fit.sides.discriminant()
     timing.update(convergence_seconds=t2 - t1,
@@ -197,7 +203,7 @@ def _random_test_function(rng, r1, r2):
     span = r2 - r1
     width = rng.uniform(0.05 * span, 0.45 * span)
     center = rng.uniform(r1 + width, r2 - width)
-    amplitude = rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0))
+    amplitude = rng.uniform(0.2, 2.0) * (-1.0, 1.0)[rng.integers(0, 2)]
     return make_bump(center, width, amplitude)
 
 

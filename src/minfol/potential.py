@@ -173,6 +173,12 @@ class Potential:
     w, dw_du, d2w_duu, dw_dt = map(_potential_view, range(4))
 
     @property
+    def even_in_u(self) -> bool:
+        """Whether W(-u, t) = W(u, t) to the last bit, read from the
+        parameters; False when they do not show it."""
+        return False
+
+    @property
     def k_curvature(self) -> float:
         """The curvature constant K of the Riccati estimates: k_constant."""
         return k_constant(self)
@@ -185,6 +191,12 @@ class ProductPotential(Potential):
     f: Optional[BumpFunction]
     g: Optional[BumpFunction]
     lam: float
+
+    @property
+    def even_in_u(self) -> bool:
+        """f is centred at u = 0, or there is none: s = (N u - 0)/w_f negates
+        exactly, so W and W_t are even in u and W_u odd, to the last bit."""
+        return self.f is None or self.f.center == 0.0
 
     def _evaluate(self, u, t, orders):
         """Every element takes the ufuncs of f.jet(u) and g.jet(e^t) in their

@@ -189,8 +189,8 @@ def _sides_workspace(order: int) -> tuple[np.ndarray, np.ndarray]:
     `RescaledSides` (the second holds the Gibbs factor until the RHS
     integrand overwrites it), allocated on first use and kept for the life
     of the thread, so no integrand call allocates an order-sized array.
-    Each call overwrites the arrays the one before returned: this relies on
-    `quad_2d` reducing every returned component before its next call."""
+    Each N's integrands overwrite the ones before: this relies on `quad_2d`
+    reducing every yielded component before the integrand resumes."""
     cache = vars(_WORKSPACES)
     if order not in cache:
         cache[order] = tuple(np.empty((order, order)) for _ in range(2))
@@ -211,36 +211,70 @@ class RescaledSides:
     sides are integrated once. The Gibbs factor and the integrands are
     written into `_sides_workspace`, which every evaluator of the thread
     shares and which outlives the fit. The operations run in the order of
-    exp(a / N^2) * g * g, so every bit is that of fresh arrays."""
+    exp(a / N^2) * g * g, so every bit is that of fresh arrays.
+
+    Half grid: when W is even in u (`Potential.even_in_u`) and the rule's
+    u-nodes mirror exactly (v[::-1] == -v, as they do on the symmetric box
+    [-u_bound, u_bound]), the jet, the N-free arrays and each N's integrands
+    are computed on the first (order + 1) // 2 rows only, and the other rows
+    are copied from them, reversed, before `quad_2d` reduces the array. The
+    reduced array is the one a full-grid pass writes: the bump argument
+    (N u - 0)/w_f negates exactly, so W and W_t are even and W_u is odd to
+    the last bit, and exp(a / N^2) * g * g and exp(a / N^2) * h * h are
+    even. Any other potential takes the full grid.
+
+    `integrate(Ns)` integrates every N not integrated before in one
+    `quad_2d`: the integrand yields the two arrays of each N in turn from
+    the one workspace pair, and each N is accepted at its own order, with
+    the bits of a quadrature of its own. `__call__(N)` is `integrate([N])`."""
 
     def __init__(self, w: Potential, quad_tol: float = 1e-12):
         self.w, self.quad_tol = w, quad_tol
-        self._fields = {}   # quadrature order -> (a, g, h)
+        self._fields = {}   # quadrature order -> (a, g, h) on the rows computed
         self._sides = {}    # N -> (LHS_N, RHS_N)
 
-    def __call__(self, N: int) -> tuple[float, float]:
-        if N < 1:
-            raise InvalidParameterError("N must be >= 1")
-        if N not in self._sides:
-            n2 = float(N) ** 2
+    def _fields_at(self, v, t):
+        """The N-free arrays of the order of the column v and the row t: on
+        its first (order + 1) // 2 rows when the half grid applies."""
+        order = len(v)
+        if order not in self._fields:
+            if self.w.even_in_u and np.array_equal(v[::-1], -v):
+                v = v[:(order + 1) // 2]
+            e2 = np.exp(2.0 * t)
+            W, W_u, W_t = self.w.jet(v, t, (0, 1, 3))
+            self._fields[order] = (-W * e2, e2 * W_u, e2 * (2.0 * W + W_t))
+        return self._fields[order]
 
+    def integrate(self, Ns) -> list[tuple[float, float]]:
+        """(LHS_N, RHS_N) for each N in Ns, the new ones from one quadrature."""
+        if any(N < 1 for N in Ns):
+            raise InvalidParameterError("N must be >= 1")
+        new = list(dict.fromkeys(N for N in Ns if N not in self._sides))
+        if new:
             def sides_f(v, t):   # one order's nodes, as a column v and a row t
-                if len(v) not in self._fields:
-                    e2 = np.exp(2.0 * t)
-                    W, W_u, W_t = self.w.jet(v, t, (0, 1, 3))
-                    self._fields[len(v)] = (-W * e2, e2 * W_u, e2 * (2.0 * W + W_t))
-                a, g, h = self._fields[len(v)]
-                lhs, rhs = _sides_workspace(len(v))
-                gibbs = np.exp(np.divide(a, n2, out=rhs), out=rhs)
-                np.multiply(np.multiply(gibbs, g, out=lhs), g, out=lhs)
-                np.multiply(np.multiply(gibbs, h, out=rhs), h, out=rhs)
-                return lhs, rhs
+                a, g, h = self._fields_at(v, t)
+                rows, order = len(a), len(v)
+                lhs, rhs = _sides_workspace(order)
+                top_lhs, top_rhs = lhs[:rows], rhs[:rows]
+                for N in new:
+                    gibbs = np.exp(np.divide(a, float(N) ** 2, out=top_rhs), out=top_rhs)
+                    np.multiply(np.multiply(gibbs, g, out=top_lhs), g, out=top_lhs)
+                    np.multiply(np.multiply(gibbs, h, out=top_rhs), h, out=top_rhs)
+                    if rows < order:   # the mirrored rows, last first
+                        lhs[rows:] = lhs[order - rows - 1::-1]
+                        rhs[rows:] = rhs[order - rows - 1::-1]
+                    yield lhs
+                    yield rhs
 
             w = self.w
-            lhs, rhs = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper,
-                               self.quad_tol)
-            self._sides[N] = (max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0))
-        return self._sides[N]
+            vals = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper,
+                           self.quad_tol)
+            for N, lhs, rhs in zip(new, vals[::2], vals[1::2]):
+                self._sides[N] = (max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0))
+        return [self._sides[N] for N in Ns]
+
+    def __call__(self, N: int) -> tuple[float, float]:
+        return self.integrate([N])[0]
 
     def discriminant(self) -> tuple[float, float, bool]:
         """The N = 1 inequality with the Gaussian p-integral sqrt(2 pi)
@@ -276,18 +310,19 @@ def scaling_exponent_fit(w: Potential, N_list,
     """Log-log slopes of both sides against N, and the first N >= 1 at which
     the inequality fails.
 
-    Every integer below the first failing listed N is tried. When no listed
-    N fails, N doubles past the list until the inequality fails, and the
-    crossover is bisected between the last holding and the first failing N.
-    A search that reaches _MAX_SEARCH_N without a failure gives None."""
+    The listed N are integrated in one quadrature (`RescaledSides.integrate`),
+    the N the crossover search reads one at a time. Every integer below the
+    first failing listed N is tried. When no listed N fails, N doubles past
+    the list until the inequality fails, and the crossover is bisected
+    between the last holding and the first failing N. A search that reaches
+    _MAX_SEARCH_N without a failure gives None."""
     if not all(float(N).is_integer() for N in N_list):
         raise InvalidParameterError("N values must be integers, got %r" % (list(N_list),))
     N_list = [int(N) for N in N_list]
     if len(N_list) < 3 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing N values")
     sides = RescaledSides(w, quad_tol)
-    lhs = [sides(N)[0] for N in N_list]
-    rhs = [sides(N)[1] for N in N_list]
+    lhs, rhs = (list(side) for side in zip(*sides.integrate(N_list)))
     if all(l == 0 and r == 0 for l, r in zip(lhs, rhs)):
         return ScalingFit(N_list=N_list, lhs=lhs, rhs=rhs, slope_lhs=None,
                           slope_rhs=None, crossover_N=None, identically_zero=True,

@@ -524,6 +524,26 @@ def test_hardy_and_certify_report_their_quadrature_orders(tmp_path):
     assert "quadrature_order" not in results["condition_A"]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11, 2024])
+def test_random_test_function_draws_as_rng_choice(seed):
+    # the sign is (-1.0, 1.0)[rng.integers(0, 2)]: the draw rng.choice makes
+    from minfol.cli import _random_test_function
+    from minfol.potential import make_bump
+
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    signs = set()
+    for _ in range(200):
+        bump = _random_test_function(rng, 0.1, 4.0)
+        width = oracle.uniform(0.05 * 3.9, 0.45 * 3.9)
+        center = oracle.uniform(0.1 + width, 4.0 - width)
+        amplitude = oracle.uniform(0.2, 2.0) * oracle.choice((-1.0, 1.0))
+        assert bump == make_bump(center, width, amplitude)
+        assert float(bump.amplitude).hex() == float(amplitude).hex()
+        signs.add(math.copysign(1.0, bump.amplitude))
+    assert signs == {-1.0, 1.0}
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def test_integer_is_a_number_and_max_step_is_echoed(tmp_path):
     data = _shipped("solve", solve={"u0": 0, "du0": 0}, integrator={"max_step": 1})
     cfg = validate_config(data)
@@ -754,8 +774,9 @@ class TestScaling:
         assert not (out / "scaling.csv").exists()
 
     def _count_passes(self, monkeypatch):
-        """Counts of Potential.jet calls by (order, derivatives) and of
-        tensor quadratures."""
+        """Counts of Potential.jet calls by (the rule's order, the u-rows
+        read, derivatives), and per tensor quadrature the number of N it
+        integrated."""
         from minfol import rigidity
         from minfol.potential import Potential
 
@@ -763,12 +784,13 @@ class TestScaling:
         jet, quad_2d = Potential.jet, rigidity.quad_2d
 
         def counted_jet(self, u, t, orders):
-            jets[u.shape[0], orders] += 1
+            jets[t.size, u.shape[0], orders] += 1   # t is the rule's row of nodes
             return jet(self, u, t, orders)
 
         def counted_quad(*args):
-            quads.append(args[1:])
-            return quad_2d(*args)
+            out = quad_2d(*args)
+            quads.append(len(out) // 2)   # two sides per N
+            return out
 
         monkeypatch.setattr(Potential, "jet", counted_jet)
         monkeypatch.setattr(rigidity, "quad_2d", counted_quad)
@@ -783,15 +805,60 @@ class TestScaling:
         diag = results["diagnostics"]
         assert diag == {"quadratures": 8, "integrand_evaluations": 4,
                         "highest_order": 192}
-        assert jets == {(order, (0, 1, 3)): 1 for order in (24, 48, 96, 192)}
+        # the potential is even in u: each jet reads half the order's rows
+        assert jets == {(order, order // 2, (0, 1, 3)): 1 for order in (24, 48, 96, 192)}
         # N = 1, 2 (the crossover), the list and the pair: N = 1 once, though
         # both the crossover search and the discriminant read it
         assert results["crossover_N"] == 2
-        assert len(quads) == diag["quadratures"] == len({1, 2, 4, 8, 16, 32, 64, 128})
+        assert sum(quads) == diag["quadratures"] == len({1, 2, 4, 8, 16, 32, 64, 128})
+        # one tensor quadrature each for the list, N = 1, N = 2 and the pair;
+        # the crossover margins read N = 1 and 2 again without one
+        assert quads == [4, 1, 1, 2]
+        assert [m["N"] for m in results["crossover_margins"]] == [1, 2]
         timing = open(os.path.join(out, "timing.txt")).read()
         assert [line.split("=")[0] for line in timing.splitlines()] == [
             "wall_clock_seconds", "fit_seconds", "convergence_seconds",
             "discriminant_seconds"]
+
+    def test_crossover_margins_read_the_fit_sides(self, tmp_path):
+        from minfol.config import build_potential
+        from minfol.rigidity import rescaled_inequality_sides
+
+        cfg = load_config(self.SHIPPED)
+        _, report = run_command(cfg, str(tmp_path / "out"))
+        w = build_potential(cfg)
+        expected = []
+        for N in (1, 2):
+            lhs, rhs = rescaled_inequality_sides(w, N, 1e-12)
+            expected.append({"N": N, "margin": (rhs - lhs) / rhs})
+        margins = report["results"]["crossover_margins"]
+        assert margins == expected
+        assert margins[0]["margin"] > 0 > margins[1]["margin"]
+
+    @pytest.mark.parametrize("case", ["zero", "crossover-1", "no-crossover"])
+    def test_crossover_margins_are_null_without_a_holding_N(self, tmp_path, monkeypatch,
+                                                            case):
+        from minfol import rigidity
+
+        data = json.load(open(self.SHIPPED))
+        if case == "zero":
+            data["potential"] = {"kind": "zero"}
+        elif case == "crossover-1":   # catalog.narrow_bump: fails at N = 1
+            data["potential"]["f"] = {"center": 0.0, "width": 0.4, "amplitude": -1.5}
+            data["potential"]["g"] = {"center": 2.0, "width": 1.0, "amplitude": 1.0}
+        else:   # _wide_shell of test_rigidity holds to N = 20; stop the search at 16
+            data["potential"]["f"] = {"center": 0.0, "width": 2.0, "amplitude": 0.2}
+            data["potential"]["g"] = {"center": 2.0, "width": 0.1, "amplitude": 0.1}
+            data["scaling"]["N_list"] = [2, 4, 8]
+            monkeypatch.setattr(rigidity, "_MAX_SEARCH_N", 16)
+        out = str(tmp_path / "out")
+        # a fit without a crossover is not a confirmed scaling law
+        assert main(["--config", _write(tmp_path, data), "--out", out]) == \
+            {"zero": 1, "crossover-1": 0, "no-crossover": 1}[case]
+        results = _validate_report(out)["results"]
+        assert results["crossover_N"] == {"zero": None, "crossover-1": 1,
+                                          "no-crossover": None}[case]
+        assert results["crossover_margins"] is None
 
     def test_runs_share_no_passes(self, tmp_path, monkeypatch):
         jets, quads = self._count_passes(monkeypatch)
@@ -800,6 +867,6 @@ class TestScaling:
         first = dict(jets)
         run_command(cfg, str(tmp_path / "b"))
         assert jets == {key: 2 * n for key, n in first.items()}
-        assert len(quads) == 16
+        assert len(quads) == 8 and sum(quads) == 16
         for f in ("report.json", "scaling.csv"):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()

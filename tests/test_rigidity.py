@@ -9,13 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minfol import catalog
-from minfol.errors import IntegrationFailureError, InvalidParameterError
+from minfol.errors import IntegrationFailureError, InvalidParameterError, MinfolError
 from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import (IntegratorConfig, PhaseState, _sample_grid, hamiltonian_value,
                             integrate_hamiltonian, integrate_legs)
-from minfol.potential import Potential, make_bump, product_potential, to_log_form
+from minfol.potential import (Potential, example_446_potential, make_bump, product_potential,
+                              rescale_log_potential, scale_potential, to_log_form,
+                              zero_potential)
 from minfol.quadrature import quad_2d
 from minfol.rigidity import (ConjugateFinding, RescaledSides, conjugate_point_scan,
                              discriminant_inequality_check, rescaled_inequality_sides,
@@ -79,6 +83,15 @@ def _one_shot_sides(w, N, quad_tol=1e-12):
 
     lhs, rhs = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper, quad_tol)
     return max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0)
+
+
+def _hex(sides):
+    return [float(x).hex() for x in sides]
+
+
+def _off_centre(center):
+    """The scaling bump with f centred at u = center: not even in u."""
+    return product_potential(make_bump(center, 1.0, 0.2), make_bump(2.0, 0.8, 0.1))
 
 
 def _wide_shell():
@@ -462,28 +475,89 @@ class TestScaling:
         # one jet of W, W_u and W_t per quadrature order
         assert calls == {("jet", (0, 1, 3)): 4}
 
-    @pytest.mark.parametrize("name", ["scaling_log", "wide_shell"])
+    @pytest.mark.parametrize("name", ["scaling_log", "wide_shell", "off_centre", "scaled",
+                                      "rescaled"])
     def test_evaluator_equals_one_shot_quadratures(self, scaling_log, name):
-        w = scaling_log if name == "scaling_log" else _wide_shell()
+        # f centred at 0.3 converges only at quad_tol 1e-10 (its box is wider
+        # than its support); the rescaled case is off-centre too
+        quad_tol = 1e-10 if name == "off_centre" else 1e-12
+        w = {"scaling_log": lambda: scaling_log, "wide_shell": _wide_shell,
+             "off_centre": lambda: _off_centre(0.3),
+             "scaled": lambda: scale_potential(scaling_log, -2.5),
+             "rescaled": lambda: rescale_log_potential(_off_centre(0.2), 2)}[name]()
         Ns = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128]
-        shared, backwards = RescaledSides(w), RescaledSides(w)
+        shared, backwards = RescaledSides(w, quad_tol), RescaledSides(w, quad_tol)
+        batch = RescaledSides(w, quad_tol).integrate(Ns)
         for N in reversed(Ns):
             backwards(N)
-        for N in Ns:
-            one_shot = _one_shot_sides(w, N)
+        for N, together in zip(Ns, batch):
+            one_shot = _one_shot_sides(w, N, quad_tol)
             assert shared(N) == one_shot
             assert backwards(N) == one_shot
-            assert rescaled_inequality_sides(w, N) == one_shot
+            assert together == one_shot
+            assert rescaled_inequality_sides(w, N, quad_tol) == one_shot
         assert shared.diagnostics == backwards.diagnostics
         assert shared.diagnostics["quadratures"] == len(Ns)
-        assert shared.discriminant() == discriminant_inequality_check(w)
+        assert shared.discriminant() == discriminant_inequality_check(w, quad_tol)
 
-    def test_evaluator_passes_once_per_order(self, scaling_log, monkeypatch):
-        orders = collections.Counter()
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(center=st.sampled_from([0.0, 0.1, -0.25]) | st.floats(-0.4, 0.4),
+           width=st.floats(0.6, 1.4), amplitude=st.floats(-0.4, 0.4),
+           g_center=st.floats(1.8, 2.4), g_width=st.floats(0.3, 1.0),
+           lam=st.sampled_from([1.0, -1.5, 3.0]), n_scale=st.sampled_from([1, 2, 3]))
+    def test_sides_equal_one_shot_bits(self, center, width, amplitude, g_center, g_width,
+                                       lam, n_scale):
+        w = scale_potential(product_potential(make_bump(center, width, amplitude),
+                                              make_bump(g_center, g_width, 0.1)), lam)
+        if n_scale > 1:
+            w = rescale_log_potential(w, n_scale)
+        Ns = [1, 2, 3, 5, 8, 64]
+        first_error = None
+        for N in Ns:
+            try:
+                one_shot = _one_shot_sides(w, N)
+            except MinfolError as exc:
+                first_error = first_error or exc
+                with pytest.raises(type(exc)):
+                    RescaledSides(w)(N)
+                continue
+            assert _hex(RescaledSides(w)(N)) == _hex(one_shot)
+        if first_error is None:
+            assert list(map(_hex, RescaledSides(w).integrate(Ns))) == \
+                [_hex(_one_shot_sides(w, N)) for N in Ns]
+        else:
+            with pytest.raises(type(first_error)):
+                RescaledSides(w).integrate(Ns)
+
+    # an example-4.4.6 potential takes the full grid, even where it is even
+    @pytest.mark.parametrize("name, even", [("scaling_log", True), ("zero", True),
+                                            ("off_centre", False), ("rescaled", False),
+                                            ("example446", False)])
+    def test_jet_reads_half_the_rows_of_an_even_potential(self, scaling_log, monkeypatch,
+                                                          name, even):
+        w = {"scaling_log": scaling_log, "zero": zero_potential(),
+             "off_centre": _off_centre(0.3),
+             "rescaled": rescale_log_potential(_off_centre(0.2), 2),
+             "example446": example_446_potential(*catalog.example_pair())}[name]
+        assert w.even_in_u is even
+        rows = {}
         jet = Potential.jet
 
         def counted(self, u, t, which):
-            orders[u.shape[0], which] += 1
+            rows[t.size] = u.shape[0]
+            return jet(self, u, t, which)
+
+        monkeypatch.setattr(Potential, "jet", counted)
+        RescaledSides(w, 1e-10)(4)
+        assert rows and rows == {order: order // 2 if even else order for order in rows}
+
+    def test_evaluator_passes_once_per_order(self, scaling_log, monkeypatch):
+        orders, rows = collections.Counter(), {}
+        jet = Potential.jet
+
+        def counted(self, u, t, which):
+            orders[t.size, which] += 1   # t is the rule's row of nodes
+            rows[t.size] = u.shape[0]
             return jet(self, u, t, which)
 
         monkeypatch.setattr(Potential, "jet", counted)
@@ -491,6 +565,8 @@ class TestScaling:
         for N in (1, 8, 1, 64, 8):
             sides(N)
         assert set(orders.values()) == {1}
+        # the potential is even in u: half the rows of each order
+        assert rows == {order: order // 2 for order, _ in orders}
         assert sides.diagnostics == {
             "quadratures": 3, "integrand_evaluations": len(orders),
             "highest_order": max(order for order, _ in orders)}
