@@ -144,7 +144,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
     cross = fit.crossover_N
     margins = None if cross in (None, 1) else [
         {"N": N, "margin": (rhs - lhs) / rhs}
-        for N, (lhs, rhs) in zip((cross - 1, cross), fit.sides.integrate([cross - 1, cross]))]
+        for N, (lhs, rhs) in zip((cross - 1, cross), (fit.sides(cross - 1), fit.sides(cross)))]
     results = {"N_list": fit.N_list, "lhs": fit.lhs, "rhs": fit.rhs,
                "slope_lhs": fit.slope_lhs, "slope_rhs": fit.slope_rhs,
                "crossover_N": cross, "crossover_margins": margins,
@@ -155,7 +155,7 @@ def _run_scaling(cfg: ExperimentConfig, out_dir: str, timing: dict):
         results["diagnostics"] = fit.sides.diagnostics
         return 1, results, "identically-zero"
     n_lo, n_hi = p["convergence_pair"]
-    lo, hi = fit.sides.integrate([n_lo, n_hi])
+    lo, hi = fit.sides(n_lo), fit.sides(n_hi)
     t2 = time.perf_counter()
     disc = fit.sides.discriminant()
     timing.update(convergence_seconds=t2 - t1,

@@ -4,7 +4,7 @@ Every integral in the package is computed here: a 1-D rule on an interval,
 or on a batch of intervals, and a tensor rule on a rectangle, all of
 vectorized integrands. The order rises through `ORDERS` until an estimate
 agrees with the one of the order before (Davis & Rabinowitz, Methods of
-Numerical Integration, 1984). An integrand returns (or yields) arrays, one
+Numerical Integration, 1984). An integrand returns a tuple of arrays, one
 per integral, so integrals that share their expensive parts share one
 evaluation per order; each integral keeps its own convergence test and
 reports the order it was accepted at. The nodes of each order are computed
@@ -97,11 +97,9 @@ def quad_1d(f, a, b) -> Integrals:
 def quad_2d(f, u_lo: float, u_hi: float, t_lo: float, t_hi: float,
             tol: float) -> Integrals:
     """Integrals over [u_lo, u_hi] x [t_lo, t_hi] of the components of
-    f(v, t), an iterable of arrays, by the tensor rule. An array f returns
-    may be reused by its next call (`rigidity.RescaledSides` writes into one
-    workspace per order), so each is reduced before f is called again; when
-    f is a generator, each yielded array is reduced before it resumes, so
-    it may overwrite the arrays it yielded before."""
+    f(v, t), a tuple of arrays, by the tensor rule. An array f returns may
+    be reused by its next call (`rigidity.RescaledSides` writes into one
+    workspace per order), so each is reduced before f is called again."""
     scale = 0.25 * (u_hi - u_lo) * (t_hi - t_lo)
 
     def rule(order):

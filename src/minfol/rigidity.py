@@ -189,8 +189,8 @@ def _sides_workspace(order: int) -> tuple[np.ndarray, np.ndarray]:
     `RescaledSides` (the second holds the Gibbs factor until the RHS
     integrand overwrites it), allocated on first use and kept for the life
     of the thread, so no integrand call allocates an order-sized array.
-    Each N's integrands overwrite the ones before: this relies on `quad_2d`
-    reducing every yielded component before the integrand resumes."""
+    Each call overwrites the arrays the one before returned: this relies on
+    `quad_2d` reducing every returned component before its next call."""
     cache = vars(_WORKSPACES)
     if order not in cache:
         cache[order] = tuple(np.empty((order, order)) for _ in range(2))
@@ -221,12 +221,7 @@ class RescaledSides:
     reduced array is the one a full-grid pass writes: the bump argument
     (N u - 0)/w_f negates exactly, so W and W_t are even and W_u is odd to
     the last bit, and exp(a / N^2) * g * g and exp(a / N^2) * h * h are
-    even. Any other potential takes the full grid.
-
-    `integrate(Ns)` integrates every N not integrated before in one
-    `quad_2d`: the integrand yields the two arrays of each N in turn from
-    the one workspace pair, and each N is accepted at its own order, with
-    the bits of a quadrature of its own. `__call__(N)` is `integrate([N])`."""
+    even. Any other potential takes the full grid."""
 
     def __init__(self, w: Potential, quad_tol: float = 1e-12):
         self.w, self.quad_tol = w, quad_tol
@@ -245,36 +240,30 @@ class RescaledSides:
             self._fields[order] = (-W * e2, e2 * W_u, e2 * (2.0 * W + W_t))
         return self._fields[order]
 
-    def integrate(self, Ns) -> list[tuple[float, float]]:
-        """(LHS_N, RHS_N) for each N in Ns, the new ones from one quadrature."""
-        if any(N < 1 for N in Ns):
+    def __call__(self, N: int) -> tuple[float, float]:
+        if N < 1:
             raise InvalidParameterError("N must be >= 1")
-        new = list(dict.fromkeys(N for N in Ns if N not in self._sides))
-        if new:
+        if N not in self._sides:
+            n2 = float(N) ** 2
+
             def sides_f(v, t):   # one order's nodes, as a column v and a row t
                 a, g, h = self._fields_at(v, t)
                 rows, order = len(a), len(v)
                 lhs, rhs = _sides_workspace(order)
                 top_lhs, top_rhs = lhs[:rows], rhs[:rows]
-                for N in new:
-                    gibbs = np.exp(np.divide(a, float(N) ** 2, out=top_rhs), out=top_rhs)
-                    np.multiply(np.multiply(gibbs, g, out=top_lhs), g, out=top_lhs)
-                    np.multiply(np.multiply(gibbs, h, out=top_rhs), h, out=top_rhs)
-                    if rows < order:   # the mirrored rows, last first
-                        lhs[rows:] = lhs[order - rows - 1::-1]
-                        rhs[rows:] = rhs[order - rows - 1::-1]
-                    yield lhs
-                    yield rhs
+                gibbs = np.exp(np.divide(a, n2, out=top_rhs), out=top_rhs)
+                np.multiply(np.multiply(gibbs, g, out=top_lhs), g, out=top_lhs)
+                np.multiply(np.multiply(gibbs, h, out=top_rhs), h, out=top_rhs)
+                if rows < order:   # the mirrored rows, last first
+                    lhs[rows:] = lhs[order - rows - 1::-1]
+                    rhs[rows:] = rhs[order - rows - 1::-1]
+                return lhs, rhs
 
             w = self.w
-            vals = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper,
-                           self.quad_tol)
-            for N, lhs, rhs in zip(new, vals[::2], vals[1::2]):
-                self._sides[N] = (max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0))
-        return [self._sides[N] for N in Ns]
-
-    def __call__(self, N: int) -> tuple[float, float]:
-        return self.integrate([N])[0]
+            lhs, rhs = quad_2d(sides_f, -w.u_bound, w.u_bound, w.t_lower, w.t_upper,
+                               self.quad_tol)
+            self._sides[N] = (max(4.0 / N**3 * lhs, 0.0), max(1.0 / N**5 * rhs, 0.0))
+        return self._sides[N]
 
     def discriminant(self) -> tuple[float, float, bool]:
         """The N = 1 inequality with the Gaussian p-integral sqrt(2 pi)
@@ -310,19 +299,18 @@ def scaling_exponent_fit(w: Potential, N_list,
     """Log-log slopes of both sides against N, and the first N >= 1 at which
     the inequality fails.
 
-    The listed N are integrated in one quadrature (`RescaledSides.integrate`),
-    the N the crossover search reads one at a time. Every integer below the
-    first failing listed N is tried. When no listed N fails, N doubles past
-    the list until the inequality fails, and the crossover is bisected
-    between the last holding and the first failing N. A search that reaches
-    _MAX_SEARCH_N without a failure gives None."""
+    Every integer below the first failing listed N is tried. When no listed
+    N fails, N doubles past the list until the inequality fails, and the
+    crossover is bisected between the last holding and the first failing N.
+    A search that reaches _MAX_SEARCH_N without a failure gives None."""
     if not all(float(N).is_integer() for N in N_list):
         raise InvalidParameterError("N values must be integers, got %r" % (list(N_list),))
     N_list = [int(N) for N in N_list]
     if len(N_list) < 3 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing N values")
     sides = RescaledSides(w, quad_tol)
-    lhs, rhs = (list(side) for side in zip(*sides.integrate(N_list)))
+    lhs = [sides(N)[0] for N in N_list]
+    rhs = [sides(N)[1] for N in N_list]
     if all(l == 0 and r == 0 for l, r in zip(lhs, rhs)):
         return ScalingFit(N_list=N_list, lhs=lhs, rhs=rhs, slope_lhs=None,
                           slope_rhs=None, crossover_N=None, identically_zero=True,
