@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, MinfolError
 from .odeflow import Trajectory
-from .potential import BumpFunction, Potential, _profile, u_bound_function
+from .potential import BumpFunction, Potential, _profile, _scaled, u_bound_function
 from .quadrature import Integrals, quad_1d
 
 
@@ -149,10 +149,7 @@ def _bump_columns(x, center, width, amplitude, orders):
     """The derivatives of the orders asked for of bumps at x, one bump per row
     of x and of the columns center, width and amplitude, with the ufuncs of
     `BumpFunction.jet` in its order."""
-    d = _profile((x - center) / width, orders)
-    for k, n in enumerate(orders):
-        d[k] = amplitude * d[k] / width ** n
-    return d
+    return _scaled(_profile((x - center) / width, orders), orders, amplitude, width)
 
 
 @dataclass

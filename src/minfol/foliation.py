@@ -14,7 +14,7 @@ from .errors import (InapplicableError, IntegrationFailureError,
 from .odeflow import (_STRIP_STEPS, IntegratorConfig, Trajectory, _dop853_batch,
                       _trajectories, stepper_work)
 from .odeflow import integrate_radial_ivp  # noqa: F401  (perfbench traces this name)
-from .potential import BumpFunction, Potential, _profile, example_446_potential
+from .potential import BumpFunction, Potential, _profile, _scaled, example_446_potential
 
 GRID_POINTS = 512
 # the leaves of example 4.4.6
@@ -157,7 +157,7 @@ class ExampleReport:
 def _first_order_rhs(phi, psi):
     """du/dt = phi'(u) psi(t) on a (1, cell) array: one profile pass over both
     bumps' arguments, written as [u ; t] into one array, scaled as
-    BumpFunction.jet scales (x / 1.0 is exact)."""
+    BumpFunction.jet scales."""
     center, width = (np.array([[getattr(b, k)] for b in (phi, psi)]) for k in ("center", "width"))
 
     def rhs(t, y):
@@ -166,7 +166,8 @@ def _first_order_rhs(phi, psi):
         x -= center
         x /= width
         g, dg = _profile(x, (0, 1))
-        return (phi.amplitude * dg[0] / phi.width * (psi.amplitude * g[1]))[None]
+        dphi = _scaled([dg[0]], (1,), phi.amplitude, phi.width)[0]
+        return (dphi * _scaled([g[1]], (0,), psi.amplitude, psi.width)[0])[None]
     return rhs
 
 

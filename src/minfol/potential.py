@@ -85,6 +85,16 @@ def _profile_inside(s, orders):
     return list(map(d.__getitem__, orders))
 
 
+def _scaled(out, orders, amplitude, width):
+    """The profile's derivatives out, one per order, as a bump's: amplitude * d
+    / width^n, in place; both numbers, or both arrays of one bump per row."""
+    column = isinstance(width, np.ndarray)
+    for k, n in enumerate(orders):   # 1.0 * x and x / 1.0 are exact: skipped
+        d, wn = out[k] if not column and amplitude == 1.0 else amplitude * out[k], width ** n
+        out[k] = d if not column and wn == 1.0 else d / wn
+    return out
+
+
 def _bump_view(n: int):
     def view(self, x):
         return self.jet(x, (n,))[0]
@@ -111,16 +121,7 @@ class BumpFunction:
         """The derivatives of the orders asked for (each 0..3) at x, one per
         order, vectorized, from one profile pass."""
         s = (np.asarray(x, dtype=float) - self.center) / self.width
-        return self._scaled(_profile(s, orders), orders)
-
-    def _scaled(self, out, orders):
-        """The profile's derivatives out, one per order, as this bump's:
-        a d / w^n, in place."""
-        a, w = self.amplitude, self.width
-        for k, n in enumerate(orders):   # 1.0 * x and x / 1.0 are exact: skipped
-            d, wn = out[k] if a == 1.0 else a * out[k], w ** n
-            out[k] = d if wn == 1.0 else d / wn
-        return out
+        return _scaled(_profile(s, orders), orders, self.amplitude, self.width)
 
     value, derivative, second_derivative, third_derivative = map(_bump_view, range(4))
     __call__ = value
@@ -173,12 +174,6 @@ class Potential:
     w, dw_du, d2w_duu, dw_dt = map(_potential_view, range(4))
 
     @property
-    def even_in_u(self) -> bool:
-        """Whether W(-u, t) = W(u, t) to the last bit, read from the
-        parameters; False when they do not show it."""
-        return False
-
-    @property
     def k_curvature(self) -> float:
         """The curvature constant K of the Riccati estimates: k_constant."""
         return k_constant(self)
@@ -192,11 +187,12 @@ class ProductPotential(Potential):
     g: Optional[BumpFunction]
     lam: float
 
-    @property
-    def even_in_u(self) -> bool:
-        """f is centred at u = 0, or there is none: s = (N u - 0)/w_f negates
-        exactly, so W and W_t are even in u and W_u odd, to the last bit."""
-        return self.f is None or self.f.center == 0.0
+    def centred_in_u(self) -> ProductPotential:
+        """W translated in u so that f is centred at u = 0, on f's support
+        |u| < w_f / N; the potential itself when f is centred or absent."""
+        if self.f is None or self.f.center == 0.0:
+            return self
+        return replace(self, f=replace(self.f, center=0.0), u_bound=self.f.width / self.n_scale)
 
     def _evaluate(self, u, t, orders):
         """Every element takes the ufuncs of f.jet(u) and g.jet(e^t) in their
@@ -212,8 +208,8 @@ class ProductPotential(Potential):
             x[0], r = u, np.exp(t, out=x[1])
             center, width = self._columns
             d = _profile((x - center) / width, du + dr)
-            F = f._scaled([dk[0] for dk in d[:len(du)]], du)
-            G = g._scaled([dk[1] for dk in d[len(du):]], dr)
+            F = _scaled([dk[0] for dk in d[:len(du)]], du, f.amplitude, f.width)
+            G = _scaled([dk[1] for dk in d[len(du):]], dr, g.amplitude, g.width)
         else:
             r = np.exp(np.asarray(t, float))
             F, G = f.jet(u, du), g.jet(r, dr)
@@ -246,6 +242,14 @@ class Example446Potential(Potential):
     phi: BumpFunction
     psi: BumpFunction
     psi_power: int
+
+    def centred_in_u(self) -> Example446Potential:
+        """W translated in u so that phi is centred at u = 0, on phi's support
+        |u| < w_phi / N; the potential itself when phi is centred."""
+        if self.phi.center == 0.0:
+            return self
+        return replace(self, phi=replace(self.phi, center=0.0),
+                       u_bound=self.phi.width / self.n_scale)
 
     def _evaluate(self, u, t, orders):
         t = np.asarray(t, float)

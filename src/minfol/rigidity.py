@@ -213,30 +213,28 @@ class RescaledSides:
     shares and which outlives the fit. The operations run in the order of
     exp(a / N^2) * g * g, so every bit is that of fresh arrays.
 
-    Half grid: when W is even in u (`Potential.even_in_u`) and the rule's
-    u-nodes mirror exactly (v[::-1] == -v, as they do on the symmetric box
-    [-u_bound, u_bound]), the jet, the N-free arrays and each N's integrands
-    are computed on the first (order + 1) // 2 rows only, and the other rows
-    are copied from them, reversed, before `quad_2d` reduces the array. The
-    reduced array is the one a full-grid pass writes: the bump argument
-    (N u - 0)/w_f negates exactly, so W and W_t are even and W_u is odd to
-    the last bit, and exp(a / N^2) * g * g and exp(a / N^2) * h * h are
-    even. Any other potential takes the full grid."""
+    Half grid: the sides are integrals over u, which a translation in u does
+    not change, so the evaluator integrates the potential's u-centred
+    translate (`centred_in_u`) over the box |u| < u_bound of its u-factor's
+    support. The rule's u-nodes on that box mirror exactly (v[::-1] == -v)
+    and the bump argument (N u - 0)/w negates exactly, so W and W_t are even
+    and W_u odd to the last bit. The jet, the N-free arrays and each N's
+    integrands are therefore computed on the first (order + 1) // 2 rows, and
+    the other rows are copied from them, reversed, before `quad_2d` reduces
+    the array: the reduced array is the one a full-grid pass writes."""
 
     def __init__(self, w: Potential, quad_tol: float = 1e-12):
-        self.w, self.quad_tol = w, quad_tol
+        self.w, self.quad_tol = w.centred_in_u(), quad_tol
         self._fields = {}   # quadrature order -> (a, g, h) on the rows computed
         self._sides = {}    # N -> (LHS_N, RHS_N)
 
     def _fields_at(self, v, t):
-        """The N-free arrays of the order of the column v and the row t: on
-        its first (order + 1) // 2 rows when the half grid applies."""
+        """The N-free arrays of the order of the column v and the row t, on
+        its first (order + 1) // 2 rows."""
         order = len(v)
         if order not in self._fields:
-            if self.w.even_in_u and np.array_equal(v[::-1], -v):
-                v = v[:(order + 1) // 2]
             e2 = np.exp(2.0 * t)
-            W, W_u, W_t = self.w.jet(v, t, (0, 1, 3))
+            W, W_u, W_t = self.w.jet(v[:(order + 1) // 2], t, (0, 1, 3))
             self._fields[order] = (-W * e2, e2 * W_u, e2 * (2.0 * W + W_t))
         return self._fields[order]
 
@@ -254,9 +252,8 @@ class RescaledSides:
                 gibbs = np.exp(np.divide(a, n2, out=top_rhs), out=top_rhs)
                 np.multiply(np.multiply(gibbs, g, out=top_lhs), g, out=top_lhs)
                 np.multiply(np.multiply(gibbs, h, out=top_rhs), h, out=top_rhs)
-                if rows < order:   # the mirrored rows, last first
-                    lhs[rows:] = lhs[order - rows - 1::-1]
-                    rhs[rows:] = rhs[order - rows - 1::-1]
+                lhs[rows:] = lhs[order - rows - 1::-1]   # the mirrored rows, last first
+                rhs[rows:] = rhs[order - rows - 1::-1]
                 return lhs, rhs
 
             w = self.w

@@ -128,6 +128,26 @@ class TestLogForm:
             assert w.dw_du(u, t) == pytest.approx(f.derivative(u) * g.value(r))
         assert w.t_upper == pytest.approx(math.log(weak_pot.r_outer))
 
+    @pytest.mark.parametrize("family", ["product", "example446"])
+    @pytest.mark.parametrize("n_scale", [1, 3])
+    def test_centred_in_u_is_a_translate_on_its_support(self, family, n_scale):
+        def built(c):
+            if family == "product":
+                return product_potential(make_bump(c, 0.7, 0.3), make_bump(2.0, 0.8, 0.1))
+            return example_446_potential(make_bump(c, 0.7, 1.0), make_bump(0.5, 0.5, 1.0))
+        w = rescale_log_potential(built(-0.4), n_scale)
+        centred = w.centred_in_u()
+        # the same bump built centred, to the last bit; W(u + c/N, t) elsewhere
+        assert centred == rescale_log_potential(built(0.0), n_scale)
+        assert centred.u_bound == 0.7 / n_scale
+        u = np.linspace(-1.2, 1.2, 41) / n_scale
+        t = np.linspace(w.t_lower, w.t_upper, 41)
+        for k, (a, b) in enumerate(zip(centred.jet(u, t, (0, 1, 2, 3)),
+                                       w.jet(u - 0.4 / n_scale, t, (0, 1, 2, 3)))):
+            assert np.allclose(a, b, rtol=1e-9, atol=1e-12 * n_scale ** k), k
+        for already in (built(0.0), zero_potential(), rescale_log_potential(built(0.0), 2)):
+            assert already.centred_in_u() is already
+
     def test_k_constant_dominates_curvature(self, weak_log):
         K = weak_log.k_curvature
         rng = np.random.default_rng(0)

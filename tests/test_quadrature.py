@@ -26,6 +26,13 @@ class TestGaussLegendre:
             x[0] = 0.0
         assert w.sum() == pytest.approx(2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_nodes_mirror_exactly(self, order):
+        # rigidity.RescaledSides computes half the rows of an even integrand
+        # and copies the others from them, reversed
+        x, w = gauss_legendre(order)
+        assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+
 
 class TestQuad1D:
     def test_polynomial_is_exact_at_the_first_orders(self):

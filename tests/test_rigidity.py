@@ -90,7 +90,7 @@ def _hex(sides):
 
 
 def _off_centre(center):
-    """The scaling bump with f centred at u = center: not even in u."""
+    """The scaling bump with f centred at u = center."""
     return product_potential(make_bump(center, 1.0, 0.2), make_bump(2.0, 0.8, 0.1))
 
 
@@ -455,48 +455,44 @@ class TestScaling:
         l, r = rescaled_inequality_sides(w, N - 1)
         assert l <= r
 
-    def test_one_field_pass_per_order(self):
+    def test_one_field_pass_per_order(self, monkeypatch):
         w = catalog.scaling_bump()
+        expected = rescaled_inequality_sides(w, 8)
         calls = collections.Counter()
+        jet = Potential.jet
 
-        class Counting:
-            def __getattr__(self, name):
-                attr = getattr(w, name)
-                if name not in ("w", "dw_du", "dw_dt", "jet"):
-                    return attr
+        def counted(self, u, t, which):   # the views w, dw_du, dw_dt call it too
+            calls[which] += 1
+            return jet(self, u, t, which)
 
-                def counted(*args):
-                    calls[name, *args[2:]] += 1
-                    return attr(*args)
-                return counted
-
-        assert rescaled_inequality_sides(Counting(), 8) == \
-            rescaled_inequality_sides(w, 8)
+        monkeypatch.setattr(Potential, "jet", counted)
+        assert rescaled_inequality_sides(w, 8) == expected
         # one jet of W, W_u and W_t per quadrature order
-        assert calls == {("jet", (0, 1, 3)): 4}
+        assert calls == {(0, 1, 3): 4}
 
     @pytest.mark.parametrize("name", ["scaling_log", "wide_shell", "off_centre", "scaled",
                                       "rescaled"])
     def test_evaluator_equals_one_shot_quadratures(self, scaling_log, name):
-        # f centred at 0.3 converges only at quad_tol 1e-10 (its box is wider
-        # than its support); the rescaled case is off-centre too
-        quad_tol = 1e-10 if name == "off_centre" else 1e-12
-        w = {"scaling_log": lambda: scaling_log, "wide_shell": _wide_shell,
-             "off_centre": lambda: _off_centre(0.3),
-             "scaled": lambda: scale_potential(scaling_log, -2.5),
-             "rescaled": lambda: rescale_log_potential(_off_centre(0.2), 2)}[name]()
+        # the rescaled case is off-centre too; an off-centre potential has the
+        # bits of the same bump built centred, the one-shot rule's on its twin
+        w, twin = {"scaling_log": lambda: [scaling_log] * 2,
+                   "wide_shell": lambda: [_wide_shell()] * 2,
+                   "off_centre": lambda: (_off_centre(0.3), _off_centre(0.0)),
+                   "scaled": lambda: [scale_potential(scaling_log, -2.5)] * 2,
+                   "rescaled": lambda: [rescale_log_potential(_off_centre(c), 2)
+                                        for c in (0.2, 0.0)]}[name]()
         Ns = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128]
-        shared, backwards = RescaledSides(w, quad_tol), RescaledSides(w, quad_tol)
+        shared, backwards = RescaledSides(w), RescaledSides(w)
         for N in reversed(Ns):
             backwards(N)
         for N in Ns:
-            one_shot = _one_shot_sides(w, N, quad_tol)
-            assert shared(N) == one_shot
-            assert backwards(N) == one_shot
-            assert rescaled_inequality_sides(w, N, quad_tol) == one_shot
+            one_shot = _hex(_one_shot_sides(twin, N))
+            assert _hex(shared(N)) == one_shot
+            assert _hex(backwards(N)) == one_shot
+            assert _hex(rescaled_inequality_sides(w, N)) == one_shot
         assert shared.diagnostics == backwards.diagnostics
         assert shared.diagnostics["quadratures"] == len(Ns)
-        assert shared.discriminant() == discriminant_inequality_check(w, quad_tol)
+        assert shared.discriminant() == discriminant_inequality_check(w)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(center=st.sampled_from([0.0, 0.1, -0.25]) | st.floats(-0.4, 0.4),
@@ -505,14 +501,16 @@ class TestScaling:
            lam=st.sampled_from([1.0, -1.5, 3.0]), n_scale=st.sampled_from([1, 2, 3]))
     def test_sides_equal_one_shot_bits(self, center, width, amplitude, g_center, g_width,
                                        lam, n_scale):
-        w = scale_potential(product_potential(make_bump(center, width, amplitude),
-                                              make_bump(g_center, g_width, 0.1)), lam)
-        if n_scale > 1:
-            w = rescale_log_potential(w, n_scale)
+        def built(c):   # the drawn potential with f centred at u = c
+            w = scale_potential(product_potential(make_bump(c, width, amplitude),
+                                                  make_bump(g_center, g_width, 0.1)), lam)
+            return rescale_log_potential(w, n_scale) if n_scale > 1 else w
+
+        w, twin = built(center), built(0.0)
         shared = RescaledSides(w)   # reads the N-free arrays of the N before
         for N in [1, 2, 3, 5, 8, 64]:
             try:
-                one_shot = _one_shot_sides(w, N)
+                one_shot = _one_shot_sides(twin, N)
             except MinfolError as exc:
                 for sides in (RescaledSides(w), shared):
                     with pytest.raises(type(exc)):
@@ -521,17 +519,21 @@ class TestScaling:
             assert _hex(RescaledSides(w)(N)) == _hex(one_shot)
             assert _hex(shared(N)) == _hex(one_shot)
 
-    # an example-4.4.6 potential takes the full grid, even where it is even
-    @pytest.mark.parametrize("name, even", [("scaling_log", True), ("zero", True),
-                                            ("off_centre", False), ("rescaled", False),
-                                            ("example446", False)])
+    # centred: the translate the evaluator integrates is the potential itself
+    @pytest.mark.parametrize("name, centred", [("scaling_log", True), ("zero", True),
+                                               ("off_centre", False), ("rescaled", False),
+                                               ("example446", False),
+                                               ("example446_centred", True)])
     def test_jet_reads_half_the_rows_of_an_even_potential(self, scaling_log, monkeypatch,
-                                                          name, even):
+                                                          name, centred):
+        phi, psi = catalog.example_pair()
         w = {"scaling_log": scaling_log, "zero": zero_potential(),
              "off_centre": _off_centre(0.3),
              "rescaled": rescale_log_potential(_off_centre(0.2), 2),
-             "example446": example_446_potential(*catalog.example_pair())}[name]
-        assert w.even_in_u is even
+             "example446": example_446_potential(replace(phi, center=-0.3), psi),
+             "example446_centred": example_446_potential(phi, psi)}[name]
+        sides = RescaledSides(w)
+        assert (sides.w is w) is centred
         rows = {}
         jet = Potential.jet
 
@@ -540,8 +542,43 @@ class TestScaling:
             return jet(self, u, t, which)
 
         monkeypatch.setattr(Potential, "jet", counted)
-        RescaledSides(w, 1e-10)(4)
-        assert rows and rows == {order: order // 2 if even else order for order in rows}
+        sides(4)
+        # every potential is read on half the rows of each order
+        assert rows and rows == {order: order // 2 for order in rows}
+
+    @pytest.mark.parametrize("center", [0.25, 0.3, 0.5, 1.5, -0.7])
+    def test_off_centre_sides_match_the_reference(self, center):
+        # on the symmetric box |u| < |c| + w these did not converge at 1e-12:
+        # one end of f's support lay inside it
+        ref = _load_reference()
+        Ns = [2 ** k for k in range(8)]
+        sides, twin = RescaledSides(_off_centre(center)), RescaledSides(_off_centre(0.0))
+        oracle = ref.rescaled_sides(ref.ProductPotential(ref.Bump(center, 1.0, 0.2),
+                                                         ref.Bump(2.0, 0.8, 0.1)), Ns, panels=64)
+        for N in Ns:
+            assert _hex(sides(N)) == _hex(twin(N))
+            assert sides(N) == pytest.approx(oracle[N], rel=1e-12, abs=0.0)
+        assert sides.diagnostics == {"quadratures": 8, "integrand_evaluations": 4,
+                                     "highest_order": 192}
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(center=st.floats(-1.5, 1.5), width=st.floats(0.3, 30.0),
+           amplitude=st.floats(0.2, 8.0), sign=st.sampled_from([-1.0, 1.0]),
+           g_center=st.floats(1.5, 2.5), g_width=st.floats(0.2, 0.9),
+           g_amplitude=st.floats(0.1, 3.0))
+    def test_crossover_is_the_exhaustive_first_failing_n(self, center, width, amplitude, sign,
+                                                         g_center, g_width, g_amplitude):
+        g = make_bump(g_center, g_width, g_amplitude)
+        fit, twin = (scaling_exponent_fit(product_potential(make_bump(c, width, sign * amplitude),
+                                                            g), [4, 8, 16, 32])
+                     for c in (center, 0.0))
+        assert fit == twin   # every compared field, the sides to the last bit
+        assert _hex(fit.lhs + fit.rhs) == _hex(twin.lhs + twin.rhs)
+        # a nonzero potential fails at some N; the fit's is the first one
+        assert not fit.identically_zero and fit.crossover_N is not None
+        sides = fit.sides
+        first = next(N for N in range(1, fit.crossover_N + 1) if sides(N)[0] > sides(N)[1])
+        assert first == fit.crossover_N
 
     def test_evaluator_passes_once_per_order(self, scaling_log, monkeypatch):
         orders, rows = collections.Counter(), {}
@@ -557,7 +594,7 @@ class TestScaling:
         for N in (1, 8, 1, 64, 8):
             sides(N)
         assert set(orders.values()) == {1}
-        # the potential is even in u: half the rows of each order
+        # half the rows of each order
         assert rows == {order: order // 2 for order, _ in orders}
         assert sides.diagnostics == {
             "quadratures": 3, "integrand_evaluations": len(orders),
