@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, MinfolError
 from .odeflow import Trajectory
-from .potential import BumpFunction, Potential, _profile, _scaled, u_bound_function
+from .potential import BumpFunction, Potential, bump_jet, u_bound_function
 from .quadrature import Integrals, quad_1d
 
 
@@ -90,30 +90,26 @@ def hardy_identity_check(xi, n: int, r1: float, r2: float,
     The identity forces LHS = RHS >= 0.
 
     xi is a BumpFunction (the one-element batch of `hardy_identity_checks`)
-    or SupportedFunction, integrated over its support within [r1, r2], or a
-    callable with derivative dxi. Such a pair is evaluated on arrays of
-    radii, and a constant it returns is broadcast. The sides carry in
-    `orders` the quadrature order each integral reached (0: none).
+    or a callable with derivative dxi, integrated over [r1, r2]. Such a pair
+    is evaluated on arrays of radii, and a constant it returns is broadcast.
+    The sides carry in `orders` the quadrature order each integral reached
+    (0: none).
     """
     if isinstance(xi, BumpFunction) and dxi is None:
         sides = hardy_identity_checks([xi], n, r1, r2)
         return Integrals((float(v[0]) for v in sides), (int(k[0]) for k in sides.orders))
     _hardy_arguments(n, r1, r2)
-    if callable(xi) and dxi is not None:
-        val, dval, (lo, hi) = xi, dxi, (r1, r2)
-    else:
-        tf = as_test_function(xi)
-        val, dval = tf.value, tf.derivative
-        lo, hi = max(r1, tf.support[0]), min(r2, tf.support[1])
-    if abs(float(val(r2))) > 1e-10:
+    if not (callable(xi) and dxi is not None):
+        raise InvalidParameterError("expected a BumpFunction, or a callable xi and its dxi")
+    if abs(float(xi(r2))) > 1e-10:
         raise InvalidParameterError("xi(r2) must vanish")
 
     def integrands(r):
-        return _hardy_integrands(n, r, np.broadcast_to(val(r), r.shape),
-                                 np.broadcast_to(dval(r), r.shape))
+        return _hardy_integrands(n, r, np.broadcast_to(xi(r), r.shape),
+                                 np.broadcast_to(dxi(r), r.shape))
 
-    sides = quad_1d(integrands, lo, hi) if lo < hi else Integrals((0.0, 0.0), (0, 0))
-    return Integrals((sides[0], _hardy_boundary(n, r1, float(val(r1))) + sides[1]),
+    sides = quad_1d(integrands, r1, r2)
+    return Integrals((sides[0], _hardy_boundary(n, r1, float(xi(r1))) + sides[1]),
                      sides.orders)
 
 
@@ -127,7 +123,7 @@ def hardy_identity_checks(bumps, n: int, r1: float, r2: float) -> Integrals:
     _hardy_arguments(n, r1, r2)
     center, width, amplitude = (np.array([getattr(b, k) for b in bumps], float)
                                 for k in ("center", "width", "amplitude"))
-    at_r1, at_r2 = (_bump_columns(np.full(len(bumps), r), center, width, amplitude, (0,))[0]
+    at_r1, at_r2 = (bump_jet(np.full(len(bumps), r), center, width, amplitude, (0,))[0]
                     for r in (r1, r2))
     if np.any(np.abs(at_r2) > 1e-10):
         raise InvalidParameterError("xi(r2) must vanish")
@@ -137,19 +133,12 @@ def hardy_identity_checks(bumps, n: int, r1: float, r2: float) -> Integrals:
     lhs, rhs = np.zeros(len(bumps)), np.zeros(len(bumps))
     orders = [np.zeros(len(bumps), int), np.zeros(len(bumps), int)]
     if len(rows):
-        sides = quad_1d(lambda r: _hardy_integrands(n, r, *_bump_columns(r, *cols, (0, 1))),
+        sides = quad_1d(lambda r: _hardy_integrands(n, r, *bump_jet(r, *cols, (0, 1))),
                         lo[rows], hi[rows])
         lhs[rows], rhs[rows] = sides
         orders[0][rows], orders[1][rows] = sides.orders
     boundary = np.array([_hardy_boundary(n, r1, v) for v in at_r1.tolist()])
     return Integrals((lhs, boundary + rhs), orders)
-
-
-def _bump_columns(x, center, width, amplitude, orders):
-    """The derivatives of the orders asked for of bumps at x, one bump per row
-    of x and of the columns center, width and amplitude, with the ufuncs of
-    `BumpFunction.jet` in its order."""
-    return _scaled(_profile((x - center) / width, orders), orders, amplitude, width)
 
 
 @dataclass

@@ -12,18 +12,19 @@ and the second variation all evaluate W. There are two families:
   "chain-rule" one.
 
 Both carry the support box (`u_bound`, `r_inner`, `r_outer`, `t_lower`,
-`t_upper`) and the rescaling factor N of W_N(u, t) = W(N u, t) / N^2
-(`n_scale`). The curvature constant K = sqrt(sup W''_uu) that controls the
-Riccati estimates (`k_curvature`) and the curvature envelope U(r) of the
-n >= 3 certificates are derived from the parameters in closed form, with no
-search, from the extremes of the bump profile's g''; an example-4.4.6
-potential has neither. Each family has one evaluator, which returns every
-derivative asked for from one pass of each bump (`_profile` shares its
-powers of 1/(1-s^2)); a product potential read at one-dimensional u and t
-of one shape, as the flow reads it, passes both bumps' arguments through
-`_profile` stacked, in one pass. `Potential.jet(u, t, orders)` serves the
-flow and the quadrature; the views `w`, `dw_du`, `d2w_duu` and `dw_dt` are
-its one-order calls, with the same bits.
+`t_upper`). The rescaled potential W_N(u, t) = W(N u, t) / N^2 is a member
+of the same family whose u-bump (f, or phi) is bump(c/N, w/N, a/N^2). The
+curvature constant K = sqrt(sup W''_uu) that controls the Riccati estimates
+(`k_curvature`) and the curvature envelope U(r) of the n >= 3 certificates
+are derived from the parameters in closed form, with no search, from the
+extremes of the bump profile's g''; an example-4.4.6 potential has neither.
+Each family's evaluator `jet(u, t, orders)` returns every derivative asked
+for from one pass of each bump (`_profile` shares its powers of
+1/(1-s^2)); a product potential read at one-dimensional u and t of one
+shape, as the flow reads it, passes both bumps' arguments through
+`_profile` stacked, in one pass. `jet` serves the flow and the quadrature;
+the views `w`, `dw_du`, `d2w_duu` and `dw_dt` are its one-order calls, with
+the same bits.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def _scaled(out, orders, amplitude, width):
     return out
 
 
+def bump_jet(x, center, width, amplitude, orders):
+    """The derivatives of the orders asked for (each 0..3) at x of one bump, or
+    of one bump per row of x and of the columns center, width and amplitude."""
+    return _scaled(_profile((x - center) / width, orders), orders, amplitude, width)
+
+
 def _bump_view(n: int):
     def view(self, x):
         return self.jet(x, (n,))[0]
@@ -118,10 +125,9 @@ class BumpFunction:
         return (self.center - self.width, self.center + self.width)
 
     def jet(self, x, orders):
-        """The derivatives of the orders asked for (each 0..3) at x, one per
-        order, vectorized, from one profile pass."""
-        s = (np.asarray(x, dtype=float) - self.center) / self.width
-        return _scaled(_profile(s, orders), orders, self.amplitude, self.width)
+        """`bump_jet` of this bump at x, one per order, from one profile pass."""
+        return bump_jet(np.asarray(x, dtype=float), self.center, self.width, self.amplitude,
+                        orders)
 
     value, derivative, second_derivative, third_derivative = map(_bump_view, range(4))
     __call__ = value
@@ -140,11 +146,11 @@ def _potential_view(order: int):
 
 @dataclass(frozen=True, kw_only=True)
 class Potential:
-    """Support box and rescaling factor of a potential, its log-time views
-    and its curvature constant.
-
-    Every view is vectorized, pure, and exactly 0 outside
-    {|u| < u_bound, t_lower < t < t_upper}.
+    """Support box of a potential, its log-time views and its curvature
+    constant. Each family names its u-bump `_U_BUMP` and has the evaluator
+    `jet(u, t, orders)`: W and its derivatives at (u, t), one per index of
+    _ORDERS in orders (0: W, 1: W_u, 2: W_uu, 3: W_t). Every view is
+    vectorized, pure, and exactly 0 outside {|u| < u_bound, t_lower < t < t_upper}.
     """
 
     u_bound: float
@@ -152,23 +158,15 @@ class Potential:
     r_outer: float
     t_lower: float
     t_upper: float
-    n_scale: float
 
-    def _evaluate(self, u, t, orders):
-        """The family's evaluator: the derivatives `orders` (indices of
-        _ORDERS), one per index, at (u, t), for n_scale = 1."""
-        raise NotImplementedError
-
-    def jet(self, u, t, orders):
-        """W and its derivatives at (u, t), one per index of _ORDERS in orders
-        (0: W, 1: W_u, 2: W_uu, 3: W_t), from one pass of each bump."""
-        N = self.n_scale
-        if N == 1.0:    # 1.0 * u and d / 1.0 are exact: skip them
-            return self._evaluate(u, t, orders)
-        out, scale = self._evaluate(N * u, t, orders), (N * N, N, 1.0, N * N)
-        for k, o in enumerate(orders):
-            out[k] = out[k] / scale[o]
-        return out
+    def centred_in_u(self) -> Potential:
+        """W translated in u so that its u-bump is centred at u = 0, on the
+        bump's support |u| < w; the potential itself when the bump is centred
+        or absent."""
+        bump = getattr(self, self._U_BUMP)
+        if bump is None or bump.center == 0.0:
+            return self
+        return replace(self, **{self._U_BUMP: replace(bump, center=0.0)}, u_bound=bump.width)
 
     # the one-order views: W, W_u, W_uu, W_t at (u, t)
     w, dw_du, d2w_duu, dw_dt = map(_potential_view, range(4))
@@ -186,15 +184,9 @@ class ProductPotential(Potential):
     f: Optional[BumpFunction]
     g: Optional[BumpFunction]
     lam: float
+    _U_BUMP = "f"
 
-    def centred_in_u(self) -> ProductPotential:
-        """W translated in u so that f is centred at u = 0, on f's support
-        |u| < w_f / N; the potential itself when f is centred or absent."""
-        if self.f is None or self.f.center == 0.0:
-            return self
-        return replace(self, f=replace(self.f, center=0.0), u_bound=self.f.width / self.n_scale)
-
-    def _evaluate(self, u, t, orders):
+    def jet(self, u, t, orders):
         """Every element takes the ufuncs of f.jet(u) and g.jet(e^t) in their
         order, stacked or not, so the two paths agree to the last bit."""
         if self.f is None:
@@ -242,16 +234,9 @@ class Example446Potential(Potential):
     phi: BumpFunction
     psi: BumpFunction
     psi_power: int
+    _U_BUMP = "phi"
 
-    def centred_in_u(self) -> Example446Potential:
-        """W translated in u so that phi is centred at u = 0, on phi's support
-        |u| < w_phi / N; the potential itself when phi is centred."""
-        if self.phi.center == 0.0:
-            return self
-        return replace(self, phi=replace(self.phi, center=0.0),
-                       u_bound=self.phi.width / self.n_scale)
-
-    def _evaluate(self, u, t, orders):
+    def jet(self, u, t, orders):
         t = np.asarray(t, float)
         k, e2 = self.psi_power, np.exp(-2.0 * t)
         need = sorted({n for o in orders for n in _PHI_ORDERS[o]})
@@ -282,8 +267,7 @@ def _product(f, g, u_bound, r_inner, r_outer) -> ProductPotential:
     t_upper = math.log(r_outer)
     t_lower = math.log(r_inner) if r_inner else t_upper - 16.0
     return ProductPotential(f=f, g=g, lam=1.0, u_bound=u_bound, r_inner=r_inner,
-                            r_outer=r_outer, t_lower=t_lower, t_upper=t_upper,
-                            n_scale=1.0)
+                            r_outer=r_outer, t_lower=t_lower, t_upper=t_upper)
 
 
 def zero_potential(u_bound: float = 1.0, r_inner: float = 1.0,
@@ -327,8 +311,10 @@ def _curvature_bound(f: BumpFunction, c):
 def k_constant(w: Potential) -> float:
     """K = sqrt(sup over the strip of max(W''_uu, 0)), in closed form.
 
-    W''_uu(u, t) = lam f''(N u) g(e^t), and g runs over [0, A_g] on the
-    strip, so K^2 is the curvature bound at c = lam A_g whatever N is."""
+    W''_uu(u, t) = lam f''(u) g(e^t), and g runs over [0, A_g] on the strip,
+    so K^2 is the curvature bound at c = lam A_g. A rescaled potential's f''
+    is (a/N^2) / (w/N)^2 g'': for N a power of two that is a/w^2 exactly, so
+    its K is the potential's."""
     if not isinstance(w, ProductPotential):
         raise InvalidParameterError("the curvature constant needs a product potential")
     if w.f is None:
@@ -357,15 +343,20 @@ def example_446_potential(phi: BumpFunction, psi: BumpFunction,
     return Example446Potential(phi=phi, psi=psi, psi_power=_VARIANT_POWER[variant],
                                u_bound=abs(phi.center) + phi.width,
                                r_inner=math.exp(t_lower), r_outer=math.exp(t_upper),
-                               t_lower=t_lower, t_upper=t_upper, n_scale=1.0)
+                               t_lower=t_lower, t_upper=t_upper)
 
 
-def rescale_log_potential(w: Potential, n_scale: int) -> Potential:
-    """W_N(u, t) = W(N u, t) / N^2: the rescaled Hamiltonian family."""
-    if n_scale < 1:
+def rescale_log_potential(w: Potential, N: int) -> Potential:
+    """W_N(u, t) = W(N u, t) / N^2, the rescaled Hamiltonian family: the same
+    family on |u| < u_bound/N, its u-bump bump(c, w, a) made bump(c/N, w/N,
+    a/N^2) (so phi' becomes phi'(N u) / N)."""
+    if N < 1:
         raise InvalidParameterError("rescaling factor must be >= 1")
-    N = float(n_scale)
-    return replace(w, n_scale=N * w.n_scale, u_bound=w.u_bound / N)
+    N, bump = float(N), getattr(w, w._U_BUMP)
+    if bump is not None:
+        w = replace(w, **{w._U_BUMP: BumpFunction(bump.center / N, bump.width / N,
+                                                  bump.amplitude / (N * N))})
+    return replace(w, u_bound=w.u_bound / N)
 
 
 class RadialCurvatureEnvelope:

@@ -217,7 +217,7 @@ class RescaledSides:
     not change, so the evaluator integrates the potential's u-centred
     translate (`centred_in_u`) over the box |u| < u_bound of its u-factor's
     support. The rule's u-nodes on that box mirror exactly (v[::-1] == -v)
-    and the bump argument (N u - 0)/w negates exactly, so W and W_t are even
+    and the bump argument (u - 0)/w negates exactly, so W and W_t are even
     and W_u odd to the last bit. The jet, the N-free arrays and each N's
     integrands are therefore computed on the first (order + 1) // 2 rows, and
     the other rows are copied from them, reversed, before `quad_2d` reduces

@@ -73,6 +73,13 @@ class TestHardyIdentity:
             hardy_identity_check(lambda r: 1.0, 3, 0.0, 1.0,
                                  dxi=lambda r: 0.0)
 
+    def test_rejects_a_supported_function(self):
+        # a test function is a bump, or a callable with its derivative
+        xi = SupportedFunction(value=lambda r: 1.0 - r, derivative=lambda r: -1.0,
+                               support=(0.0, 1.0))
+        with pytest.raises(InvalidParameterError):
+            hardy_identity_check(xi, 3, 0.0, 1.0)
+
 
 def _hardy_one_at_a_time(xi, n, r1, r2):
     """The oracle: one bump's Hardy sides by one scalar `quad_1d` over its

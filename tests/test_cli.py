@@ -774,13 +774,14 @@ class TestScaling:
         assert not (out / "scaling.csv").exists()
 
     def _count_passes(self, monkeypatch):
-        """Counts of Potential.jet calls by (the rule's order, the u-rows
-        read, derivatives) and of tensor quadratures."""
+        """Counts of ProductPotential.jet calls (the shipped potential's
+        family) by (the rule's order, the u-rows read, derivatives) and of
+        tensor quadratures."""
         from minfol import rigidity
-        from minfol.potential import Potential
+        from minfol.potential import ProductPotential
 
         jets, quads = collections.Counter(), []
-        jet, quad_2d = Potential.jet, rigidity.quad_2d
+        jet, quad_2d = ProductPotential.jet, rigidity.quad_2d
 
         def counted_jet(self, u, t, orders):
             jets[t.size, u.shape[0], orders] += 1   # t is the rule's row of nodes
@@ -790,7 +791,7 @@ class TestScaling:
             quads.append(args[1:])
             return quad_2d(*args)
 
-        monkeypatch.setattr(Potential, "jet", counted_jet)
+        monkeypatch.setattr(ProductPotential, "jet", counted_jet)
         monkeypatch.setattr(rigidity, "quad_2d", counted_quad)
         return jets, quads
 

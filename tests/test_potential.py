@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,31 @@ class TestLogForm:
         assert wn.u_bound == pytest.approx(weak_log.u_bound / 4)
         assert wn.w(0.1, 1.0) == pytest.approx(weak_log.w(0.4, 1.0) / 16.0)
 
+    @pytest.mark.parametrize("family", ["product", "example446"])
+    @pytest.mark.parametrize("N", [2, 3, 7])
+    def test_rescaled_potential_is_a_narrower_u_bump(self, family, N):
+        # W(N u, t) / N^2 is the family's potential of bump(c/N, w/N, a/N^2)
+        c, width, a = -0.3, 0.7, 1.3
+        if family == "product":
+            g = make_bump(2.0, 0.8, 0.1)
+            pot, built = (product_potential(make_bump(*p), g)
+                          for p in ((c, width, a), (c / N, width / N, a / N**2)))
+        else:
+            psi = make_bump(0.5, 0.5, 1.0)
+            pot, built = (example_446_potential(make_bump(*p), psi)
+                          for p in ((c, width, a), (c / N, width / N, a / N**2)))
+        wn = rescale_log_potential(pot, N)
+        assert wn == replace(built, u_bound=pot.u_bound / N)
+        U, T = _interior_grid(wn)
+        scale = (N * N, N, 1.0, N * N)   # of W, W_u, W_uu and W_t
+        for view, k in zip(LOG_VIEWS, scale):
+            got, want = getattr(wn, view)(U, T), getattr(pot, view)(N * U, T) / k
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=view)
+
+    def test_rescaled_zero_potential_only_shrinks_its_box(self):
+        w = zero_potential(u_bound=1.5)
+        assert rescale_log_potential(w, 3) == replace(w, u_bound=0.5)
+
 
 class TestEnvelope:
     def test_envelope_dominates_pointwise_curvature(self, certified_pot):
@@ -350,9 +376,9 @@ def test_derivatives_match_finite_differences(name):
     check(w.dw_dt(U, T), (w.w(U, T + h) - w.w(U, T - h)) / (2 * h))
 
 
-def _radial_definition(pot, u, r):
-    """V, V_u, V_uu and r V_r at (u, r), written out from each family's
-    definition in the radius r."""
+def _radial_definition(pot, u, r, N=1):
+    """V, V_u, V_uu and r V_r at (u, r) of pot rescaled by N, written out from
+    each family's definition in the radius r and from V_N(u, r) = V(N u, r) / N^2."""
     if isinstance(pot, Example446Potential):
         phi, psi, k = pot.phi, pot.psi, pot.psi_power
         s = np.log(r)
@@ -366,7 +392,7 @@ def _radial_definition(pot, u, r):
                 -2.0 * c * bracket + c * (P2 * F0 + 0.5 * k * P**(k - 1) * P1 * F1 * F1))
     if pot.f is None:
         return (np.zeros(np.broadcast(u, r).shape),) * 4
-    N, c = pot.n_scale, pot.lam
+    c = pot.lam
     f, g = pot.f, pot.g
     return (c * f.value(N * u) * g.value(r) / N**2, c * f.derivative(N * u) * g.value(r) / N,
             c * f.second_derivative(N * u) * g.value(r),
@@ -376,10 +402,12 @@ def _radial_definition(pot, u, r):
 @pytest.mark.parametrize("name", FAMILY_CASES)
 def test_radial_and_log_views_agree(name):
     # the log views at t = ln r are the potential's radial definition V(u, r)
+    # (a rescaled one from the definition of the potential before rescaling)
     w = _family_case(name)
     U, T = _interior_grid(w)
     views = (w.w(U, T), w.dw_du(U, T), w.d2w_duu(U, T), w.dw_dt(U, T))
-    for got, want in zip(views, _radial_definition(w, U, np.exp(T))):
+    pot, N = (_product(), 4) if name == "rescaled" else (w, 1)
+    for got, want in zip(views, _radial_definition(pot, U, np.exp(T), N)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 

@@ -17,7 +17,7 @@ from minfol.errors import IntegrationFailureError, InvalidParameterError, Minfol
 from minfol.jacobi import integrate_jacobi
 from minfol.odeflow import (IntegratorConfig, PhaseState, _sample_grid, hamiltonian_value,
                             integrate_hamiltonian, integrate_legs)
-from minfol.potential import (Potential, example_446_potential, make_bump, product_potential,
+from minfol.potential import (example_446_potential, make_bump, product_potential,
                               rescale_log_potential, scale_potential, to_log_form,
                               zero_potential)
 from minfol.quadrature import quad_2d
@@ -459,13 +459,13 @@ class TestScaling:
         w = catalog.scaling_bump()
         expected = rescaled_inequality_sides(w, 8)
         calls = collections.Counter()
-        jet = Potential.jet
+        jet = type(w).jet
 
         def counted(self, u, t, which):   # the views w, dw_du, dw_dt call it too
             calls[which] += 1
             return jet(self, u, t, which)
 
-        monkeypatch.setattr(Potential, "jet", counted)
+        monkeypatch.setattr(type(w), "jet", counted)
         assert rescaled_inequality_sides(w, 8) == expected
         # one jet of W, W_u and W_t per quadrature order
         assert calls == {(0, 1, 3): 4}
@@ -535,13 +535,13 @@ class TestScaling:
         sides = RescaledSides(w)
         assert (sides.w is w) is centred
         rows = {}
-        jet = Potential.jet
+        jet = type(w).jet
 
         def counted(self, u, t, which):
             rows[t.size] = u.shape[0]
             return jet(self, u, t, which)
 
-        monkeypatch.setattr(Potential, "jet", counted)
+        monkeypatch.setattr(type(w), "jet", counted)
         sides(4)
         # every potential is read on half the rows of each order
         assert rows and rows == {order: order // 2 for order in rows}
@@ -560,6 +560,19 @@ class TestScaling:
             assert sides(N) == pytest.approx(oracle[N], rel=1e-12, abs=0.0)
         assert sides.diagnostics == {"quadratures": 8, "integrand_evaluations": 4,
                                      "highest_order": 192}
+
+    def test_twice_rescaled_translate_is_its_centred_twin(self):
+        def built(c, width=0.1):   # f centred at u = c, rescaled by 3, then by 5
+            w = product_potential(make_bump(c, width, 0.2), make_bump(2.0, 0.8, 0.1))
+            return rescale_log_potential(rescale_log_potential(w, 3), 5)
+
+        w, twin = built(0.3), built(0.0)
+        assert w.centred_in_u() == twin
+        assert w.centred_in_u().u_bound.hex() == twin.u_bound.hex()
+        assert _hex(RescaledSides(w)(2)) == _hex(RescaledSides(twin)(2))
+        for width in np.linspace(0.3, 3.0, 400):
+            assert built(0.3, width).centred_in_u().u_bound.hex() == \
+                built(0.0, width).u_bound.hex(), width
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(center=st.floats(-1.5, 1.5), width=st.floats(0.3, 30.0),
@@ -582,14 +595,14 @@ class TestScaling:
 
     def test_evaluator_passes_once_per_order(self, scaling_log, monkeypatch):
         orders, rows = collections.Counter(), {}
-        jet = Potential.jet
+        jet = type(scaling_log).jet
 
         def counted(self, u, t, which):
             orders[t.size, which] += 1   # t is the rule's row of nodes
             rows[t.size] = u.shape[0]
             return jet(self, u, t, which)
 
-        monkeypatch.setattr(Potential, "jet", counted)
+        monkeypatch.setattr(type(scaling_log), "jet", counted)
         sides = RescaledSides(scaling_log)
         for N in (1, 8, 1, 64, 8):
             sides(N)
