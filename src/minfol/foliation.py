@@ -12,9 +12,9 @@ import numpy as np
 from .errors import (InapplicableError, IntegrationFailureError,
                      InvalidParameterError, PartialFamilyError)
 from .odeflow import (_STRIP_STEPS, IntegratorConfig, Trajectory, _dop853_batch,
-                      _trajectories, stepper_work)
+                      _trajectories, read_steps, stepper_work)
 from .odeflow import integrate_radial_ivp  # noqa: F401  (perfbench traces this name)
-from .potential import BumpFunction, Potential, _profile, _scaled, example_446_potential
+from .potential import BumpFunction, Potential, _bump_at, example_446_potential
 
 GRID_POINTS = 512
 # the leaves of example 4.4.6
@@ -155,19 +155,19 @@ class ExampleReport:
 
 
 def _first_order_rhs(phi, psi):
-    """du/dt = phi'(u) psi(t) on a (1, cell) array: one profile pass over both
-    bumps' arguments, written as [u ; t] into one array, scaled as
-    BumpFunction.jet scales."""
-    center, width = (np.array([[getattr(b, k)] for b in (phi, psi)]) for k in ("center", "width"))
+    """du/dt = phi'(u) psi(t) on a (1, cell) array, split as `_flow_rhs`
+    splits a flow: rhs(t) reads psi at a step's stage times (stage, cell) in
+    one pass, and stage(j, y, out) multiplies phi'(u) by its row j, with the
+    bits of phi.derivative(u) * psi.value(t) per point."""
+    dphi, psi_at = _bump_at(phi, (1,)), _bump_at(psi, (0,))
 
-    def rhs(t, y):
-        x = np.empty((2,) + y[0].shape)
-        x[0], x[1] = y[0], t
-        x -= center
-        x /= width
-        g, dg = _profile(x, (0, 1))
-        dphi = _scaled([dg[0]], (1,), phi.amplitude, phi.width)[0]
-        return (dphi * _scaled([g[1]], (0,), psi.amplitude, psi.width)[0])[None]
+    def rhs(t):
+        P = list(psi_at(t)[0])
+
+        def stage(j, y, out):
+            out[0] = dphi(y[0], P[j])[0]
+            return out
+        return stage
     return rhs
 
 
@@ -194,7 +194,8 @@ def _example_leaves(phi, psi, u0_grid, fd_step):
     h = fd_step
     ts = np.linspace(t_span[0] + 2 * h, t_span[1] - 2 * h, 801)
     stencil = np.concatenate((ts + 2 * h, ts + h, ts - h, ts - 2 * h, ts))
-    u = np.array([leaf(stencil)[0] for leaf in rows]).reshape(m, 5, len(ts))
+    at = np.zeros(stencil.size, dtype=int)   # one leaf at a time bounds the memory
+    u = np.array([read_steps([leaf], at, stencil)[0] for leaf in rows]).reshape(m, 5, len(ts))
     udot = phi.derivative(u) * psi.value(stencil.reshape(5, len(ts)))
     uddot = (-udot[:, 0] + 8 * udot[:, 1] - 8 * udot[:, 2] + udot[:, 3]) / (12.0 * h)
     return ts, list(zip(u[:, 4], uddot)), stepper_work([run])

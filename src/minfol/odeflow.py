@@ -22,16 +22,19 @@ checked at every accepted step; a zero after the strip is found in closed
 form.
 
 Every run steps in `_dop853_batch`: scipy's DOP853 rules applied per cell to
-a (state, cell) array, the right-hand side (one potential jet, for a product
-potential one profile pass over both bumps) evaluated once per stage on the
-active cells, and each step's stages in one buffer, summed in stage order so
-that no cell's bits depend on another. A single run is a one-cell batch,
-and a backward batch steps forward in s = -t. The step loop only steps;
-dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6) is one pass
-after it over the steps it kept. A dense run keeps each accepted
-step's output rows, read by scipy's OdeSolution rule. A dense run is the one
-way a solution is read: each consumer evaluates its LegSolution at its own
-times.
+a (state, cell) array, the right-hand side split along the potential's
+product structure: its t-factors (e^{2t}, and g(e^t) for a product
+potential) taken once per step at all the step's stage times, then one
+u-pass per stage on the active cells. Each step's stages are in one buffer,
+summed in stage order so that no cell's bits depend on another. A single
+run is a one-cell batch, and a backward batch steps forward in s = -t. The
+step loop only steps; dense output (Hairer, Norsett & Wanner, Solving ODEs
+I, II.6) is one pass after it over the steps it kept, and every watched zero
+comes from one lane-masked port of scipy's brentq over all kept steps. A
+dense run keeps each accepted step's output rows, read by scipy's
+OdeSolution rule. A dense run is the one way a solution is read: each
+consumer evaluates its LegSolution at its own times, or `read_runs` many
+runs at once.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .errors import IntegrationFailureError, InsufficientRangeError, InvalidParameterError
 from .potential import Potential
@@ -145,12 +147,6 @@ class StepRows:
     y_old: np.ndarray
     F: np.ndarray
 
-    def __call__(self, s):
-        """The states at the times s, read as scipy's OdeSolution reads them:
-        from the step (s_old, s_old + h] holding s, else the first or last."""
-        j = np.maximum(np.searchsorted(self.s_old, s) - 1, 0)
-        return _horner(list(self.F[:, :, j]), (s - self.s_old[j]) / self.h[j]) + self.y_old[:, j]
-
 
 @dataclass
 class LegSolution:
@@ -177,16 +173,41 @@ class LegSolution:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        tt = t.reshape(-1)
-        before = self.direction * (tt - self.t_in) <= 0.0
-        after = ~before & (self.direction * (tt - self.t_out) >= 0.0)
-        mid = ~(before | after)
-        out = np.empty((len(self.y0), tt.size))
-        out[:, before] = _free(self.y0, tt[before] - self.t0, self.damping)
-        out[:, after] = _free(self.y_out, tt[after] - self.t_out, self.damping)
-        if np.any(mid):
-            out[:, mid] = self.strip(self.direction * tt[mid])
-        return out.reshape((len(self.y0),) + t.shape)
+        return read_runs([self], [t.reshape(-1)]).reshape((len(self.y0),) + t.shape)
+
+
+def read_runs(runs, ts) -> np.ndarray:
+    """The states of the LegSolutions runs (of one direction and damping)
+    each at its own 1-D array of times ts[k], side by side, in one pass over
+    all of them: before t_in the free motion from (t0, y0), after t_out the
+    free motion from (t_out, y_out), between them the strip's steps."""
+    k = np.repeat(np.arange(len(runs)), [len(t) for t in ts])   # each time's run
+    tt, d, damping = np.concatenate(ts), runs[0].direction, runs[0].damping
+    t0, t_in, t_out = (np.array([getattr(r, a) for r in runs])[k] for a in ("t0", "t_in", "t_out"))
+    y0, y_out = (np.array([getattr(r, a) for r in runs]).T[:, k] for a in ("y0", "y_out"))
+    before = d * (tt - t_in) <= 0.0
+    after = ~before & (d * (tt - t_out) >= 0.0)
+    mid = ~(before | after)
+    out = np.empty((len(runs[0].y0), tt.size))
+    out[:, before] = _free(y0[:, before], tt[before] - t0[before], damping)
+    out[:, after] = _free(y_out[:, after], tt[after] - t_out[after], damping)
+    if np.any(mid):
+        out[:, mid] = read_steps([r.strip for r in runs], k[mid], d * tt[mid])
+    return out
+
+
+def read_steps(strips, k, s) -> np.ndarray:
+    """The states of the StepRows strips[k[i]] at the times s[i], as scipy's
+    OdeSolution reads them: from the step (s_old, s_old + h] holding s, else
+    the first or last. One searchsorted finds every step, over the (strip,
+    s_old) pairs as complex keys, which numpy orders by strip first."""
+    steps = [x.h.size for x in strips]
+    s_old, h, y_old, F = (np.concatenate([getattr(x, a) for x in strips], axis=-1)
+                          for a in ("s_old", "h", "y_old", "F"))
+    keys, at = np.empty(s_old.size, complex), np.empty(len(s), complex)
+    keys.real, keys.imag, at.real, at.imag = np.repeat(np.arange(len(strips)), steps), s_old, k, s
+    j = np.maximum(np.searchsorted(keys, at) - 1, (np.cumsum(steps) - steps)[k])
+    return _horner(list(F[:, :, j]), (s - s_old[j]) / h[j]) + y_old[:, j]
 
 
 def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros):
@@ -202,22 +223,35 @@ def _joint_zeros(t0, y0, t_in, t_out, y_out, t_end, d_xi, strip_zeros):
     return [z for i, z in enumerate(zeros) if i == 0 or z - zeros[i - 1] > _ZERO_MERGE]
 
 
-def _flow_rhs(w: Potential, damping):
+def _flow_rhs(w: Potential, damping, sign=1.0):
     """(u, p)' of the flow, and (xi, xi')' of its linearization when damping
-    holds a second entry, on a (state, cell) array: one potential jet a call,
-    at 1-D u and t of one shape, which a product potential evaluates in one
-    stacked profile pass."""
-    d_u, d_xi, orders = damping[0], damping[-1], (1, 2)[:len(damping)]
+    holds a second entry, split for a DOP853 step: rhs(t) takes the step's
+    stage times (stage, cell) and evaluates the t-factors there in one pass
+    (e^{2t}, and g(e^t) by `Potential.split_jet`); it returns stage(j, y,
+    out), which writes the derivative at the times t[j] and the (state,
+    cell) array y into out from one u-pass of the potential. Each row takes
+    the operations of -d y' - e^{2t} jet (times xi) in that order, so every
+    point has the bits of one jet there. sign -1 gives -f(-s, y), the field
+    of a backward run stepped forward in s = -t, which negates every time
+    and stage exactly."""
+    # a duck-typed potential with only a jet takes the unsplit path
+    at_times = getattr(type(w), "split_jet", Potential.split_jet)(w, (1, 2)[:len(damping)])
+    neg_d = [np.array(-d) for d in damping]
 
-    def rhs(t, y):
-        e2 = np.exp(2.0 * t)
-        jet = w.jet(y[0], t, orders)
-        out = np.empty_like(y)
-        out[::2] = y[1::2]
-        np.subtract(-d_u * y[1], e2 * jet[0], out=out[1])
-        if len(y) == 4:
-            np.subtract(-d_xi * y[3], e2 * jet[1] * y[2], out=out[3])
-        return out
+    def rhs(t):
+        t = t if sign > 0 else np.negative(t)
+        e2, at = list(np.exp(np.multiply(2.0, t))), at_times(t)
+
+        def stage(j, y, out):
+            J = at(j, y[0])
+            out[0] = y[1]
+            np.subtract(np.multiply(neg_d[0], y[1]), np.multiply(e2[j], J[0]), out=out[1])
+            if len(J) == 2:
+                out[2] = y[3]
+                np.subtract(np.multiply(neg_d[1], y[3]),
+                            np.multiply(np.multiply(e2[j], J[1]), y[2]), out=out[3])
+            return out if sign > 0 else np.negative(out, out=out)
+        return stage
     return rhs
 
 
@@ -253,10 +287,9 @@ def _stage_sum(coef, K, h):
     initial 0.0. A row of one element would be summed pairwise, so it
     accumulates instead and adds 0.0 last, which gives the same bits."""
     terms = np.multiply(coef, K[:len(coef)], order="C")
-    acc = (0.0 + np.add.accumulate(terms)[-1] if terms[0].size == 1
+    acc = (0.0 + np.add.accumulate(terms)[-1] if terms.size == len(terms)
            else np.add.reduce(terms, axis=0, initial=0.0))
-    acc *= h
-    return acc
+    return np.multiply(acc, h, out=acc)
 
 
 def _norm(x):
@@ -274,118 +307,182 @@ def _horner(F, x):
     return v
 
 
-def _dense_zero(watch, F, y_old, t_old, t_new):
-    """brentq at scipy's event tolerances on the watched row of one step's
-    dense output (rows F (7, state)), on floats, summing only that row: the
-    root and the state there."""
-    rows, t_old, h = list(zip(F.T.tolist(), y_old.tolist())), float(t_old), float(t_new - t_old)
-    (f, y), g = rows[watch[0]], watch[1]
-    root = brentq(lambda t: g(_horner(f, (t - t_old) / h) + y), t_old, float(t_new),
-                  xtol=4 * _EPS, rtol=4 * _EPS)
-    return root, [_horner(f, (root - t_old) / h) + y for f, y in rows]
+def _brentq(f, xpre, xcur):
+    """scipy's brentq(f, a, b, xtol=4 eps, rtol=4 eps) on every lane of
+    the 1-D arrays a = xpre and b = xcur at once: brentq.c's operations in
+    its order, each lane masked on its own, so that each root has scipy's
+    bits. f(x, lanes) is the function on the lanes asked for. As in scipy, a
+    NaN value or a bracket without a sign change raises ValueError, and a
+    lane still open after 100 iterations RuntimeError."""
+    def at(x, lanes):
+        fx = f(x, lanes)
+        if np.isnan(fx).any():
+            raise ValueError("The function value at x=%r is NaN; solver cannot continue."
+                             % (x[np.isnan(fx)][0],))
+        return fx
+
+    lanes, tol, where = np.arange(xpre.size), 4 * _EPS, np.where
+    fpre, fcur = at(xpre, lanes), at(xcur, lanes)
+    root, live = where(fpre == 0, xpre, xcur), (fpre != 0) & (fcur != 0)
+    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    state = (lanes, xpre, xcur, fpre, fcur, *np.zeros((4, xpre.size)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):
+            lanes, xpre, xcur, fpre, fcur, xblk, fblk, spre, scur = (x[live] for x in state)
+            if not lanes.size:
+                return root
+            flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = where(flip, xpre, xblk), where(flip, fpre, fblk)
+            spre, scur = (where(flip, xcur - xpre, x) for x in (spre, scur))
+            swap = np.abs(fblk) < np.abs(fcur)   # make xcur the end nearer the root
+            xpre, xcur, xblk, fpre, fcur, fblk = (where(swap, *p) for p in (
+                (xcur, xpre), (xblk, xcur), (xcur, xblk),
+                (fcur, fpre), (fblk, fcur), (fcur, fblk)))
+            delta, sbis = (tol + tol * np.abs(xcur)) / 2, (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            root[lanes[done]] = xcur[done]
+            # inverse quadratic or secant step if short enough, else bisection
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                         -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            a, b = np.abs(spre), 3 * np.abs(sbis) - delta
+            short = ((a > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < where(a < b, a, b)))
+            spre, scur = where(short, scur, sbis), where(short, stry, sbis)
+            xpre, fpre, live = xcur, fcur, ~done
+            xcur = xcur + where(np.abs(scur) > delta, scur, where(sbis > 0, delta, -delta))
+            fcur = np.zeros(xcur.size)
+            fcur[live] = at(xcur[live], lanes[live])
+            state = (lanes, xpre, xcur, fpre, fcur, xblk, fblk, spre, scur)
+    if np.any(live):
+        raise RuntimeError("Failed to converge after 100 iterations, value is %r"
+                           % (xcur[live][0],))
+    return root
 
 
 def _dop853_batch(rhs, t, t_stop, y, tol, max_step, watch=None, dense=False):
     """scipy's DOP853 run per cell of the (state, cell) array y, forward from
     t to t_stop at tol = (rel_tol, abs_tol) with step bound max_step (each
     one value, or one per cell): its tables, error norm, controller, initial
-    step and step bound, with vectorized rhs(t, y) called once per stage on
-    the active cells. The step loop only steps: it keeps the stages of each
-    accepted step that a dense cell takes (dense is one flag, or one per
-    cell) or on which g(y[row]) changes sign, with watch = (row, g). The
-    three dense-output stages, which the step control does not read, then
-    come from three rhs calls over all kept steps, and brentq finds each
-    watched zero on its step's dense output. A step below scipy's minimum,
-    or a non-finite error norm, fails that cell alone. Returns a LegBatch
-    (work, watched zeros and the states there, failure messages), the final
-    times and states, and per cell its StepRows (None unless dense)."""
+    step and step bound. rhs is split as `_flow_rhs` splits it: rhs(t) takes
+    a step's stage times (stage, cell), all known before its first stage,
+    and returns stage(j, y, out), called once per stage on the active cells,
+    which stay side by side in cell order between rounds. The step loop only
+    steps: it keeps the stages of each accepted step that a dense cell takes
+    (dense is one flag, or one per cell) or on which g(y[row]) changes sign,
+    with watch = (row, g). The three dense-output stages, which the step
+    control does not read, then come from one rhs call and three stage calls
+    over all kept steps, and one `_brentq` pass finds every watched zero on
+    its step's dense output. A step below scipy's minimum, or a non-finite
+    error norm, fails that cell alone. Returns a LegBatch (work, watched
+    zeros and the states there, failure messages), the final times and
+    states, and per cell its StepRows (None unless dense)."""
     t, y, m = np.array(t, dtype=float), np.array(y, dtype=float), y.shape[1]
-    RK, rms = DOP853, math.sqrt(len(y))    # per cell: rtol at scipy's floor, atol, step bound
-    rtol, atol, max_step = (np.broadcast_to(x, (m,)) for x in (
-        np.maximum(tol[0], 100 * _EPS), tol[1], max_step))
-    dense = np.broadcast_to(dense, (m,))
+    RK, rms, where = DOP853, math.sqrt(len(y)), np.where
     power = -1 / (RK.error_estimator_order + 1)
     res = LegBatch([[] for _ in range(m)], np.array([None] * m), *np.zeros((3, m), dtype=int))
-    active, retry = t < t_stop, np.zeros(m, dtype=bool)
     # per kept step: cell, sign change, t_old, t_new, y_old, y_new, stages
     kept = [(np.zeros(0, dtype=int), np.zeros(0, dtype=bool), *np.zeros((2, 0)),
              *np.zeros((2, len(y), 0)), np.zeros((_NS + 1, len(y), 0)))]
+    c, dense = np.flatnonzero(t < t_stop), np.broadcast_to(dense, (m,))   # the active cells
+    # per active cell: rtol at scipy's floor, atol, step bound, end, dense flag
+    rtol, atol, h_max, stop, is_dense = (np.broadcast_to(x, (m,))[c] for x in (
+        np.maximum(tol[0], 100 * _EPS), tol[1], max_step, t_stop, dense))
+
+    def retire(cols, gone, failure=None, tried=0):
+        """Write the time, state and work of the cells gone (less the attempt
+        `tried` of a failure) and drop their columns."""
+        cells, (ti, yi, _, _, _, accepted, rejected) = cols[0][gone], cols[1:8]
+        t[cells], y[:, cells], res.failures[cells] = ti[gone], yi[:, gone], failure
+        res.accepted[cells], res.rejected[cells] = accepted[gone], rejected[gone] - tried
+        res.stages[cells] = 2 + _NS * (accepted[gone] + rejected[gone])
+        return tuple(x[..., ~gone] for x in cols)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        i = active.nonzero()[0]   # scipy's initial step, per cell
-        ti, yi, span, f = t[i], y[:, i], t_stop[i] - t[i], np.zeros_like(y)
-        f[:, i] = fi = rhs(ti, yi)
-        scale = atol[i] + np.abs(yi) * rtol[i]
+        ti, yi, span = t[c], y[:, c], stop - t[c]   # scipy's initial step, per cell
+        fi = rhs(ti[None])(0, yi, np.empty_like(yi))
+        scale = atol + np.abs(yi) * rtol
         d0, d1 = _norm(yi / scale) / rms, _norm(fi / scale) / rms
-        h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
-        d2 = _norm((rhs(ti + h0, yi + h0 * fi) - fi) / scale) / rms / h0
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** -power)
-        h_abs = np.zeros(m)
-        h_abs[i] = np.minimum(np.minimum(100 * h0, h1), np.minimum(span, max_step[i]))
-        res.stages[i] += 2
-        while active.any():
-            i = active.nonzero()[0]
-            ti, h = t[i], h_abs[i]
+        h0 = np.minimum(where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), span)
+        d2 = _norm((rhs((ti + h0)[None])(0, yi + h0 * fi, np.empty_like(yi)) - fi)
+                   / scale) / rms / h0
+        h1 = where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                   (0.01 / np.maximum(d1, d2)) ** -power)
+        h_abs = np.minimum(np.minimum(100 * h0, h1), np.minimum(span, h_max))
+        # the active cells' columns: cell, time, state, derivative, next step,
+        # retry flag, accepted and rejected steps (a failed attempt counted as
+        # rejected), and the settings
+        cols = (c, ti, yi, fi, h_abs, np.zeros(c.size, dtype=bool),
+                *np.zeros((2, c.size), dtype=int), rtol, atol, h_max, stop, is_dense)
+        while cols[0].size:
+            ti, h_abs, retry, h_max = cols[1], cols[4], cols[5], cols[10]
             min_step = 10 * np.abs(np.nextafter(ti, np.inf) - ti)
-            new, h_max = ~retry[i], max_step[i]   # a new step starts clipped to [min_step, h_max]
-            h = np.where(new & (h > h_max), h_max, np.where(new & (h < min_step), min_step, h))
+            # a new step starts clipped to [min_step, h_max]
+            h = where(retry, h_abs, where(h_abs > h_max, h_max, np.maximum(h_abs, min_step)))
             small = h < min_step     # False for a NaN step, whose error norm fails
-            if small.any():
-                res.failures[i[small]], active[i[small]] = (
-                    "Required step size is less than spacing between numbers.", False)
-                i, ti, h = i[~small], ti[~small], h[~small]
-            t_new = np.minimum(ti + h, t_stop[i])
+            if np.count_nonzero(small):
+                cols = retire(cols, small, "Required step size is less than spacing between "
+                                           "numbers.")
+                h = h[~small]
+            c, ti, yi, fi, _, retry, accepted, rejected, rtol, atol, h_max, stop, is_dense = cols
+            t_new = np.minimum(ti + h, stop)
             h = t_new - ti
-            yi = y[:, i]
             K = np.empty((_NS + 1,) + yi.shape)   # the step's stages
-            K[0] = f[:, i]
-            for st, (a, t_st) in enumerate(zip(_A, ti + RK.C[1:, None] * h), 1):
-                K[st] = rhs(t_st, yi + _stage_sum(a, K, h))
-            y_new = yi + _stage_sum(_B, K, h)
-            K[_NS] = rhs(t_new, y_new)
-            res.stages[i] += _NS
-            scale = atol[i] + np.maximum(np.abs(yi), np.abs(y_new)) * rtol[i]
+            K[0] = fi
+            stage = rhs(np.concatenate((ti + RK.C[1:, None] * h, t_new[None])))
+            for st, a in enumerate(_A, 1):
+                stage(st - 1, np.add(yi, _stage_sum(a, K, h)), K[st])
+            y_new = np.add(yi, _stage_sum(_B, K, h))
+            stage(_NS - 1, y_new, K[_NS])
+            scale = atol + np.maximum(np.abs(yi), np.abs(y_new)) * rtol
             n5 = _norm(_stage_sum(_E5, K, 1.0) / scale) ** 2
             n3 = _norm(_stage_sum(_E3, K, 1.0) / scale) ** 2
-            err = np.where((n5 == 0) & (n3 == 0), 0.0,
-                           h * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
-            finite, ok = np.isfinite(err), err < 1
-            if not finite.all():
-                bad = i[~finite]
-                res.failures[bad], active[bad] = "error norm is not finite", False
-            factor = 0.9 * err ** power
-            grow = np.where(err == 0, 10.0, np.minimum(10.0, factor))
-            h_abs[i] = h * np.where(ok, np.where(retry[i], np.minimum(1.0, grow), grow),
-                                    np.maximum(0.2, factor))
-            retry[i] = rejected = ~ok
-            res.rejected[i] += rejected & finite
-            k = ok.nonzero()[0]
-            cells = i[k]
-            res.accepted[cells] += 1
-            t[cells], y[:, cells], f[:, cells] = t_new[k], y_new[:, k], K[_NS][:, k]
-            active[cells] = t_new[k] < t_stop[cells]
-            g, g_new = ([watch[1](x[watch[0], k]) for x in (yi, y_new)] if watch is not None
-                        else [np.ones(k.size)] * 2)
-            sign = (np.minimum(g, g_new) <= 0) & (np.maximum(g, g_new) >= 0)
-            sel = sign | dense[cells]
-            if sel.any():
-                s = k[sel]
-                kept.append((i[s], sign[sel], ti[s], t_new[s], yi[:, s], y_new[:, s], K[:, :, s]))
+            err = where((n5 == 0) & (n3 == 0), 0.0, h * n5 / np.sqrt((n5 + 0.01 * n3) * len(y)))
+            ok, factor = err < 1, 0.9 * err ** power
+            grow = where(err == 0, 10.0, np.minimum(10.0, factor))
+            h_abs = h * where(ok, where(retry, np.minimum(1.0, grow), grow),
+                              np.maximum(0.2, factor))
+            g, g_new = ([watch[1](x[watch[0]]) for x in (yi, y_new)] if watch is not None
+                        else [np.ones(ok.size)] * 2)
+            sign = ok & (np.minimum(g, g_new) <= 0) & (np.maximum(g, g_new) >= 0)
+            sel = sign | (ok & is_dense)
+            n_sel = np.count_nonzero(sel)
+            if n_sel:
+                kept.append((c, sign, ti, t_new, yi, y_new, K) if n_sel == sel.size else
+                            (c[sel], sign[sel], ti[sel], t_new[sel], yi[:, sel], y_new[:, sel],
+                             K[:, :, sel]))
+            cols = (c, where(ok, t_new, ti), where(ok, y_new, yi), where(ok, K[_NS], fi), h_abs,
+                    ~ok, accepted + ok, rejected + ~ok, rtol, atol, h_max, stop, is_dense)
+            finite = np.isfinite(err)
+            if np.count_nonzero(finite) < finite.size:
+                cols = retire(cols, ~finite, "error norm is not finite", 1)
+                ok, t_new, stop = ok[finite], t_new[finite], stop[finite]
+            done = ok & (t_new >= stop)
+            if np.count_nonzero(done):
+                cols = retire(cols, done)
         cell, sign, t_old, t_new, y_old, y_new = (np.concatenate(x, axis=-1) for x in
                                                   list(zip(*kept))[:-1])
         K = np.empty((_NS + 1 + len(_A_EXTRA),) + y_old.shape)   # the kept steps' stages
         np.concatenate([x[-1] for x in kept], axis=-1, out=K[:_NS + 1])
         del kept
         h = t_new - t_old
-        for st, (a, frac) in enumerate(zip(_A_EXTRA, RK.C_EXTRA) if h.size else (), _NS + 1):
-            K[st] = rhs(t_old + frac * h, y_old + _stage_sum(a, K, h))
+        if h.size:
+            stage = rhs(t_old + RK.C_EXTRA[:, None] * h)
+            for st, a in enumerate(_A_EXTRA):
+                stage(st, y_old + _stage_sum(a, K, h), K[_NS + 1 + st])
         res.stages += len(RK.C_EXTRA) * np.bincount(cell, minlength=m)
         dy = y_new - y_old
         F = np.array([dy, h * K[0] - dy, 2 * dy - h * (K[_NS] + K[0])]
                      + [_stage_sum(d, K, h) for d in _D])
-        for j in np.flatnonzero(sign):   # in round order: each cell's zeros in time order
-            res.zeros[cell[j]] += [_dense_zero(watch, F[..., j], y_old[:, j], t_old[j], t_new[j])]
+        j = np.flatnonzero(sign)   # in round order: each cell's zeros in time order
+        if j.size:   # each zero of g(y[row]) on its step's dense output, and the state there
+            (row, g), F_j, y_j, t_j, h_j = watch, F[..., j], y_old[:, j], t_old[j], h[j]
+            roots = _brentq(lambda x, k: g(_horner(list(F_j[:, row, k]), (x - t_j[k]) / h_j[k])
+                                           + y_j[row, k]), t_j, t_new[j])
+            states = _horner(list(F_j), (roots - t_j) / h_j) + y_j
+            for c, root, state in zip(cell[j], roots.tolist(), states.T.tolist()):
+                res.zeros[c].append((root, state))
     if not np.any(dense):
         return res, t, y, [None] * m
     keep = dense[cell]
@@ -408,8 +505,8 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, dense=False) -> Le
     record where they enter and leave the support box, joint states
     (u, p, xi, xi') with damping (d, d_xi) the zeros of xi. cfg is one
     IntegratorConfig or one per cell: its tolerances and strip step bound. A
-    backward batch steps forward in s = -t on -f(-s, y), which negates every
-    time and stage exactly. A dense cell (dense is one
+    backward batch steps forward in s = -t on -f(-s, y) (`_flow_rhs` with
+    sign -1), which negates every time and stage exactly. A dense cell (dense is one
     flag, or one per cell) keeps the rows of every step and gets its
     LegSolution in `runs`, which reads it at any times."""
     y0 = np.asarray(y0, dtype=float)
@@ -426,9 +523,9 @@ def integrate_legs(w: Potential, t0, y0, t_end, cfg, damping, dense=False) -> Le
     a, b = (np.minimum(np.maximum(x, lo), hi) for x in (w.t_lower, w.t_upper))
     t_in, t_out = (a, b) if d > 0 else (b, a)
     y_in = _free(y0, t_in - t0, damping)
-    joint, rhs = len(damping) == 2, _flow_rhs(w, damping)
+    joint = len(damping) == 2
     res, s, y, rows = _dop853_batch(
-        rhs if d > 0 else lambda s, y: -rhs(-s, y), d * t_in, d * t_out, y_in,
+        _flow_rhs(w, damping, d), d * t_in, d * t_out, y_in,
         [np.array([c.rel_tol for c in cfgs]), np.array([c.abs_tol for c in cfgs])],
         np.array([strip_step(w, c) for c in cfgs]),
         (2, lambda xi: xi) if joint else (0, lambda u: abs(u) - w.u_bound), dense=dense)

@@ -20,11 +20,10 @@ are derived from the parameters in closed form, with no search, from the
 extremes of the bump profile's g''; an example-4.4.6 potential has neither.
 Each family's evaluator `jet(u, t, orders)` returns every derivative asked
 for from one pass of each bump (`_profile` shares its powers of
-1/(1-s^2)); a product potential read at one-dimensional u and t of one
-shape, as the flow reads it, passes both bumps' arguments through
-`_profile` stacked, in one pass. `jet` serves the flow and the quadrature;
-the views `w`, `dw_du`, `d2w_duu` and `dw_dt` are its one-order calls, with
-the same bits.
+1/(1-s^2)). A flow reads it through `split_jet`, which a product potential
+splits along the product: g(e^t) once per Runge-Kutta step, f once per
+stage, with jet's bits. `jet` serves the quadrature; the views `w`,
+`dw_du`, `d2w_duu` and `dw_dt` are its one-order calls, with the same bits.
 """
 
 from __future__ import annotations
@@ -46,7 +45,10 @@ _VARIANT_POWER = {"as-printed": 1, "chain-rule": 2}
 
 # a point of the profile's left foot where g and its first three derivatives
 # are +0.0: exp(1 - 1/q) underflows, and each factor it multiplies is positive
-_FOOT = -0.9999
+_FOOT = np.array(-0.9999)
+# the formula's constants as 0-d arrays: a ufunc reads one faster than a
+# Python float, with the same bits
+_ONE, _THREE, _FOUR, _M2, _M24 = map(np.array, (1.0, 3.0, 4.0, -2.0, -24.0))
 
 
 def _profile(s, orders):
@@ -70,20 +72,46 @@ def _profile(s, orders):
 
 
 def _profile_inside(s, orders):
-    """Every order up to the highest asked for, on a shared g(s) and h1..h3."""
-    q = 1.0 - s * s
-    val = np.exp(1.0 - 1.0 / q)
+    """Every order up to the highest asked for, on a shared g(s) and h1..h3:
+    with q = 1 - s^2, g = exp(1 - 1/q), h1 = -2s / q^2, h2 = -2(1 + 3s^2) / q^3
+    and h3 = -24s(1 + s^2) / q^4, g' = h1 g, g'' = (h2 + h1^2) g and g''' =
+    (h3 + 3 h1 h2 + h1^3) g, each operation one explicit ufunc call."""
+    mul, add, div = np.multiply, np.add, np.divide
+    q = np.subtract(_ONE, mul(s, s))
+    val = np.exp(np.subtract(_ONE, div(_ONE, q)))
     d, top = [val], max(orders)
     if top:
-        h1 = -2.0 * s / np.square(q)
-        d.append(h1 * val)
+        h1 = div(mul(_M2, s), np.square(q))
+        d.append(mul(h1, val))
         if top > 1:
-            h2 = -2.0 * (1.0 + 3.0 * s * s) / np.power(q, 3.0)
-            d.append((h2 + h1 * h1) * val)
+            h2 = div(mul(_M2, add(_ONE, mul(mul(_THREE, s), s))), np.power(q, _THREE))
+            d.append(mul(add(h2, mul(h1, h1)), val))
             if top > 2:
-                h3 = -24.0 * s * (1.0 + s * s) / np.power(q, 4.0)
-                d.append((h3 + 3.0 * h1 * h2 + np.power(h1, 3.0)) * val)
+                h3 = div(mul(mul(_M24, s), add(_ONE, mul(s, s))), np.power(q, _FOUR))
+                d.append(mul(add(add(h3, mul(mul(_THREE, h1), h2)), np.power(h1, _THREE)), val))
     return list(map(d.__getitem__, orders))
+
+
+def _bump_at(bump, orders):
+    """(x, by) -> `bump_jet` of `bump` at the array x, one array per order,
+    each times `by` when given: its operations in its order, on 0-d
+    constants and with one `_profile_inside` call, so with its bits. A flow
+    stage reads its bumps this way."""
+    (c, w, a), wn = (np.array(getattr(bump, k)) for k in ("center", "width", "amplitude")), [
+        np.array(bump.width ** n) for n in orders]
+    # x - 0.0, x / 1.0 and 1.0 * x are exact: skipped
+    shift, scale, unit = bump.center != 0.0, bump.width != 1.0, bump.amplitude == 1.0
+
+    def at(x, by=None):
+        x = np.subtract(x, c) if shift else x
+        x = np.divide(x, w) if scale else x
+        d = _profile_inside(np.where(np.less(np.abs(x), _ONE), x, _FOOT), orders)
+        for k, wk in enumerate(wn):
+            dk = d[k] if unit else np.multiply(a, d[k])
+            dk = np.divide(dk, wk) if scale else dk
+            d[k] = dk if by is None else np.multiply(dk, by)
+        return d
+    return at
 
 
 def _scaled(out, orders, amplitude, width):
@@ -168,6 +196,13 @@ class Potential:
             return self
         return replace(self, **{self._U_BUMP: replace(bump, center=0.0)}, u_bound=bump.width)
 
+    def split_jet(self, orders):
+        """jet(u, t, orders) for a Runge-Kutta step, as a flow stage reads it:
+        at_times(t) takes the step's stage times (stage, cell) and returns
+        at(j, u), the jet at the 1-D u and the times t[j]. A family whose
+        factors part in u and t evaluates its t-factors once per step."""
+        return lambda t: lambda j, u: self.jet(u, t[j], orders)
+
     # the one-order views: W, W_u, W_uu, W_t at (u, t)
     w, dw_du, d2w_duu, dw_dt = map(_potential_view, range(4))
 
@@ -187,35 +222,38 @@ class ProductPotential(Potential):
     _U_BUMP = "f"
 
     def jet(self, u, t, orders):
-        """Every element takes the ufuncs of f.jet(u) and g.jet(e^t) in their
-        order, stacked or not, so the two paths agree to the last bit."""
+        """lam * (f's order of u * g's order of r) per index, times r for W_t,
+        from one f.jet(u) and one g.jet(e^t); `split_jet` takes the same
+        ufuncs per element in the same order."""
         if self.f is None:
             zero = np.zeros(np.broadcast(np.asarray(u, float), np.asarray(t, float)).shape)
             return [zero] * len(orders)
         du, dr, factors = _factor_orders(orders)
-        f, g = self.f, self.g
-        if isinstance(u, np.ndarray) and u.ndim == 1 and u.shape == np.shape(t):
-            # one profile pass over the stacked arguments [(u - c_f)/w_f ; (r - c_g)/w_g]
-            x = np.empty((2,) + u.shape)
-            x[0], r = u, np.exp(t, out=x[1])
-            center, width = self._columns
-            d = _profile((x - center) / width, du + dr)
-            F = _scaled([dk[0] for dk in d[:len(du)]], du, f.amplitude, f.width)
-            G = _scaled([dk[1] for dk in d[len(du):]], dr, g.amplitude, g.width)
-        else:
-            r = np.exp(np.asarray(t, float))
-            F, G = f.jet(u, du), g.jet(r, dr)
+        r = np.exp(np.asarray(t, float))
+        F, G = self.f.jet(u, du), self.g.jet(r, dr)
         out = []
         for i, j, n in factors:   # 1.0 * x is exact: skipped
             val = F[i] * G[j] if self.lam == 1.0 else self.lam * (F[i] * G[j])
             out.append(val * r if n else val)
         return out
 
-    @functools.cached_property
-    def _columns(self):
-        """The centers and the widths of f and g, each a (2, 1) column."""
-        return tuple(np.array([[getattr(b, k)] for b in (self.f, self.g)])
-                     for k in ("center", "width"))
+    def split_jet(self, orders):
+        """`jet` of W_u and W_uu (t-order 0) split along the product for a
+        Runge-Kutta step, whose stage times are known before its first stage:
+        at_times(t) reads g(e^t) at the times t (stage, cell) in one pass and
+        returns at(j, u), the jet at the 1-D u and the times t[j], from one
+        `_bump_at` pass of f times row j of g (and lam), in jet's order of
+        operations, so with its bits."""
+        if self.f is None:
+            return super().split_jet(orders)
+        f_at, g_at, lam = _bump_at(self.f, orders), _bump_at(self.g, (0,)), np.array(self.lam)
+
+        def at_times(t):
+            G = list(g_at(np.exp(t))[0])
+            if self.lam == 1.0:
+                return lambda j, u: f_at(u, G[j])
+            return lambda j, u: [np.multiply(lam, F) for F in f_at(u, G[j])]
+        return at_times
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidParameterError, MinfolError
-from .odeflow import (IntegratorConfig, LegBatch, LegSolution, _sample_grid, integrate_legs,
+from .odeflow import (IntegratorConfig, LegBatch, _sample_grid, integrate_legs, read_runs,
                       stepper_work, strip_step)
 from .potential import Potential, k_constant
 from .quadrature import quad_2d
@@ -64,11 +64,19 @@ def _verify_cfg(w: Potential, cfg: IntegratorConfig) -> IntegratorConfig:
                    max_step=min(cfg.max_step, (w.t_upper - w.t_lower) / _VERIFY_STRIP_STEPS))
 
 
-def _residual(run: LegSolution, f: ConjugateFinding, t_end: float) -> float:
-    """|xi(t2)| over the sup of |xi| on the sample grid of [t1, min(t2 + 0.5,
-    t_end)], read from a verification run of the finding's cell."""
-    y = run(np.append(_sample_grid(f.t1, min(f.t2 + 0.5, t_end)), f.t2))
-    return abs(float(y[2, -1])) / (float(np.max(np.abs(y[2, :-1]))) or 1.0)
+def _residuals(runs, findings, t_end: float) -> list[float]:
+    """Per finding, |xi(t2)| over the sup of |xi| on the sample grid of [t1,
+    min(t2 + 0.5, t_end)], read from its cell's verification run: every
+    finding's grid and t2 in one `read_runs` pass."""
+    if not findings:
+        return []
+    grids = [np.append(_sample_grid(f.t1, min(f.t2 + 0.5, t_end)), f.t2) for f in findings]
+    ends = np.cumsum([len(g) for g in grids])
+    xi = np.abs(read_runs(runs, grids)[2])
+    at_t2 = xi[ends - 1]
+    xi[ends - 1] = 0.0
+    sup = np.maximum.reduceat(xi, np.append(0, ends[:-1]))
+    return (at_t2 / np.where(sup == 0.0, 1.0, sup)).tolist()
 
 
 def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
@@ -133,7 +141,7 @@ def conjugate_point_scan(w: Potential, u0_grid, p0_grid, t_start: float,
     for _, exc in checks:
         if exc is not None:
             raise exc
-    report.residuals = [_residual(sol, f, t_end) for f, (sol, _) in zip(report.findings, checks)]
+    report.residuals = _residuals([sol for sol, _ in checks], report.findings, t_end)
     report.diagnostics = {
         **stepper_work(scans),
         "max_accepted_steps_per_cell": int(max(b.accepted.max() for b in scans)),
@@ -151,7 +159,7 @@ def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorCo
     run, on another step sequence than the scan's: from (u0, p0, 0, 1) at
     t1 = t_start across the strip to t_end (default 10 past it), at halved
     tolerances, the strip step bounded by a 64th of the strip width instead
-    of an eighth. Returns `_residual` per finding and the run's stepper work;
+    of an eighth. Returns `_residuals` of the findings and the run's stepper work;
     raises the first failed finding's error. A scan's residuals are these
     bits, read from its verification copies."""
     t_end = w.t_upper + 10.0 if t_end is None else t_end
@@ -163,7 +171,7 @@ def verify_findings(w: Potential, findings, cfg: IntegratorConfig = IntegratorCo
     run = integrate_legs(w, [f.t1 for f in findings], y0, t_end, _verify_cfg(w, cfg),
                          (0.0, 0.0), dense=True)
     run.raise_failure()
-    return [_residual(sol, f, t_end) for sol, f in zip(run.runs, findings)], stepper_work([run])
+    return _residuals(run.runs, findings, t_end), stepper_work([run])
 
 
 def verify_finding(w: Potential, finding: ConjugateFinding,

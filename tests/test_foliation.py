@@ -313,7 +313,8 @@ class TestFocalPoints:
     (make_bump(0.3, 0.7, -1.7), make_bump(-0.2, 1.3, 0.6))], ids=["config", "scaled"])
 @pytest.mark.parametrize("where", ["inside", "mixed", "outside"])
 def test_first_order_rhs_equals_the_two_bump_calls(phi, psi, where):
-    # one stacked profile pass gives the bits of phi'(u) psi(t), signed zeros too
+    # psi taken once for 12 stage times, then one phi' pass a stage, gives the
+    # bits of phi'(u) psi(t), signed zeros too
     rng = np.random.default_rng(3)
     (u_lo, u_hi), (t_lo, t_hi) = phi.support, psi.support
     u_in, t_in = rng.uniform(u_lo, u_hi, 64), rng.uniform(t_lo, t_hi, 64)
@@ -323,8 +324,11 @@ def test_first_order_rhs_equals_the_two_bump_calls(phi, psi, where):
             "mixed": (np.concatenate((u_in[:32], u_in[32:48], u_out[:16])),
                       np.concatenate((t_in[:32], t_out[:16], t_in[32:48]))),
             "outside": (u_out, t_out)}[where]
-    got = foliation._first_order_rhs(phi, psi)(t, u[None])
-    want = (phi.derivative(u) * psi.value(t))[None]
-    assert got.shape == (1, len(u)) and got.tobytes() == want.tobytes()
-    if where == "outside" and phi.amplitude < 0:
-        assert np.all(got == 0.0) and np.all(np.signbit(got))
+    t12 = np.array([np.roll(t, 5 * j) for j in range(12)])   # (stage, cell)
+    stage = foliation._first_order_rhs(phi, psi)(t12)
+    for j in range(12):
+        got = stage(j, u[None], np.empty((1, len(u))))
+        want = (phi.derivative(u) * psi.value(t12[j]))[None]
+        assert got.shape == (1, len(u)) and got.tobytes() == want.tobytes()
+        if where == "outside" and phi.amplitude < 0:
+            assert np.all(got == 0.0) and np.all(np.signbit(got))

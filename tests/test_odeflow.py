@@ -418,11 +418,16 @@ def test_dense_stages_come_from_three_calls_after_the_last_step(strong_log):
     w = strong_log
     y0 = np.array([[0.25, -0.25, 0.4, 0.1], [0.25, 0.5, -0.1, 0.2],
                    [0.0, 0.0, 1.0, 0.0], [1.0, 1.0, 0.5, 1.0]])
-    rhs, widths = _flow_rhs(w, (0.0, 0.0)), []
+    rhs, widths, times = _flow_rhs(w, (0.0, 0.0)), [], []
 
-    def counted(t, y):
-        widths.append(y.shape[1])
-        return rhs(t, y)
+    def counted(t):
+        times.append(t.shape)
+        stage = rhs(t)
+
+        def counted_stage(j, y, out):
+            widths.append(y.shape[1])
+            return stage(j, y, out)
+        return counted_stage
 
     dense = np.array([True, False, False, True])
     res, _, _, rows = _dop853_batch(counted, np.full(4, w.t_lower), np.full(4, w.t_upper),
@@ -431,6 +436,10 @@ def test_dense_stages_come_from_three_calls_after_the_last_step(strong_log):
     kept = np.where(dense, res.accepted, [len(z) for z in res.zeros])
     assert np.all(kept[~dense] > 0) and kept.sum() > 4
     assert widths[-3:] == [kept.sum()] * 3 and max(widths[:-3]) <= 4
+    # one t-factor pass a step, at its 12 stage times, and one over the kept steps
+    assert times[-1] == (3, kept.sum()) and times[:2] == [(1, 4)] * 2
+    assert len(times) == 3 + (res.accepted + res.rejected).max() and \
+        all(x[0] == _NS for x in times[2:-1])
     assert list(res.stages) == list(2 + _NS * (res.accepted + res.rejected) + 3 * kept)
     assert [len(r.h) for r in rows if r is not None] == list(res.accepted[dense])
 
@@ -461,13 +470,21 @@ def test_shipped_configs_make_the_counted_rhs_calls_and_stage_sums(
     from minfol import foliation, odeflow
     from minfol.cli import main
 
-    calls = {"rhs": 0, "stage_sum": 0}
+    # rhs: the u-passes, one a stage; t_pass: the t-factor passes, one a
+    # round of the batch (98 and 86), two for its initial step and one for
+    # its dense stages
+    calls = {"rhs": 0, "stage_sum": 0, "t_pass": 0}
     core, stage_sum = odeflow._dop853_batch, odeflow._stage_sum
 
     def counted_core(rhs, *args, **kwargs):
-        def counted(t, y):
-            calls["rhs"] += 1
-            return rhs(t, y)
+        def counted(t):
+            calls["t_pass"] += 1
+            stage = rhs(t)
+
+            def counted_stage(j, y, out):
+                calls["rhs"] += 1
+                return stage(j, y, out)
+            return counted_stage
         return core(counted, *args, **kwargs)
 
     def counted_sum(*args):
@@ -479,7 +496,8 @@ def test_shipped_configs_make_the_counted_rhs_calls_and_stage_sums(
     monkeypatch.setattr(odeflow, "_stage_sum", counted_sum)
     out = str(tmp_path / "out")
     assert main(["--config", os.path.join(CONFIGS, name + ".json"), "--out", out]) == 0
-    assert calls == {"rhs": rhs_calls, "stage_sum": stage_sums}
+    t_passes = {"scan-conjugate": 101, "example446": 89}[name]
+    assert calls == {"rhs": rhs_calls, "stage_sum": stage_sums, "t_pass": t_passes}
 
 def test_stage_coefficients_are_views_of_scipys_tables():
     from scipy.integrate import DOP853 as RK
@@ -607,25 +625,115 @@ def _force_points(w):
                          ids=["flow-n2", "flow-n3", "joint-n2", "joint-n4"])
 @pytest.mark.parametrize("name", sorted(STACKED_FORCE_CASES))
 def test_flow_rhs_equals_the_jets_point_by_point(name, damping, cells):
-    # the stacked profile pass gives the bits of one w.jet per point, whose
-    # 0-d evaluation passes each bump on its own; signed zeros count
+    # t-factors taken once for 12 stage times, then one u-pass a stage, give
+    # the bits of one w.jet per point, whose 0-d evaluation passes each bump
+    # on its own; signed zeros count. A backward run's field -f(-s, y) is the
+    # negated forward field, bit for bit.
     from minfol.odeflow import _flow_rhs
 
     w = STACKED_FORCE_CASES[name]
     points = _force_points(w)
     rng = np.random.default_rng(len(points) + cells)
-    for start in range(0, len(points), cells):
-        chunk = [points[(start + k) % len(points)] for k in range(cells)]
-        u, t = (np.array(x) for x in zip(*chunk))
-        y = np.vstack((u, rng.uniform(-1.0, 1.0, (2 * len(damping) - 1, cells))))
-        y[1, ::3] = 0.0
-        got = _flow_rhs(w, damping)(t, y)
-        want = np.empty_like(y)
-        orders = (1, 2)[:len(damping)]
-        for c in range(cells):
-            e2, jet = np.exp(2.0 * t[c]), w.jet(y[0, c], t[c], orders)
-            want[0, c], want[1, c] = y[1, c], -damping[0] * y[1, c] - e2 * jet[0]
-            if len(damping) == 2:
-                want[2, c] = y[3, c]
-                want[3, c] = -damping[1] * y[3, c] - e2 * jet[1] * y[2, c]
-        assert got.shape == y.shape and got.tobytes() == want.tobytes(), (start, got, want)
+    chunks = [[points[(start + k) % len(points)] for k in range(cells)]
+              for start in range(0, len(points), cells)]
+    orders = (1, 2)[:len(damping)]
+    for first in range(0, len(chunks), 12):
+        block = chunks[first:first + 12]
+        t12 = np.array([[t for _, t in chunk] for chunk in block])   # (stage, cell)
+        ys = [np.vstack(([u for u, _ in chunk],
+                         rng.uniform(-1.0, 1.0, (2 * len(damping) - 1, cells))))
+              for chunk in block]
+        for y in ys:
+            y[1, ::3] = 0.0
+        for sign in (1.0, -1.0):
+            stage = _flow_rhs(w, damping, sign)(sign * t12)
+            for j, y in enumerate(ys):
+                got, want = stage(j, y, np.empty_like(y)), np.empty_like(y)
+                for c in range(cells):
+                    e2, jet = np.exp(2.0 * t12[j, c]), w.jet(y[0, c], t12[j, c], orders)
+                    want[0, c], want[1, c] = y[1, c], -damping[0] * y[1, c] - e2 * jet[0]
+                    if len(damping) == 2:
+                        want[2, c] = y[3, c]
+                        want[3, c] = -damping[1] * y[3, c] - e2 * jet[1] * y[2, c]
+                want = want if sign > 0 else -want
+                assert got.shape == y.shape and got.tobytes() == want.tobytes(), (j, got, want)
+
+
+def _scipy_brentq_bits(f, a, b):
+    """scipy's brentq per lane of the vectorized f(x, lanes), at the event
+    tolerances, as float.hex."""
+    from scipy.optimize import brentq
+
+    def lane(k):
+        return lambda x: float(f(np.array([x]), np.array([k]))[0])
+    return [float(brentq(lane(k), a[k], b[k], xtol=4 * np.finfo(float).eps,
+                         rtol=4 * np.finfo(float).eps)).hex() for k in range(a.size)]
+
+
+def test_brentq_port_returns_scipys_bits_on_random_brackets():
+    # 12,000 smooth brackets, some with a zero at an end: every lane's root
+    # has the bits of scipy.optimize.brentq on that lane alone
+    from minfol.odeflow import _brentq
+
+    rng = np.random.default_rng(20240)
+    n = 12000
+    root, slope, curve, freq = (rng.uniform(lo, hi, n) for lo, hi in
+                                ((-3.0, 3.0), (0.1, 5.0), (-2.0, 2.0), (0.5, 4.0)))
+    kind = rng.integers(0, 3, n)
+
+    def f(x, k):
+        d = x - root[k]
+        return np.where(kind[k] == 0, slope[k] * d * (1.0 + curve[k] * d * d),
+                        np.where(kind[k] == 1, np.sin(freq[k] * d) * slope[k],
+                                 np.expm1(slope[k] * d) + curve[k] * d ** 3 / 10.0))
+
+    a = root - rng.uniform(1e-9, 0.3, n) * 10.0 ** -rng.integers(0, 6, n)
+    b = root + rng.uniform(1e-9, 0.3, n) * 10.0 ** -rng.integers(0, 6, n)
+    a[:50] = root[:50]   # a zero at the left end
+    lanes = np.arange(n)
+    fa, fb = f(a, lanes), f(b, lanes)
+    ok = (fa == 0) | (fb == 0) | (np.signbit(fa) != np.signbit(fb))
+    a, b = a[ok], b[ok]
+    root, slope, curve, freq, kind = (x[ok] for x in (root, slope, curve, freq, kind))
+    assert a.size >= 10000
+    got = [float(x).hex() for x in _brentq(f, a, b)]
+    assert got == _scipy_brentq_bits(f, a, b)
+
+
+def test_brentq_port_raises_scipys_errors():
+    from scipy.optimize import brentq
+
+    from minfol.odeflow import _brentq
+
+    a, b = np.array([-1.0, -1.0, -2.0]), np.array([1.0, 2.0, 3.0])
+
+    def nan_lane(x, k):   # lane 1 is NaN right of 0.5
+        return np.where((k == 1) & (x > 0.5), np.nan, x - 0.1 * k)
+    with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+        _brentq(nan_lane, a, b)
+    with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+        brentq(lambda x: float(nan_lane(np.array([x]), np.array([1]))[0]), -1.0, 2.0)
+    with pytest.raises(ValueError, match="must have different signs"):
+        _brentq(lambda x, k: x * x + 1.0, a, b)
+
+
+def test_brentq_port_returns_scipys_bits_on_every_shipped_bracket(tmp_path, monkeypatch):
+    # every watched bracket of the sample configs: zeros of xi and support events
+    import glob
+
+    from minfol import odeflow
+    from minfol.cli import main
+
+    port, brackets = odeflow._brentq, []
+
+    def checked(f, a, b):
+        roots = port(f, a, b)
+        assert [float(x).hex() for x in roots] == _scipy_brentq_bits(f, a, b)
+        brackets.append(a.size)
+        return roots
+
+    monkeypatch.setattr(odeflow, "_brentq", checked)
+    for cfg in sorted(glob.glob(os.path.join(CONFIGS, "*.json"))):
+        out = str(tmp_path / os.path.basename(cfg))
+        assert main(["--config", cfg, "--out", out]) == 0
+    assert sum(brackets) == 341
