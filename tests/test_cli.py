@@ -561,13 +561,16 @@ def test_commands_runners_and_schema_agree():
         == set(schema["properties"]["command"]["enum"])
 
 
-def test_importing_the_cli_loads_no_jacobi_module():
-    # no command reads a Jacobi field, so a CLI process does not import one
+@pytest.mark.parametrize("name", ["minfol.jacobi", "scipy"])
+def test_importing_the_cli_does_not_load(name):
+    # no command reads a Jacobi field, and the runtime needs numpy only, so a
+    # CLI process imports neither a Jacobi module nor any part of scipy
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    code = "import sys, minfol.cli; print('minfol.jacobi' in sys.modules)"
+    code = ("import sys, minfol.cli; print(sorted(m for m in sys.modules "
+            "if m == %r or m.startswith(%r)))" % (name, name + "."))
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 class TestMainExitCodes:

@@ -499,15 +499,27 @@ def test_shipped_configs_make_the_counted_rhs_calls_and_stage_sums(
     t_passes = {"scan-conjugate": 101, "example446": 89}[name]
     assert calls == {"rhs": rhs_calls, "stage_sum": stage_sums, "t_pass": t_passes}
 
-def test_stage_coefficients_are_views_of_scipys_tables():
+def test_stage_coefficients_are_scipys_doubles():
+    # odeflow's literal tables hold scipy's DOP853 doubles bit for bit, each
+    # row cut to the stages it reads, zeros kept
     from scipy.integrate import DOP853 as RK
 
     from minfol import odeflow
 
-    for table, rows in ((RK.A, odeflow._A), (RK.A_EXTRA, odeflow._A_EXTRA),
-                        (RK.D, odeflow._D), (RK.B, [odeflow._B]),
-                        (RK.E5, [odeflow._E5]), (RK.E3, [odeflow._E3])):
-        assert all(np.shares_memory(row, table) for row in rows)
+    def same(column, table, dims):
+        return (column.shape == (len(table),) + (1,) * dims
+                and column.tobytes() == np.ascontiguousarray(table).tobytes())
+
+    ns = RK.n_stages
+    assert (odeflow._NS, odeflow._ORDER) == (ns, RK.error_estimator_order) == (12, 7)
+    assert len(odeflow._A) == ns - 1 and len(odeflow._A_EXTRA) == len(RK.A_EXTRA)
+    assert len(odeflow._D) == len(RK.D)
+    for rows, tables in ((odeflow._A, [RK.A[s, :s] for s in range(1, ns)]),
+                         (odeflow._A_EXTRA, [r[:ns + 1 + j] for j, r in enumerate(RK.A_EXTRA)]),
+                         (odeflow._D, RK.D),
+                         ([odeflow._B, odeflow._E5, odeflow._E3], [RK.B, RK.E5, RK.E3])):
+        assert all(same(row, table, 2) for row, table in zip(rows, tables))
+    assert same(odeflow._C, RK.C[1:], 1) and same(odeflow._C_EXTRA, RK.C_EXTRA, 1)
 
 
 def test_mixed_tolerance_cell_equals_its_uniform_batch(strong_log):
